@@ -2,10 +2,10 @@
 certificates, orbital-measure audits and renders, and a one-shot
 verification suite over the built-in example groups.
 
-Exit codes: 0 success, 1 verification failure, 2 config parse error,
-3 enumeration budget exceeded, 4 exact-arithmetic overflow, 5 insufficient
-data for estimation, 6 no separation certificate, 7 degenerate measure
-normalizer.
+Exit codes: 0 success, 1 verification failure, 2 invalid config or limits
+(including generators without a ping-pong certificate), 3 enumeration budget
+exceeded, 4 exact-arithmetic overflow, 5 insufficient data for estimation,
+6 no separation certificate, 7 degenerate measure normalizer.
 """
 
 from __future__ import annotations
@@ -37,26 +37,42 @@ class ConfigError(ValueError):
     pass
 
 
+# Exit code of each error a command may raise; `check` fails the suite instead.
+_EXIT_CODES = {
+    ConfigError: EXIT_PARSE,
+    groups.NonHyperbolicGenerator: EXIT_PARSE,
+    groups.MarginViolation: EXIT_PARSE,
+    groups.BudgetExceeded: EXIT_BUDGET,
+    OverflowError: EXIT_OVERFLOW,
+    counting.InsufficientData: EXIT_INSUFFICIENT,
+    counting.NoCertificate: EXIT_NO_CERTIFICATE,
+    patterson.DegenerateNormalizer: EXIT_DEGENERATE,
+    sequences.HypothesisViolated: EXIT_CHECK_FAILED,
+    sequences.NotSubmultiplicative: EXIT_CHECK_FAILED,
+}
+
+
 # ---------------------------------------------------------------------------
 # Built-in example configurations.
 
+# Generators of the built-in Schottky group.
+_A = Isometry(3.0, 0.0, 0.0, 1.0 / 3.0)
+_B = Isometry(5.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0, 5.0 / 3.0)
+
 
 def _builtin_docs() -> dict:
-    a = Isometry(3.0, 0.0, 0.0, 1.0 / 3.0)
-    b = Isometry(5.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0, 5.0 / 3.0)
     e = math.exp(0.5)
-    docs = {
-        "schottky": groups.spec_to_json_dict(groups.schottky_spec(a, b)),
+    return {
+        "schottky": groups.spec_to_json_dict(groups.schottky_spec(_A, _B)),
         "parabolic": groups.spec_to_json_dict(
             groups.cyclic_spec(Isometry(1.0, 1.0, 0.0, 1.0))),
         "cyclic-hyperbolic": groups.spec_to_json_dict(
             groups.cyclic_spec(Isometry(e, 0.0, 0.0, 1.0 / e))),
         "lattice": groups.spec_to_json_dict(groups.modular_lattice_spec()),
+        "schottky-separation": {
+            "group": groups.spec_to_json_dict(groups.cyclic_spec(_A)),
+            "witness": groups._mat_to_json(_B)},
     }
-    sep = {"group": groups.spec_to_json_dict(groups.cyclic_spec(a)),
-           "witness": [[repr(b.a), repr(b.b)], [repr(b.c), repr(b.d)]]}
-    docs["schottky-separation"] = sep
-    return docs
 
 
 def load_config(arg: str) -> tuple[dict, str]:
@@ -77,6 +93,8 @@ def load_config(arg: str) -> tuple[dict, str]:
             raise ConfigError(
                 f"malformed JSON in {arg}: {exc.msg} at line {exc.lineno} "
                 f"column {exc.colno}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {arg} must be a JSON object")
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     return doc, digest
 
@@ -92,8 +110,7 @@ def _group_from_doc(doc: dict) -> groups.GroupSpec:
 def _witness_from_doc(doc: dict) -> Isometry:
     if "witness" not in doc:
         raise ConfigError("separation config needs a 'witness' matrix")
-    (a, b), (c, d) = doc["witness"]
-    return Isometry(float(a), float(b), float(c), float(d))
+    return groups._mat_from_json(doc["witness"])
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +141,22 @@ def _parse_window(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _enumerate(spec, args):
-    return groups.enumerate_orbit(
+def _load_census(args):
+    """(census, witness, config hash) for a command's limits and config; only
+    `separation` reads a witness, and checks it before enumerating."""
+    if args.max_radius is None and args.max_word_length is None:
+        raise ConfigError("need --max-word-length or --max-radius")
+    if args.max_radius is not None and not 0.0 <= args.max_radius < math.inf:
+        raise ConfigError(f"--max-radius must be finite and >= 0: {args.max_radius}")
+    if args.max_word_length is not None and args.max_word_length < 0:
+        raise ConfigError(f"--max-word-length must be >= 0: {args.max_word_length}")
+    doc, digest = load_config(args.config)
+    spec = _group_from_doc(doc)
+    witness = _witness_from_doc(doc) if args.command == "separation" else None
+    census = groups.enumerate_orbit(
         spec, max_word_length=args.max_word_length,
         max_radius=args.max_radius)
+    return census, witness, digest
 
 
 def _out_dir(args) -> Path:
@@ -141,9 +170,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_census(args) -> int:
-    doc, digest = load_config(args.config)
-    spec = _group_from_doc(doc)
-    census = _enumerate(spec, args)
+    census, _, digest = _load_census(args)
     path = _out_dir(args) / "census.csv"
     with open(path, "w") as fh:
         census.write_csv(fh, header_lines=_header(args, digest))
@@ -154,9 +181,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_exponent(args) -> int:
-    doc, digest = load_config(args.config)
-    spec = _group_from_doc(doc)
-    census = _enumerate(spec, args)
+    census, _, digest = _load_census(args)
     report = counting.make_report(census)
     r_min = r_max = None
     if args.window:
@@ -174,10 +199,7 @@ def cmd_exponent(args) -> int:
 
 
 def cmd_separation(args) -> int:
-    doc, digest = load_config(args.config)
-    spec = _group_from_doc(doc)
-    witness = _witness_from_doc(doc)
-    census = _enumerate(spec, args)
+    census, witness, digest = _load_census(args)
     grid = _parse_grid(args.s_grid) if args.s_grid else np.arange(0.01, 1.01, 0.01)
     cert = counting.separation_certificate(census, witness, grid)
     out = _out_dir(args)
@@ -198,9 +220,7 @@ def cmd_separation(args) -> int:
 
 
 def cmd_patterson(args) -> int:
-    doc, digest = load_config(args.config)
-    spec = _group_from_doc(doc)
-    census = _enumerate(spec, args)
+    census, _, digest = _load_census(args)
     report = counting.make_report(census)
     delta_hat = counting.estimate_exponent(report).point_estimate
     if args.s_grid:
@@ -281,12 +301,10 @@ def _suite_counting():
 
 
 def _suite_separation():
-    a = Isometry(3.0, 0.0, 0.0, 1.0 / 3.0)
-    b = Isometry(5.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0, 5.0 / 3.0)
-    h_census = groups.enumerate_orbit(groups.cyclic_spec(a), max_word_length=200)
+    h_census = groups.enumerate_orbit(groups.cyclic_spec(_A), max_word_length=200)
     cert = counting.separation_certificate(
-        h_census, b, np.arange(0.01, 1.01, 0.01))
-    census = groups.enumerate_orbit(groups.schottky_spec(a, b), max_word_length=9)
+        h_census, _B, np.arange(0.01, 1.01, 0.01))
+    census = groups.enumerate_orbit(groups.schottky_spec(_A, _B), max_word_length=9)
     est = counting.estimate_exponent(counting.make_report(census))
     ok = cert.s0 >= 0.05 and cert.s0 <= est.point_estimate + est.spread
     yield ("separation-certificate", ok,
@@ -323,9 +341,7 @@ def _suite_sequences():
 
 
 def _suite_patterson():
-    a = Isometry(3.0, 0.0, 0.0, 1.0 / 3.0)
-    b = Isometry(5.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0, 5.0 / 3.0)
-    spec = groups.schottky_spec(a, b)
+    spec = groups.schottky_spec(_A, _B)
     census = groups.enumerate_orbit(spec, max_word_length=10)
     delta_hat = counting.estimate_exponent(
         counting.make_report(census)).point_estimate
@@ -382,10 +398,7 @@ def cmd_check(args) -> int:
         try:
             for item in suite():
                 results.append(item)
-        except (counting.InsufficientData, counting.NoCertificate,
-                groups.BudgetExceeded, patterson.DegenerateNormalizer,
-                sequences.HypothesisViolated, sequences.NotSubmultiplicative,
-                OverflowError) as exc:
+        except tuple(_EXIT_CODES) as exc:
             results.append((f"{name}-suite", False, f"aborted: {exc}"))
     if not results:
         print(f"no suite matches filter {args.filter!r}", file=sys.stderr)
@@ -467,24 +480,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except groups.BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except OverflowError as exc:
-        print(f"error: exact arithmetic overflow: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
-    except counting.InsufficientData as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
-    except counting.NoCertificate as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CERTIFICATE
-    except patterson.DegenerateNormalizer as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    except tuple(_EXIT_CODES) as exc:
+        code = next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
+        prefix = "exact arithmetic overflow: " if code == EXIT_OVERFLOW else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -8,10 +8,11 @@ orbit distances that every counting routine consumes.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +22,10 @@ from .hyperbolic import (
     BoundaryPoint,
     Isometry,
     Point,
+    apply_many,
     boundary_angle,
     distance,
+    distances_many,
 )
 
 KINDS = (
@@ -129,10 +132,14 @@ def spec_to_json_dict(spec: GroupSpec) -> dict:
 
 
 def spec_from_json_dict(doc: dict) -> GroupSpec:
+    if not isinstance(doc, dict):
+        raise ValueError("a group document must be a JSON object")
     if doc.get("model", "upper_half_plane") != "upper_half_plane":
         raise ValueError(f"unsupported model {doc.get('model')!r}")
     kind = doc["kind"]
     generators = tuple(_mat_from_json(m) for m in doc.get("generators", []))
+    if kind == "nested_subgroup":
+        return nested_subgroup_spec(*generators, doc.get("depth"))
     conjugator = doc.get("conjugator")
     if conjugator is not None:
         conjugator = _mat_from_json(conjugator)
@@ -292,7 +299,6 @@ class OrbitCensus:
     basepoint_y: Point
     completeness_radius: float
     spec: GroupSpec | None = None
-    exact: bool = field(default=False)
 
     def __len__(self):
         return len(self.distances)
@@ -312,20 +318,6 @@ class OrbitCensus:
             m = self.mats[k]
             fh.write(f"{self.distances[k]:.12g},{int(self.word_lengths[k])},"
                      f"{m[0, 0]:.12g},{m[0, 1]:.12g},{m[1, 0]:.12g},{m[1, 1]:.12g}\n")
-
-
-def _mobius_apply_many(mats: np.ndarray, y: Point):
-    z = complex(y.re, y.im)
-    num = mats[:, 0, 0] * z + mats[:, 0, 1]
-    den = mats[:, 1, 0] * z + mats[:, 1, 1]
-    w = num / den
-    return w.real, w.imag
-
-
-def _distances_many(mats: np.ndarray, x: Point, y: Point) -> np.ndarray:
-    wre, wim = _mobius_apply_many(mats.astype(np.float64), y)
-    arg = 1.0 + ((wre - x.re) ** 2 + (wim - x.im) ** 2) / (2.0 * wim * x.im)
-    return np.arccosh(np.maximum(arg, 1.0))
 
 
 def _free_generators(spec: GroupSpec) -> tuple[Isometry, ...]:
@@ -359,26 +351,7 @@ def word_matrix(spec: GroupSpec, word) -> Isometry:
     return m
 
 
-def defect_bound(spec: GroupSpec, basepoint: Point = ORIGIN) -> float:
-    """Empirical two-letter defect: max over admissible letter pairs of
-    d(o,g.o) + d(o,h.o) - d(o,gh.o).  Used as an advisory pruning constant."""
-    if spec.kind in ("cyclic_hyperbolic", "cyclic_parabolic"):
-        letters = _letters(spec.generators)
-    else:
-        letters = _letter_matrices(spec)
-    o = basepoint
-    disp = [distance(o, ell.apply(o)) for ell in letters]
-    worst = 0.0
-    for i, g in enumerate(letters):
-        for j, h in enumerate(letters):
-            if j == i ^ 1:
-                continue  # cancelling junction
-            d_gh = distance(o, (g @ h).apply(o))
-            worst = max(worst, disp[i] + disp[j] - d_gh)
-    return worst
-
-
-def _census(mats, dists, wls, words, x, y, completeness, spec, exact=False):
+def _census(mats, dists, wls, words, x, y, completeness, spec):
     dists = np.asarray(dists, dtype=np.float64)
     order = np.argsort(dists, kind="stable")
     words_sorted = None if words is None else tuple(words[i] for i in order)
@@ -391,7 +364,6 @@ def _census(mats, dists, wls, words, x, y, completeness, spec, exact=False):
         basepoint_y=y,
         completeness_radius=completeness,
         spec=spec,
-        exact=exact,
     )
 
 
@@ -498,15 +470,6 @@ def _certified_halfplanes(spec: GroupSpec, y: Point):
     return planes
 
 
-def _inverse_apply_many(mats: np.ndarray, x: Point):
-    """Apply the inverses of unimodular matrices to a point."""
-    z = complex(x.re, x.im)
-    num = mats[:, 1, 1] * z - mats[:, 0, 1]
-    den = -mats[:, 1, 0] * z + mats[:, 0, 0]
-    w = num / den
-    return w.real, w.imag
-
-
 def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
     letters = _letter_matrices(spec)
     n_letters = len(letters)
@@ -520,7 +483,10 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
     def subtree_bound(childs: np.ndarray, last: int) -> np.ndarray:
         """Lower bound on d(x, w v . y) over all proper continuations v of
         each child w (v must not start with the cancelling letter)."""
-        zre, zim = _inverse_apply_many(childs, x)
+        # The adjugate of a unimodular matrix is its inverse.
+        adjugates = np.stack([childs[:, 1, 1], -childs[:, 0, 1],
+                              -childs[:, 1, 0], childs[:, 0, 0]], axis=1)
+        zre, zim = apply_many(adjugates.reshape(-1, 2, 2), x)
         bound = np.full(len(childs), np.inf)
         for m in range(n_letters):
             if m == last ^ 1:
@@ -555,7 +521,7 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
                 continue
             parents = np.nonzero(mask)[0]
             childs = f_mats[parents] @ lmats[i]
-            dist = _distances_many(childs, x, y)
+            dist = distances_many(x, *apply_many(childs, y))
             sgn = 1 if i % 2 == 0 else -1
             letter = sgn * (i // 2 + 1)
             words = [f_words[p] + (letter,) for p in parents]
@@ -663,7 +629,7 @@ def _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget,
         keys = keys[visited[pos] != keys]
         if len(keys) == 0:
             break
-        dists = _distances_many(_unpack_keys(keys).reshape(-1, 2, 2), x, y)
+        dists = distances_many(x, *apply_many(_unpack_keys(keys).reshape(-1, 2, 2), y))
         if max_radius is not None:
             keep = dists <= max_radius + slack
             keys, dists = keys[keep], dists[keep]
@@ -689,7 +655,7 @@ def _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget,
     # horizon-doubling and algebraic-oracle tests).
     completeness = max_radius if max_radius is not None else 0.0
     return _census(rows.reshape(-1, 2, 2), dists, wls, None, x, y,
-                   completeness, spec, exact=True)
+                   completeness, spec)
 
 
 def _enumerate_conjugated(spec, x, y, max_word_length, max_radius, budget):
@@ -700,17 +666,8 @@ def _enumerate_conjugated(spec, x, y, max_word_length, max_radius, budget):
     cm = np.array([[c.a, c.b], [c.c, c.d]])
     cinv = np.array([[c.d, -c.b], [-c.c, c.a]])
     mats = cinv[None, :, :] @ inner.mats.astype(np.float64) @ cm[None, :, :]
-    return OrbitCensus(
-        distances=inner.distances,
-        word_lengths=inner.word_lengths,
-        mats=mats,
-        words=inner.words,
-        basepoint_x=x,
-        basepoint_y=y,
-        completeness_radius=inner.completeness_radius,
-        spec=spec,
-        exact=False,
-    )
+    return dataclasses.replace(inner, mats=mats, basepoint_x=x, basepoint_y=y,
+                               spec=spec)
 
 
 def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,

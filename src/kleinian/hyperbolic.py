@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 _TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
 
@@ -335,20 +337,14 @@ def boundary_at_angle(x: Point, theta: float) -> BoundaryPoint:
 
 def direction_from(x: Point, p: Point) -> BoundaryPoint:
     """Endpoint of the geodesic ray from x through p."""
-    g = _to_center(x)
-    q = g.apply(p).as_complex()
-    w = (q - 1j) / (q + 1j)  # Cayley: disk centered at image i
-    if abs(w) == 0.0:
-        raise ValueError("direction undefined: p coincides with x")
-    theta = math.atan2(w.imag, w.real)
-    return boundary_at_angle(x, theta)
+    return boundary_at_angle(x, direction_angle_from(x, p))
 
 
 def direction_angle_from(x: Point, p: Point) -> float:
     """Like :func:`direction_from` but returns the angle in the disk at x."""
     g = _to_center(x)
     q = g.apply(p).as_complex()
-    w = (q - 1j) / (q + 1j)
+    w = (q - 1j) / (q + 1j)  # Cayley: disk centered at image i
     if abs(w) == 0.0:
         raise ValueError("direction undefined: p coincides with x")
     return math.atan2(w.imag, w.real) % _TWO_PI
@@ -380,3 +376,39 @@ def geodesic_point(x: Point, theta: float, t: float) -> Point:
     w = rho * complex(math.cos(theta), math.sin(theta))
     q = 1j * (1.0 + w) / (1.0 - w)  # inverse Cayley, back to half-plane at i
     return _to_center(x).inverse().apply(Point(q.real, q.imag))
+
+
+# ---------------------------------------------------------------------------
+# Batch kernels over arrays of orbit points.
+
+
+def apply_many(mats, p: Point) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) arrays of the images of p under a stack of (n, 2, 2)
+    unimodular matrices."""
+    mats = np.asarray(mats, dtype=np.float64)
+    z = complex(p.re, p.im)
+    w = (mats[:, 0, 0] * z + mats[:, 0, 1]) / (mats[:, 1, 0] * z + mats[:, 1, 1])
+    return w.real, w.imag
+
+
+def distances_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Hyperbolic distances from x to the points (re, im), by the formula
+    of :func:`distance`."""
+    # Overflow to inf is fine: such points are infinitely far.
+    with np.errstate(over="ignore"):
+        arg = 1.0 + ((re - x.re) ** 2 + (im - x.im) ** 2) / (2.0 * im * x.im)
+    return np.arccosh(np.maximum(arg, 1.0))
+
+
+def direction_angles_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Boundary-circle angles of the ray directions from x through the
+    points (re, im), in the global parametrisation of :func:`boundary_angle`;
+    a point at x gets angle 0."""
+    q = ((re - x.re) + 1j * im) / x.im
+    w = (q - 1j) / (q + 1j)
+    theta = np.arctan2(w.imag, w.real)  # disk angle at x
+    s = np.sin(theta / 2.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xi = x.im * (-np.cos(theta / 2.0) / s) + x.re
+        angles = np.arctan2(-2.0 * xi, xi * xi - 1.0) % _TWO_PI
+    return np.where(s == 0.0, 0.0, angles)

@@ -15,19 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperbolic import (
+    _TWO_PI,
     BoundaryInterval,
     BoundaryPoint,
-    Isometry,
     Point,
+    apply_many,
     boundary_angle,
+    direction_angles_many,
     direction_from,
     distance,
+    distances_many,
     busemann,
     shadow,
 )
 from .groups import GroupSpec, OrbitCensus, ping_pong_certificate, word_matrix
 
-_TWO_PI = 2.0 * math.pi
 _LOG_FLOOR = -690.0  # below exp() underflow in linear scale
 
 
@@ -72,30 +74,7 @@ UNIT_MODIFIER = ModifierH()
 
 def atom_positions(census: OrbitCensus) -> tuple[np.ndarray, np.ndarray]:
     """(re, im) arrays of the orbit points gamma.y of a census."""
-    z = complex(census.basepoint_y.re, census.basepoint_y.im)
-    mats = census.mats.astype(np.float64)
-    w = (mats[:, 0, 0] * z + mats[:, 0, 1]) / (mats[:, 1, 0] * z + mats[:, 1, 1])
-    return w.real, w.imag
-
-
-def _distances_to(x: Point, pre: np.ndarray, pim: np.ndarray) -> np.ndarray:
-    # Overflow to inf is fine: such atoms get distance inf and weight 0.
-    with np.errstate(over="ignore"):
-        arg = 1.0 + ((pre - x.re) ** 2 + (pim - x.im) ** 2) / (2.0 * pim * x.im)
-    return np.arccosh(np.maximum(arg, 1.0))
-
-
-def _direction_angles(x: Point, pre: np.ndarray, pim: np.ndarray) -> np.ndarray:
-    """Boundary-circle angles of the ray directions from x through the
-    points, in the global boundary parametrisation."""
-    q = ((pre - x.re) + 1j * pim) / x.im
-    w = (q - 1j) / (q + 1j)
-    theta = np.arctan2(w.imag, w.real)  # disk angle at x
-    s = np.sin(theta / 2.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi = x.im * (-np.cos(theta / 2.0) / s) + x.re
-    angles = np.arctan2(-2.0 * xi, xi * xi - 1.0) % _TWO_PI
-    return np.where(s == 0.0, 0.0, angles)
+    return apply_many(census.mats, census.basepoint_y)
 
 
 @dataclass(frozen=True)
@@ -154,13 +133,13 @@ def orbital_measure(census: OrbitCensus, s: float, x: Point | None = None,
     if x is None:
         x = census.basepoint_x
     pre, pim = atom_positions(census)
-    d_base = _distances_to(census.basepoint_x, pre, pim)
+    d_base = distances_many(census.basepoint_x, pre, pim)
     log_norm_terms = -s * d_base + h.log_value(d_base)
     log_norm = _logsumexp(log_norm_terms)
     if log_norm < _LOG_FLOOR:
         raise DegenerateNormalizer(
             f"truncated normalizer exp({log_norm:.1f}) underflows")
-    d_x = _distances_to(x, pre, pim)
+    d_x = distances_many(x, pre, pim)
     log_w = -s * d_x + h.log_value(d_x) - log_norm
     return AtomicMeasure(
         atom_re=pre, atom_im=pim, log_weights=log_w,
@@ -208,14 +187,14 @@ def conformal_ratio_audit(mu: AtomicMeasure, mu_prime: AtomicMeasure,
         raise MismatchedConstruction(
             "the exact ratio identity requires the unit gauge")
     x, xp = mu.basepoint, mu_prime.basepoint
-    d_x = _distances_to(x, mu.atom_re, mu.atom_im)
-    d_xp = _distances_to(xp, mu.atom_re, mu.atom_im)
+    d_x = distances_many(x, mu.atom_re, mu.atom_im)
+    d_xp = distances_many(xp, mu.atom_re, mu.atom_im)
     ratio = np.exp(mu_prime.log_weights - mu.log_weights)
     predicted = np.exp(-mu.s * (d_xp - d_x))
     max_dev = float(np.abs(ratio - predicted).max())
 
     base = mu.basepoint
-    d_base = _distances_to(base, mu.atom_re, mu.atom_im)
+    d_base = distances_many(base, mu.atom_re, mu.atom_im)
     order = np.argsort(d_base)[::-1][:far_count]
     gaps, dists = [], []
     for i in order:
@@ -303,21 +282,15 @@ def default_horizon(census: OrbitCensus) -> float:
     return 0.5 * census.completeness_radius
 
 
-def _arc_mask(angles: np.ndarray, arc: BoundaryInterval) -> np.ndarray:
-    if arc.full:
-        return np.ones(len(angles), dtype=bool)
-    return (angles - arc.lo_angle) % _TWO_PI <= arc.width()
-
-
 def shadow_mass(mu: AtomicMeasure, arc: BoundaryInterval,
                 horizon: float = 0.0) -> float:
     """Mass of atoms at or beyond the horizon whose direction from the
     basepoint lies in the arc.  At horizon 0 every atom participates (the
     basepoint atom gets the conventional direction angle 0)."""
-    d = _distances_to(mu.basepoint, mu.atom_re, mu.atom_im)
+    d = distances_many(mu.basepoint, mu.atom_re, mu.atom_im)
     far = d >= horizon
-    angles = _direction_angles(mu.basepoint, mu.atom_re, mu.atom_im)
-    mask = far & _arc_mask(angles, arc)
+    angles = direction_angles_many(mu.basepoint, mu.atom_re, mu.atom_im)
+    mask = far & arc.contains_angle(angles)
     if not mask.any():
         return 0.0
     return float(math.fsum(np.exp(mu.log_weights[mask])))
@@ -363,9 +336,9 @@ def shadow_lemma_audit(census: OrbitCensus, mu: AtomicMeasure, alpha: float,
     if horizon is None:
         horizon = default_horizon(census)
     base = mu.basepoint
-    d_atoms = _distances_to(base, mu.atom_re, mu.atom_im)
+    d_atoms = distances_many(base, mu.atom_re, mu.atom_im)
     far = d_atoms >= horizon
-    angles = _direction_angles(base, mu.atom_re, mu.atom_im)[far]
+    angles = direction_angles_many(base, mu.atom_re, mu.atom_im)[far]
     weights = np.exp(mu.log_weights[far])
     order = np.argsort(angles, kind="stable")
     angles = angles[order]
@@ -428,7 +401,7 @@ def shadow_cover_bound(census: OrbitCensus, mu: AtomicMeasure, radius: float,
         horizon = default_horizon(census)
     base = mu.basepoint
     pre, pim = atom_positions(census)
-    d = _distances_to(base, pre, pim)
+    d = distances_many(base, pre, pim)
     sel = np.nonzero((d >= radius - delta) & (d <= radius + delta))[0]
     if len(sel) == 0:
         raise ValueError("annulus contains no census elements")
@@ -443,18 +416,18 @@ def shadow_cover_bound(census: OrbitCensus, mu: AtomicMeasure, radius: float,
     mult = np.zeros(grid, dtype=np.int64)
     union = np.zeros(grid, dtype=bool)
     for arc in arcs:
-        m = _arc_mask(thetas, arc)
+        m = arc.contains_angle(thetas)
         mult += m
         union |= m
     masses = [shadow_mass(mu, arc, horizon=horizon) for arc in arcs]
-    d_atoms = _distances_to(base, mu.atom_re, mu.atom_im)
-    angs = _direction_angles(base, mu.atom_re, mu.atom_im)
+    d_atoms = distances_many(base, mu.atom_re, mu.atom_im)
+    angs = direction_angles_many(base, mu.atom_re, mu.atom_im)
     far = d_atoms >= horizon
     # Mass of atoms falling in the union of the shadows (grid-rounded
     # membership is only used for multiplicity; the union mass is exact).
     in_union = np.zeros(len(angs), dtype=bool)
     for arc in arcs:
-        in_union |= _arc_mask(angs, arc)
+        in_union |= arc.contains_angle(angs)
     covered = float(math.fsum(np.exp(mu.log_weights[far & in_union])))
     return CoverBound(
         radius=radius, delta=delta, count=len(sel),
@@ -532,9 +505,9 @@ def boundary_histogram(mu: AtomicMeasure, bins: int = 360,
                        horizon: float = 0.0) -> BoundaryHistogram:
     """Pushforward of the far atoms to the circle, binned by direction
     angle from the basepoint."""
-    d = _distances_to(mu.basepoint, mu.atom_re, mu.atom_im)
+    d = distances_many(mu.basepoint, mu.atom_re, mu.atom_im)
     far = d >= horizon
-    angles = _direction_angles(mu.basepoint, mu.atom_re, mu.atom_im)[far]
+    angles = direction_angles_many(mu.basepoint, mu.atom_re, mu.atom_im)[far]
     weights = np.exp(mu.log_weights[far])
     edges = np.linspace(0.0, _TWO_PI, bins + 1)
     mass, _ = np.histogram(angles, bins=edges, weights=weights)
@@ -556,7 +529,7 @@ def render_ppm(mu: AtomicMeasure, fh, size: int = 1024,
     x = mu.basepoint
     q = ((mu.atom_re - x.re) + 1j * mu.atom_im) / x.im
     w = (q - 1j) / (q + 1j)  # disk model, basepoint at the center
-    d = _distances_to(x, mu.atom_re, mu.atom_im)
+    d = distances_many(x, mu.atom_re, mu.atom_im)
     keep = d >= horizon
     px = np.clip(((w.real[keep] + 1.0) / 2.0 * size).astype(np.int64), 0, size - 1)
     py = np.clip(((1.0 - (w.imag[keep] + 1.0) / 2.0) * size).astype(np.int64), 0, size - 1)

@@ -91,6 +91,16 @@ def _log_cumsum(log_u: np.ndarray) -> np.ndarray:
     return np.logaddexp.accumulate(log_u)
 
 
+def _index_pairs(n_max: int, lo: int, gap: int = 0):
+    """Rows (k, l) of the pair scans behind the growth lemmas: every k >= lo
+    with the array l = lo .. n_max - gap - k, while that array is nonempty."""
+    for k in range(lo, n_max + 1):
+        l_hi = n_max - gap - k
+        if l_hi < lo:
+            break
+        yield k, np.arange(lo, l_hi + 1)
+
+
 def _tail_indices(n: int) -> np.ndarray:
     start = max(1, int(math.ceil((1.0 - _TAIL_FRACTION) * (n - 1))))
     return np.arange(start, n)
@@ -206,9 +216,7 @@ def fekete_check(probe: SequenceProbe, tol: float = _LOG_TOL) -> FeketeReport:
     lu = probe.log_u
     if not np.isfinite(lu[1:]).all():
         raise ValueError("sequence must be strictly positive from index 1")
-    n_max = len(lu) - 1
-    for n in range(1, n_max):
-        m = np.arange(1, n_max - n + 1)
+    for n, m in _index_pairs(len(lu) - 1, 1):
         bad = lu[n + m] > lu[n] + lu[m] + tol
         if bad.any():
             m0 = int(m[np.argmax(bad)])
@@ -224,10 +232,8 @@ def fekete_check(probe: SequenceProbe, tol: float = _LOG_TOL) -> FeketeReport:
 def minimal_submultiplicative_scale(probe: SequenceProbe) -> float:
     """Smallest C >= 1 such that u_{n+m} <= C u_n u_m on the horizon."""
     lu = probe.log_u
-    n_max = len(lu) - 1
     worst = 0.0
-    for n in range(1, n_max):
-        m = np.arange(1, n_max - n + 1)
+    for n, m in _index_pairs(len(lu) - 1, 1):
         worst = max(worst, float((lu[n + m] - lu[n] - lu[m]).max()))
     return math.exp(max(worst, 0.0))
 
@@ -272,11 +278,7 @@ def fait_check(probe: SequenceProbe, kappa: int, scale: float = 1.0,
     n_max = len(lu) - 1
     log_scale = math.log(scale)
     win = _window_log_sums(lu, kappa)
-    for k in range(kappa, n_max + 1):
-        l_hi = n_max - kappa - k
-        if l_hi < kappa:
-            break
-        l = np.arange(kappa, l_hi + 1)
+    for k, l in _index_pairs(n_max, kappa, kappa):
         bad = lu[k] + lu[l] > log_scale + win[k + l] + tol
         if bad.any():
             l0 = int(l[np.argmax(bad)])
@@ -290,16 +292,8 @@ def fait_check(probe: SequenceProbe, kappa: int, scale: float = 1.0,
     log_limit = float(tail_roots[-1])
     osc = float(tail_roots.max() - tail_roots.min())
 
-    n = np.arange(1, len(lu))
-    finite = np.isfinite(lu[1:])
-    envelope = float(np.exp((lu[1:][finite] - n[finite] * log_limit).max()))
-
     chain = -math.inf
-    for k in range(0, n_max + 1):
-        l_hi = n_max - kappa - k
-        if l_hi < 0:
-            break
-        l = np.arange(0, l_hi + 1)
+    for k, l in _index_pairs(n_max, 0, kappa):
         vals = lu[k] + lU[l] - lU[k + l + kappa]
         if np.isfinite(lu[k]):
             chain = max(chain, float(vals.max()))
@@ -308,7 +302,7 @@ def fait_check(probe: SequenceProbe, kappa: int, scale: float = 1.0,
         scale=scale,
         log_limit=log_limit,
         tail_oscillation=osc,
-        envelope_constant=envelope,
+        envelope_constant=envelope_constant(probe, log_limit),
         chain_constant=math.exp(chain),
     )
 
@@ -326,14 +320,9 @@ def minimal_fait_scale(probe: SequenceProbe, kappa: int) -> float:
     """Smallest C >= 1 making the windowed hypothesis of :func:`fait_check`
     hold on the horizon."""
     lu = probe.log_u
-    n_max = len(lu) - 1
     win = _window_log_sums(lu, kappa)
     worst = 0.0
-    for k in range(kappa, n_max + 1):
-        l_hi = n_max - kappa - k
-        if l_hi < kappa:
-            break
-        l = np.arange(kappa, l_hi + 1)
+    for k, l in _index_pairs(len(lu) - 1, kappa, kappa):
         worst = max(worst, float((lu[k] + lu[l] - win[k + l]).max()))
     return math.exp(max(worst, 0.0))
 
@@ -366,8 +355,7 @@ def divergence_argument_check(probe: SequenceProbe,
 
     def pairs(limit):
         if n_max <= limit:
-            for n in range(1, n_max):
-                yield n, np.arange(1, n_max - n + 1)
+            yield from _index_pairs(n_max, 1)
         else:
             gen = rng if rng is not None else np.random.default_rng(0)
             for n in gen.integers(1, n_max, size=limit):

@@ -172,6 +172,39 @@ def test_degenerate_normalizer_exit_code(tmp_path, capsys, monkeypatch):
     assert rc == cli.EXIT_DEGENERATE
 
 
+_A = [["3.0", "0.0"], ["0.0", "0.3333333333333333"]]
+_B = [["1.6666666666666667", "1.3333333333333333"],
+      ["1.3333333333333333", "1.6666666666666667"]]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["exponent", "--config", "parabolic", "--max-radius", "nan"], None),
+    (["exponent", "--config", "parabolic", "--max-radius", "inf"], None),
+    (["exponent", "--config", "parabolic", "--max-radius", "-1"], None),
+    (["census", "--config", "schottky", "--max-word-length", "-5"], None),
+    (["census", "--config", "schottky"], None),
+    (["census", "--max-word-length", "3"], [_A, _B]),
+    (["census", "--max-radius", "5"],
+     {"kind": "nested_subgroup", "generators": [_A, _B], "depth": -3}),
+    (["census", "--max-word-length", "3"],
+     {"kind": "schottky", "generators": [[["1", "1"], ["0", "1"]], _B]}),
+    (["census", "--max-word-length", "3"],
+     {"kind": "schottky", "generators": [_A, [["2", "0"], ["0", "0.5"]]]}),
+], ids=["radius-nan", "radius-inf", "radius-negative", "word-length-negative",
+        "no-limit", "top-level-array", "nested-negative-depth",
+        "schottky-parabolic-generator", "schottky-uncertifiable"])
+def test_invalid_input_exit_code(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    rc = run(argv + ["--out", str(tmp_path)])
+    assert rc == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # Verification suite.
 

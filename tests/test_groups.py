@@ -14,7 +14,6 @@ from kleinian.groups import (
     NonHyperbolicGenerator,
     conjugate,
     cyclic_spec,
-    defect_bound,
     enumerate_orbit,
     modular_lattice_spec,
     nested_subgroup_spec,
@@ -168,18 +167,6 @@ def test_generator_displacements(schottky_census):
     assert len(wl1) == 4
     for d in wl1:
         assert d == pytest.approx(2.0 * math.log(3.0), abs=1e-9)
-
-
-def test_defect_bound_is_tight_for_letter_pairs(schottky_census):
-    # The two-letter defect is exactly the worst admissible-pair gap
-    # d(o, g.o) + d(o, h.o) - d(o, gh.o), so every length-2 census element
-    # satisfies the corresponding lower bound, with equality somewhere.
-    c = schottky_census
-    defect = defect_bound(c.spec)
-    ell = 2.0 * math.log(3.0)
-    wl2 = c.distances[c.word_lengths == 2]
-    assert np.all(wl2 >= 2.0 * ell - defect - 1e-9)
-    assert np.isclose(wl2.min(), 2.0 * ell - defect, atol=1e-9)
 
 
 def test_radius_capped_free_census_is_complete(schottky_census):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kleinian.hyperbolic import (
     BoundaryInterval,
@@ -12,13 +12,16 @@ from kleinian.hyperbolic import (
     ORIGIN,
     Point,
     angle_at,
+    apply_many,
     boundary_angle,
     boundary_at_angle,
     boundary_from_angle,
     busemann,
     direction_angle_from,
+    direction_angles_many,
     direction_from,
     distance,
+    distances_many,
     geodesic_point,
     shadow,
 )
@@ -351,3 +354,42 @@ def test_distance_positive_definite(x, y):
         separated = abs(x.re - y.re) > 1e-12 or abs(x.im - y.im) > 1e-12
         if separated:
             assert d > 0.0
+
+
+isometries = st.tuples(*[st.floats(-3.0, 3.0)] * 4).filter(
+    lambda m: m[0] * m[3] - m[1] * m[2] > 0.1).map(lambda m: Isometry(*m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_points, st.lists(st.tuples(isometries, finite_points),
+                               min_size=1, max_size=20))
+def test_batch_kernels_match_scalar_primitives(x, items):
+    gs, ps = zip(*items)
+    assume(all(distance(x, p) > 1e-3 for p in ps))
+    re, im = apply_many(np.array([[[g.a, g.b], [g.c, g.d]] for g in gs]), x)
+    images = [g.apply(x) for g in gs]
+    assert re == pytest.approx([q.re for q in images], rel=1e-12, abs=1e-12)
+    assert im == pytest.approx([q.im for q in images], rel=1e-12, abs=1e-12)
+
+    pre = np.array([p.re for p in ps])
+    pim = np.array([p.im for p in ps])
+    assert distances_many(x, pre, pim) == pytest.approx(
+        [distance(x, p) for p in ps], rel=1e-12, abs=1e-12)
+    angles = direction_angles_many(x, pre, pim)
+    for theta, p in zip(angles, ps):
+        expected = boundary_angle(direction_from(x, p))
+        # Compare on the circle: 0 and 2 pi are the same direction.
+        gap = (theta - expected + math.pi) % (2.0 * math.pi) - math.pi
+        assert abs(gap) <= 1e-8
+
+
+arc_angles = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arc_angles, arc_angles, st.booleans(),
+       st.lists(arc_angles, min_size=1, max_size=20))
+def test_contains_angle_on_arrays_matches_scalar_calls(lo, hi, full, thetas):
+    arc = BoundaryInterval.full_circle() if full else BoundaryInterval(lo, hi)
+    batch = np.broadcast_to(arc.contains_angle(np.array(thetas)), len(thetas))
+    assert batch.tolist() == [arc.contains_angle(t) for t in thetas]
