@@ -41,6 +41,7 @@ class ConfigError(ValueError):
 _EXIT_CODES = {
     ConfigError: EXIT_PARSE,
     groups.NonHyperbolicGenerator: EXIT_PARSE,
+    groups.InsufficientLimits: EXIT_PARSE,
     groups.MarginViolation: EXIT_PARSE,
     groups.BudgetExceeded: EXIT_BUDGET,
     OverflowError: EXIT_OVERFLOW,
@@ -110,7 +111,10 @@ def _group_from_doc(doc: dict) -> groups.GroupSpec:
 def _witness_from_doc(doc: dict) -> Isometry:
     if "witness" not in doc:
         raise ConfigError("separation config needs a 'witness' matrix")
-    return groups._mat_from_json(doc["witness"])
+    try:
+        return groups._mat_from_json(doc["witness"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid witness, expected a 2x2 matrix: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +225,9 @@ def cmd_separation(args) -> int:
 
 def cmd_patterson(args) -> int:
     census, _, digest = _load_census(args)
+    if args.audit == "equivariance" and census.words is None:
+        raise ConfigError("--audit equivariance needs a census with words; "
+                          "the lattice census has none")
     report = counting.make_report(census)
     delta_hat = counting.estimate_exponent(report).point_estimate
     if args.s_grid:

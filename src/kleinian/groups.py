@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,11 @@ KINDS = (
     "nested_subgroup",
 )
 
-_PACK_LIMIT = 1 << 15  # lattice entries are packed into 16-bit fields
+# Largest supported lattice entry: it bounds sqrt(2 cosh R), the largest
+# entry of a ball element at x = y = i, and the matrices that reduce the
+# basepoints into the fundamental domain.
+_LATTICE_ENTRY_MAX = (1 << 15) - 1
+_LATTICE_CHUNK = 1 << 18  # bottom rows per batch of the lattice enumeration
 
 
 class NonHyperbolicGenerator(ValueError):
@@ -52,6 +57,10 @@ class MarginViolation(ValueError):
 
 class BudgetExceeded(RuntimeError):
     pass
+
+
+class InsufficientLimits(ValueError):
+    """The given limits do not bound the census of this group."""
 
 
 @dataclass(frozen=True)
@@ -99,11 +108,6 @@ def nested_subgroup_spec(alpha: Isometry, beta: Isometry, depth: int) -> GroupSp
 def conjugate(spec: GroupSpec, c: Isometry) -> GroupSpec:
     """The group c^-1 . spec . c."""
     return GroupSpec("conjugated", conjugator=c, inner=spec)
-
-
-# Fixed generators of the modular lattice.
-MODULAR_S = Isometry(0.0, -1.0, 1.0, 0.0)
-MODULAR_T = Isometry(1.0, 1.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +286,36 @@ def ping_pong_certificate(spec: GroupSpec) -> PingPongCertificate:
 # ---------------------------------------------------------------------------
 # Censuses.
 
+class _PowerWords(Sequence):
+    """Words of powers of one generator, stored as signed exponents: item i
+    is ``(1,) * n`` for exponent n >= 0 and ``(-1,) * -n`` otherwise."""
+
+    def __init__(self, exponents):
+        self.exponents = np.asarray(exponents, dtype=np.int64)
+
+    def __len__(self):
+        return len(self.exponents)
+
+    def __getitem__(self, i):
+        n = int(self.exponents[i])
+        return (1,) * n if n >= 0 else (-1,) * -n
+
+
 @dataclass(frozen=True)
 class OrbitCensus:
     """Sorted multiset of orbit distances d(x, gamma.y) with word metadata.
 
     ``mats`` is an (n, 2, 2) array aligned with ``distances`` and
-    ``word_lengths``; ``words`` (signed generator indices, 1-based) is kept
-    for free constructions and is None for the lattice.
+    ``word_lengths``.  ``words`` (signed generator indices, 1-based) is a
+    sequence of tuples for the free constructions, a lazy sequence built
+    from the signed exponents for the cyclic groups, and None for the
+    lattice.
     """
 
     distances: np.ndarray
     word_lengths: np.ndarray
     mats: np.ndarray
-    words: tuple | None
+    words: Sequence | None
     basepoint_x: Point
     basepoint_y: Point
     completeness_radius: float
@@ -354,12 +375,15 @@ def word_matrix(spec: GroupSpec, word) -> Isometry:
 def _census(mats, dists, wls, words, x, y, completeness, spec):
     dists = np.asarray(dists, dtype=np.float64)
     order = np.argsort(dists, kind="stable")
-    words_sorted = None if words is None else tuple(words[i] for i in order)
+    if isinstance(words, _PowerWords):
+        words = _PowerWords(words.exponents[order])
+    elif words is not None:
+        words = tuple(words[i] for i in order)
     return OrbitCensus(
         distances=dists[order],
         word_lengths=np.asarray(wls, dtype=np.int64)[order],
-        mats=np.asarray(mats)[order],
-        words=words_sorted,
+        mats=np.asarray(mats).reshape(-1, 2, 2)[order],
+        words=words,
         basepoint_x=x,
         basepoint_y=y,
         completeness_radius=completeness,
@@ -368,45 +392,42 @@ def _census(mats, dists, wls, words, x, y, completeness, spec):
 
 
 def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
+    """Powers g^n, walked outwards from n = 0 in both directions.  Since
+    n -> cosh d(x, g^n y) is convex (g hyperbolic or parabolic), a direction
+    stops at the first excluded power no nearer than the one before it:
+    every later power is excluded and at least as far."""
     g = spec.generators[0]
-    mats = [np.array([[1.0, 0.0], [0.0, 1.0]])]
-    dists = [distance(x, y)]
-    wls = [0]
-    words = [()]
-    excluded = []
-    safety = 5.0
+    mats, dists, exponents, excluded = [], [], [], []
     for sign, step in ((1, g), (-1, g.inverse())):
-        m = Isometry.identity()
-        n = 0
+        m, n, prev = Isometry.identity(), 0, math.inf
         while True:
-            n += 1
-            if max_word_length is not None and n > max_word_length:
-                probe = m @ step
-                excluded.append(distance(x, probe.apply(y)))
-                break
+            d = distance(x, m.apply(y))
+            if ((max_word_length is not None and n > max_word_length)
+                    or (max_radius is not None and d > max_radius)):
+                excluded.append(d)
+                if d >= prev:
+                    break
+            elif n > 0 or sign > 0:  # the identity is visited twice
+                mats.append(np.array([[m.a, m.b], [m.c, m.d]]))
+                dists.append(d)
+                exponents.append(sign * n)
+                if len(mats) > budget:
+                    raise BudgetExceeded(f"census exceeds budget {budget}")
             nxt = m @ step
             if max(abs(nxt.a), abs(nxt.b), abs(nxt.c), abs(nxt.d)) > 1e70:
                 # Further powers would overflow; the excluded tail starts
                 # at the last representable displacement.
-                excluded.append(distance(x, m.apply(y)))
-                break
-            m = nxt
-            d = distance(x, m.apply(y))
-            if max_radius is not None and d > max_radius:
                 excluded.append(d)
-                if d > max_radius + safety:
-                    break
-                continue
-            mats.append(np.array([[m.a, m.b], [m.c, m.d]]))
-            dists.append(d)
-            wls.append(n)
-            words.append((sign,) * n)
-            if len(mats) > budget:
-                raise BudgetExceeded(f"census exceeds budget {budget}")
+                break
+            if n >= budget:
+                raise BudgetExceeded(f"cyclic walk exceeds budget {budget}")
+            m, n, prev = nxt, n + 1, d
     completeness = min(excluded) if excluded else math.inf
     if max_radius is not None:
         completeness = min(completeness, max_radius)
-    return _census(mats, dists, wls, words, x, y, completeness, spec)
+    exponents = np.array(exponents, dtype=np.int64)
+    return _census(mats, dists, np.abs(exponents), _PowerWords(exponents),
+                   x, y, completeness, spec)
 
 
 def _halfplane_of_arc(arc: BoundaryInterval):
@@ -476,7 +497,7 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
     lmats = np.stack([np.array([[l.a, l.b], [l.c, l.d]]) for l in letters])
     halfplanes = _certified_halfplanes(spec, y)
     if halfplanes is None and max_word_length is None:
-        raise ValueError(
+        raise InsufficientLimits(
             "free enumeration needs max_word_length when the generators "
             "have no certified interval system")
 
@@ -575,87 +596,127 @@ def _canonical_int_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _pack_rows(rows: np.ndarray) -> np.ndarray:
-    if np.abs(rows).max(initial=0) >= _PACK_LIMIT:
-        raise OverflowError(
-            "lattice matrix entries exceed the supported integer range")
-    off = rows.astype(np.int64) + _PACK_LIMIT
-    return (off[:, 0] << 48) | (off[:, 1] << 32) | (off[:, 2] << 16) | off[:, 3]
+def _expand_ranges(lo, counts):
+    """(owner, value) over the integer ranges lo[i] .. lo[i] + counts[i] - 1."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, lo[owner] + (np.arange(len(owner)) - starts[owner])
 
 
-def _unpack_keys(keys: np.ndarray) -> np.ndarray:
-    rows = np.empty((len(keys), 4), dtype=np.int64)
-    rows[:, 0] = (keys >> 48) & 0xFFFF
-    rows[:, 1] = (keys >> 32) & 0xFFFF
-    rows[:, 2] = (keys >> 16) & 0xFFFF
-    rows[:, 3] = keys & 0xFFFF
-    rows -= _PACK_LIMIT
-    return rows
+def _ext_gcd(c, d):
+    """(g, u, v) with u c + v d = g = +-gcd(c, d), elementwise."""
+    r0, r1 = c.copy(), d.copy()
+    u0, u1 = np.ones_like(c), np.zeros_like(c)
+    v0, v1 = np.zeros_like(c), np.ones_like(c)
+    idx = np.nonzero(r1)[0]
+    while len(idx):
+        q = r0[idx] // r1[idx]
+        r0[idx], r1[idx] = r1[idx], r0[idx] - q * r1[idx]
+        u0[idx], u1[idx] = u1[idx], u0[idx] - q * u1[idx]
+        v0[idx], v1[idx] = v1[idx], v0[idx] - q * v1[idx]
+        idx = idx[r1[idx] != 0]
+    return r0, u0, v0
 
 
-def _lattice_children(rows: np.ndarray) -> np.ndarray:
-    """Right-multiply every row matrix by S, T and T^-1 (column operations)."""
-    a, b, c, d = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
-    out = np.empty((3 * len(rows), 4), dtype=np.int64)
-    out[0::3, 0], out[0::3, 1], out[0::3, 2], out[0::3, 3] = b, -a, d, -c
-    out[1::3, 0], out[1::3, 1], out[1::3, 2], out[1::3, 3] = a, a + b, c, c + d
-    out[2::3, 0], out[2::3, 1], out[2::3, 2], out[2::3, 3] = a, b - a, c, d - c
-    return out
+def _st_word_lengths(rows: np.ndarray) -> np.ndarray:
+    """Word lengths in S, T, T^-1 of (n, 4) integer rows (a, b, c, d), by a
+    nearest-integer Euclid: while c != 0, right-multiply by T^k S with k
+    minimising |d + k c| (the smaller |k| on a tie), which spends |k| + 1
+    letters and at least halves |c|; the matrix is then +-T^b, |b| letters."""
+    a, b, c, d = (rows[:, j].copy() for j in range(4))
+    lengths = np.zeros(len(rows), dtype=np.int64)
+    idx = np.nonzero(c)[0]
+    while len(idx):
+        ai, ci, di = a[idx], c[idx], d[idx]
+        k = -di // ci
+        r_lo, r_hi = np.abs(di + k * ci), np.abs(di + (k + 1) * ci)
+        k += (r_hi < r_lo) | ((r_hi == r_lo) & (np.abs(k + 1) < np.abs(k)))
+        a[idx], b[idx], c[idx], d[idx] = b[idx] + k * ai, -ai, di + k * ci, -ci
+        lengths[idx] += np.abs(k) + 1
+        idx = idx[c[idx] != 0]
+    return lengths + np.abs(b)
 
 
-def _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget,
-                       slack=2.0):
-    if max_radius is None and max_word_length is None:
-        raise ValueError("lattice enumeration needs max_radius or max_word_length")
-    if max_radius is not None and 2.0 * math.cosh(max_radius) > (_PACK_LIMIT - 1) ** 2:
+def _reduce_basepoint(p: Point):
+    """(h, q) with h in SL(2, Z), p = h.q and q in the standard fundamental
+    domain |Re q| <= 1/2, |q| >= 1 (up to rounding)."""
+    a, b, c, d = 1, 0, 0, 1
+    q = complex(p.re, p.im)
+    while True:
+        n = math.floor(q.real + 0.5)
+        q -= n
+        b, d = b + n * a, d + n * c  # h T^n
+        if abs(q) >= 1.0 - 1e-9:  # rounding must not flip q and -1/q forever
+            break
+        q = -1.0 / q
+        a, b, c, d = -b, a, -d, c  # h S^-1
+    if max(abs(a), abs(b), abs(c), abs(d)) > _LATTICE_ENTRY_MAX:
+        raise OverflowError("basepoint outside the range of exact lattice arithmetic")
+    return np.array([[a, b], [c, d]]), Point(q.real, q.imag)
+
+
+def _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget):
+    """Lattice points g of the ball d(x, g.y) <= R, exactly.
+
+    With x = k.x0 and y = h.y0 in the fundamental domain, the ball is k B
+    h^-1 for the ball B at (x0, y0), whose elements (a, b; c, d) have
+    |c y0 + d|^2 = Im y0 / Im(g.y0) <= (Im y0 / Im x0) e^R.  An extended gcd
+    gives one g0 per coprime bottom row (c, d), c >= 0; the others are
+    T^t g0, which move g0.y0 by t, so a quadratic bounds t.  ``budget``
+    bounds the ball; elements longer than ``max_word_length`` are dropped,
+    and the nearest of them bounds the completeness radius.
+    """
+    if max_radius is None:
+        raise InsufficientLimits("lattice enumeration needs max_radius")
+    if 2.0 * math.cosh(max_radius) > _LATTICE_ENTRY_MAX ** 2:
         raise OverflowError("max_radius too large for exact lattice arithmetic")
-
-    identity_key = _pack_rows(np.array([[1, 0, 0, 1]], dtype=np.int64))
-    visited = identity_key.copy()
-    frontier = identity_key.copy()
-    out_keys = [identity_key.copy()]
-    out_dists = [np.array([distance(x, y)])]
-    out_wls = [np.array([0])]
-    total = 1
-    level = 0
-    while len(frontier) > 0:
-        level += 1
-        if max_word_length is not None and level > max_word_length:
-            break
-        rows = _canonical_int_rows(_lattice_children(_unpack_keys(frontier)))
-        keys = np.unique(_pack_rows(rows))
-        pos = np.searchsorted(visited, keys)
-        pos[pos == len(visited)] = len(visited) - 1
-        keys = keys[visited[pos] != keys]
-        if len(keys) == 0:
-            break
-        dists = distances_many(x, *apply_many(_unpack_keys(keys).reshape(-1, 2, 2), y))
-        if max_radius is not None:
-            keep = dists <= max_radius + slack
-            keys, dists = keys[keep], dists[keep]
-        if len(keys) == 0:
-            break
-        visited = np.insert(visited, np.searchsorted(visited, keys), keys)
-        frontier = keys
-        if max_radius is not None:
-            take = dists <= max_radius
-        else:
-            take = np.ones(len(dists), dtype=bool)
-        if take.any():
-            out_keys.append(keys[take])
-            out_dists.append(dists[take])
-            out_wls.append(np.full(int(take.sum()), level))
-            total += int(take.sum())
-            if total > budget:
-                raise BudgetExceeded(f"census exceeds budget {budget}")
-    rows = _unpack_keys(np.concatenate(out_keys))
-    dists = np.concatenate(out_dists)
-    wls = np.concatenate(out_wls)
-    # Completeness is empirical for the lattice (validated by the
-    # horizon-doubling and algebraic-oracle tests).
-    completeness = max_radius if max_radius is not None else 0.0
-    return _census(rows.reshape(-1, 2, 2), dists, wls, None, x, y,
-                   completeness, spec)
+    k, x0 = _reduce_basepoint(x)
+    h, y0 = _reduce_basepoint(y)
+    h_inv = np.array([[h[1, 1], -h[0, 1]], [-h[1, 0], h[0, 0]]])
+    # Relative float margins; the distance test below decides membership.
+    cosh_r = math.cosh(max_radius) * (1.0 + 1e-9)
+    row_bound = (y0.im / x0.im) * math.exp(max_radius) * (1.0 + 1e-9)
+    c_all = np.arange(int(math.sqrt(row_bound) / y0.im) + 1)
+    half = np.sqrt(np.maximum(row_bound - (c_all * y0.im) ** 2, 0.0))
+    d_lo = np.ceil(-c_all * y0.re - half).astype(np.int64)
+    d_hi = np.floor(-c_all * y0.re + half).astype(np.int64)
+    d_lo[0], d_hi[0] = max(d_lo[0], 1), min(d_hi[0], 1)  # c = 0: only (0, 1)
+    counts = np.maximum(d_hi - d_lo + 1, 0)
+    c_step = max(1, _LATTICE_CHUNK // (2 * int(math.sqrt(row_bound)) + 2))
+    completeness, total, out = max_radius, 0, []
+    for c0 in range(0, len(c_all), c_step):
+        owner, d = _expand_ranges(d_lo[c0:c0 + c_step], counts[c0:c0 + c_step])
+        c = c_all[c0:c0 + c_step][owner]
+        g, u, v = _ext_gcd(c, d)
+        ok = np.abs(g) == 1
+        c, d, g, u, v = c[ok], d[ok], g[ok], u[ok], v[ok]
+        a0, b0 = v * g, -u * g  # a0 d - b0 c = g^2 = 1
+        w_re, w_im = apply_many(np.stack([a0, b0, c, d], axis=1).reshape(-1, 2, 2), y0)
+        rhs = 2.0 * x0.im * w_im * (cosh_r - 1.0) - (x0.im - w_im) ** 2
+        half_t = np.sqrt(np.maximum(rhs, 0.0))
+        t_lo = np.ceil(x0.re - w_re - half_t)
+        n_t = np.where(rhs >= 0.0, np.floor(x0.re - w_re + half_t) - t_lo + 1.0, 0.0)
+        if total + n_t.sum() > budget:
+            raise BudgetExceeded(f"census exceeds budget {budget}")
+        i, t = _expand_ranges(t_lo.astype(np.int64), n_t.astype(np.int64))
+        g0 = np.stack([a0[i] + t * c[i], b0[i] + t * d[i], c[i], d[i]], axis=1)
+        rows = _canonical_int_rows((k @ g0.reshape(-1, 2, 2) @ h_inv).reshape(-1, 4))
+        dists = distances_many(x, *apply_many(rows.reshape(-1, 2, 2), y))
+        inside = dists <= max_radius
+        rows, dists = rows[inside], dists[inside]
+        total += len(rows)
+        wls = _st_word_lengths(rows)
+        if max_word_length is not None:
+            long = wls > max_word_length
+            if long.any():
+                completeness = min(completeness, float(dists[long].min()))
+            rows, dists, wls = rows[~long], dists[~long], wls[~long]
+        out.append((rows, dists, wls))
+    rows, dists, wls = (np.concatenate(col) for col in zip(*out))
+    # Distance ties keep the order of a word-length BFS over sorted rows.
+    order = np.lexsort((rows[:, 3], rows[:, 2], rows[:, 1], rows[:, 0], wls, dists))
+    return _census(rows[order].reshape(-1, 2, 2), dists[order], wls[order], None,
+                   x, y, completeness, spec)
 
 
 def _enumerate_conjugated(spec, x, y, max_word_length, max_radius, budget):
@@ -677,11 +738,15 @@ def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,
     """Census of all distinct group elements within the given limits.
 
     The census is sorted by distance; ``completeness_radius`` is the radius
-    up to which it is provably (free constructions) or empirically (lattice)
-    complete.
+    up to which it is complete: proved by the ping-pong half-planes (free
+    constructions), by convexity of n -> cosh d(x, g^n y) (cyclic groups) or
+    by exact lattice-point enumeration (the modular lattice, which needs
+    ``max_radius``).  Limits that cannot bound the census raise
+    :class:`InsufficientLimits`.
     """
     if max_word_length is None and max_radius is None:
-        raise ValueError("at least one of max_word_length, max_radius is required")
+        raise InsufficientLimits(
+            "at least one of max_word_length, max_radius is required")
     if spec.kind in ("cyclic_hyperbolic", "cyclic_parabolic"):
         return _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget)
     if spec.kind in ("schottky", "nested_subgroup"):

@@ -411,4 +411,5 @@ def direction_angles_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarra
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         xi = x.im * (-np.cos(theta / 2.0) / s) + x.re
         angles = np.arctan2(-2.0 * xi, xi * xi - 1.0) % _TWO_PI
-    return np.where(s == 0.0, 0.0, angles)
+    # A subnormal s overflows xi: the ray still ends at infinity, angle 0.
+    return np.where((s == 0.0) | np.isinf(xi), 0.0, angles)

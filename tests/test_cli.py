@@ -190,9 +190,22 @@ _B = [["1.6666666666666667", "1.3333333333333333"],
      {"kind": "schottky", "generators": [[["1", "1"], ["0", "1"]], _B]}),
     (["census", "--max-word-length", "3"],
      {"kind": "schottky", "generators": [_A, [["2", "0"], ["0", "0.5"]]]}),
+    (["census", "--config", "lattice", "--max-word-length", "3"], None),
+    (["exponent", "--config", "lattice", "--max-word-length", "3"], None),
+    (["census", "--max-word-length", "3"],
+     {"kind": "conjugated", "conjugator": [["1", "0.5"], ["0", "1"]],
+      "inner": {"kind": "modular_lattice"}}),
+    (["patterson", "--config", "lattice", "--max-radius", "6",
+      "--audit", "equivariance"], None),
+    (["separation", "--max-word-length", "3"],
+     {"group": {"kind": "cyclic_hyperbolic", "generators": [_A]},
+      "witness": [1, 2, 3]}),
 ], ids=["radius-nan", "radius-inf", "radius-negative", "word-length-negative",
         "no-limit", "top-level-array", "nested-negative-depth",
-        "schottky-parabolic-generator", "schottky-uncertifiable"])
+        "schottky-parabolic-generator", "schottky-uncertifiable",
+        "lattice-census-word-length-only", "lattice-exponent-word-length-only",
+        "conjugated-lattice-word-length-only", "lattice-equivariance-audit",
+        "separation-witness-not-2x2"])
 def test_invalid_input_exit_code(tmp_path, capsys, argv, config):
     if config is not None:
         path = tmp_path / "group.json"

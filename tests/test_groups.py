@@ -117,6 +117,47 @@ def test_cyclic_radius_cap_completeness():
     assert census.completeness_radius == pytest.approx(10.2)
 
 
+def _brute_force_powers(g, x, y, n_max):
+    """{n: d(x, g^n y)} for |n| <= n_max, powers by repeated products."""
+    out = {0: distance(x, y)}
+    for sign, step in ((1, g), (-1, g.inverse())):
+        m = Isometry.identity()
+        for n in range(1, n_max + 1):
+            m = m @ step
+            out[sign * n] = distance(x, m.apply(y))
+    return out
+
+
+@pytest.mark.parametrize("g, y, max_word_length, max_radius, n_max, size", [
+    # y lies 10 translation lengths up the axis: the ball at x = i holds
+    # n = -12..-7 (d(i, g^-13 y) is 3 but rounds above it), not the identity.
+    (HYPERBOLIC_CYCLIC, Point(0.0, math.exp(10.0)), None, 3.0, 40, 6),
+    # y = 3000 + i: the ball holds n = -3004..-2996.
+    (PARABOLIC, Point(3000.0, 1.0), None, 3.0, 3100, 9),
+    # Word-length cap while the orbit still approaches x: the excluded
+    # power g^-10 lands on x, so the census is complete only up to 0.
+    (HYPERBOLIC_CYCLIC, Point(0.0, math.exp(10.0)), 3, None, 40, 7),
+], ids=["hyperbolic-far-basepoint", "parabolic-far-basepoint",
+        "word-length-cap-approaching"])
+def test_cyclic_census_matches_brute_force(g, y, max_word_length, max_radius,
+                                           n_max, size):
+    census = enumerate_orbit(cyclic_spec(g), ORIGIN, y,
+                             max_word_length=max_word_length,
+                             max_radius=max_radius)
+    powers = _brute_force_powers(g, ORIGIN, y, n_max)
+    inside = {n for n, d in powers.items()
+              if (max_word_length is None or abs(n) <= max_word_length)
+              and (max_radius is None or d <= max_radius)}
+    assert len(inside) == size
+    exponents = [w[0] * len(w) if w else 0 for w in census.words]
+    assert sorted(exponents) == sorted(inside)
+    assert list(census.distances) == sorted(powers[n] for n in inside)
+    assert np.array_equal(census.word_lengths, np.abs(exponents))
+    excluded = [d for n, d in powers.items() if n not in inside]
+    expected = min(excluded + ([max_radius] if max_radius is not None else []))
+    assert census.completeness_radius == expected
+
+
 def test_deep_cyclic_power_overflow_is_capped_gracefully():
     census = enumerate_orbit(cyclic_spec(A), max_word_length=500)
     # Powers beyond float range are excluded but the census stays valid.
@@ -282,6 +323,84 @@ def test_lattice_exact_integer_matrices(lattice_census):
     assert m.dtype.kind == "i" or np.allclose(m, np.round(m))
     det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
     assert np.all(det == 1)
+
+
+def test_lattice_census_matches_oracle_at_moved_basepoints():
+    x, y, R = Point(0.3, 1.7), Point(-0.4, 0.8), 5.0
+    census = enumerate_orbit(modular_lattice_spec(), x, y, max_radius=R)
+    got = {_canonical(tuple(int(v) for v in m.ravel())) for m in census.mats}
+    assert len(got) == len(census)
+    # d(i, g.i) <= d(i, x) + d(x, g.y) + d(y, i), so the ball at (x, y) lies
+    # in the oracle's ball at i of the larger radius.
+    wide = _oracle_lattice_elements(R + distance(ORIGIN, x) + distance(ORIGIN, y))
+    oracle = {_canonical(k) for k in wide
+              if distance(x, Isometry(*map(float, k)).apply(y)) <= R}
+    assert got == oracle
+    for i in range(len(census)):
+        assert census.distances[i] == pytest.approx(
+            distance(x, census.element(i).apply(y)), abs=1e-9)
+
+
+def _bfs_word_lengths(x, y, radius, slack=3.0):
+    """Word lengths in S, T, T^-1 of the lattice elements with
+    d(x, g.y) <= radius, by a breadth-first search over the elements with
+    d(x, g.y) <= radius + slack (sign-canonical integer tuples)."""
+    def canonical(a, b, c, d):
+        return (a, b, c, d) if (a or b or c) > 0 else (-a, -b, -c, -d)
+
+    def dist(g):
+        return distance(x, Isometry(*map(float, g)).apply(y))
+
+    level = {(1, 0, 0, 1): 0}
+    frontier = [(1, 0, 0, 1)]
+    while frontier:
+        nxt = []
+        for a, b, c, d in frontier:
+            for g in ((b, -a, d, -c), (a, a + b, c, c + d), (a, b - a, c, d - c)):
+                g = canonical(*g)
+                if g not in level and dist(g) <= radius + slack:
+                    level[g] = level[(a, b, c, d)] + 1
+                    nxt.append(g)
+        frontier = nxt
+    return {g: n for g, n in level.items() if dist(g) <= radius}
+
+
+@pytest.mark.parametrize("x, y", [(ORIGIN, ORIGIN),
+                                  (Point(0.3, 1.7), Point(-0.4, 0.8))],
+                         ids=["default", "moved"])
+def test_lattice_word_lengths_match_bfs(x, y):
+    census = enumerate_orbit(modular_lattice_spec(), x, y, max_radius=7.0)
+    got = {tuple(int(v) for v in m.ravel()): int(n)
+           for m, n in zip(census.mats, census.word_lengths)}
+    assert got == _bfs_word_lengths(x, y, 7.0)
+
+
+def test_lattice_word_length_limit_and_completeness(lattice_census):
+    capped = enumerate_orbit(modular_lattice_spec(), max_radius=6.0,
+                             max_word_length=8)
+    short = lattice_census.word_lengths <= 8
+    assert np.array_equal(capped.mats, lattice_census.mats[short])
+    assert np.array_equal(capped.distances, lattice_census.distances[short])
+    assert capped.completeness_radius == lattice_census.distances[~short].min()
+    assert capped.completeness_radius < 6.0
+    assert lattice_census.completeness_radius == 6.0
+
+
+def test_lattice_basepoints_off_the_fundamental_domain(lattice_census):
+    # 0.3 + 0.1i = g.i for an integer g, so its ball is conjugate to the
+    # one at i; the enumeration reduces it instead of scanning 1/Im rows.
+    p = Point(0.3, 0.1)
+    moved = enumerate_orbit(modular_lattice_spec(), p, p, max_radius=6.0)
+    assert np.allclose(moved.distances, lattice_census.distances, atol=1e-9)
+    # Near a cusp the ball holds ~1e21 translates: refused, not allocated.
+    cusp = Point(0.0, 1e-20)
+    with pytest.raises(BudgetExceeded):
+        enumerate_orbit(modular_lattice_spec(), cusp, cusp, max_radius=5.0)
+
+
+def test_lattice_needs_a_radius():
+    with pytest.raises(ValueError):
+        enumerate_orbit(modular_lattice_spec(), max_word_length=5)
 
 
 def test_lattice_overflow_guard():

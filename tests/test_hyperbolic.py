@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kleinian.hyperbolic import (
     BoundaryInterval,
@@ -363,6 +363,9 @@ isometries = st.tuples(*[st.floats(-3.0, 3.0)] * 4).filter(
 @settings(max_examples=200, deadline=None)
 @given(finite_points, st.lists(st.tuples(isometries, finite_points),
                                min_size=1, max_size=20))
+# A subnormal Re x tilts the vertical ray by a subnormal angle.
+@example(Point(1.1125369292536007e-308, 1.0),
+         [(Isometry(0.0, 1.0, -1.0, 0.0), Point(0.0, 2.0))])
 def test_batch_kernels_match_scalar_primitives(x, items):
     gs, ps = zip(*items)
     assume(all(distance(x, p) > 1e-3 for p in ps))
