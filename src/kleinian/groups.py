@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 from collections.abc import Sequence
@@ -76,6 +77,8 @@ class GroupSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown group kind {self.kind!r}")
+        if self.kind == "conjugated" and (self.inner is None or self.conjugator is None):
+            raise ValueError("a conjugated group needs 'inner' and 'conjugator'")
 
 
 def schottky_spec(g1: Isometry, g2: Isometry) -> GroupSpec:
@@ -277,14 +280,27 @@ def propose_intervals(generators) -> tuple[BoundaryInterval, ...]:
 
 @functools.lru_cache(maxsize=64)
 def ping_pong_certificate(spec: GroupSpec) -> PingPongCertificate:
-    """Certified interval system for a Schottky spec (auto-proposed arcs)."""
-    if spec.kind != "schottky":
-        raise ValueError("ping-pong certification applies to Schottky specs")
-    return verify_ping_pong(spec.generators, propose_intervals(spec.generators))
+    """Certified interval system (auto-proposed arcs) for the letters of a
+    spec that is free on :func:`_free_generators`."""
+    gens = _free_generators(spec)
+    return verify_ping_pong(gens, propose_intervals(gens))
 
 
 # ---------------------------------------------------------------------------
 # Censuses.
+
+def signed_letter(i):
+    """Signed 1-based generator index of letter i in the letter order g1,
+    g1^-1, g2, g2^-1, ...; elementwise on integer arrays."""
+    return (i // 2 + 1) * (1 - 2 * (i % 2))
+
+
+def _lookup(keys: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Index of each target among the distinct ``keys``, or -1."""
+    order = np.argsort(keys)
+    pos = order[np.minimum(np.searchsorted(keys, targets, sorter=order), len(keys) - 1)]
+    return np.where(keys[pos] == targets, pos, -1)
+
 
 class _PowerWords(Sequence):
     """Words of powers of one generator, stored as signed exponents: item i
@@ -300,16 +316,62 @@ class _PowerWords(Sequence):
         n = int(self.exponents[i])
         return (1,) * n if n >= 0 else (-1,) * -n
 
+    def take(self, order):
+        return _PowerWords(self.exponents[order])
+
+    def shifted_index(self, letter: int) -> np.ndarray:
+        """Index of the reduced word letter^-1 w for each word w, or -1:
+        g^-1 g^n = g^(n-1) and g g^n = g^(n+1)."""
+        if abs(letter) != 1:
+            return np.full(len(self), -1)
+        return _lookup(self.exponents, self.exponents - letter)
+
+
+class _FreeWords(Sequence):
+    """Reduced words stored as the rows of an integer matrix of signed
+    letters (see :func:`signed_letter`), zero-padded on the right: item i is
+    the tuple of the nonzero entries of row i."""
+
+    def __init__(self, letters: np.ndarray):
+        self.letters = letters
+
+    def __len__(self):
+        return len(self.letters)
+
+    def __getitem__(self, i):
+        row = self.letters[i]
+        return tuple(int(s) for s in row[row != 0])
+
+    def take(self, order):
+        return _FreeWords(self.letters[order])
+
+    def shifted_index(self, letter: int) -> np.ndarray:
+        """Index of the reduced word letter^-1 w for each word w, or -1:
+        w loses its first letter if that is ``letter``, else gains -letter."""
+        rows = np.pad(self.letters, ((0, 0), (0, 1)))  # room to prepend
+        drop = rows[:, 0] == letter
+        shifted = np.zeros_like(rows)
+        shifted[drop, :-1] = rows[drop, 1:]
+        shifted[~drop, 1:] = rows[~drop, :-1]
+        shifted[~drop, 0] = -letter
+        # One sortable key per row: its bytes.
+        row_bytes = np.dtype((np.void, rows.shape[1] * rows.itemsize))
+        keys = np.stack([rows, shifted]).view(row_bytes)
+        return _lookup(keys[0, :, 0], keys[1, :, 0])
+
 
 @dataclass(frozen=True)
 class OrbitCensus:
     """Sorted multiset of orbit distances d(x, gamma.y) with word metadata.
 
     ``mats`` is an (n, 2, 2) array aligned with ``distances`` and
-    ``word_lengths``.  ``words`` (signed generator indices, 1-based) is a
-    sequence of tuples for the free constructions, a lazy sequence built
-    from the signed exponents for the cyclic groups, and None for the
-    lattice.
+    ``word_lengths``.  ``words`` is a lazy sequence whose item i is the word
+    of element i as a tuple of signed 1-based generator indices, None for
+    the lattice.  The free constructions store the words as a zero-padded
+    matrix of signed letters, one row per element, and the cyclic groups as
+    signed exponents; a tuple is built only when an item is read.  Both
+    give ``words.shifted_index(letter)``, the index of the reduced word
+    letter^-1 w for every word w (-1 where it is not in the census).
     """
 
     distances: np.ndarray
@@ -343,7 +405,8 @@ class OrbitCensus:
 
 def _free_generators(spec: GroupSpec) -> tuple[Isometry, ...]:
     """Generator list of the constructions that are free on their
-    generators (Schottky, nested conjugates, and the rank-one cyclics)."""
+    generators (Schottky, nested conjugates, the rank-one cyclics, and
+    conjugates of these)."""
     if spec.kind in ("schottky", "cyclic_hyperbolic", "cyclic_parabolic"):
         return tuple(spec.generators)
     if spec.kind == "nested_subgroup":
@@ -354,17 +417,15 @@ def _free_generators(spec: GroupSpec) -> tuple[Isometry, ...]:
             gens.append(a_pow.inverse() @ beta @ a_pow)
             a_pow = alpha @ a_pow
         return tuple(gens)
+    if spec.kind == "conjugated":
+        c = spec.conjugator
+        return tuple(c.inverse() @ g @ c for g in _free_generators(spec.inner))
     raise ValueError(f"no free letters for kind {spec.kind!r}")
-
-
-def _letter_matrices(spec: GroupSpec) -> list[Isometry]:
-    """Free letters (generator, inverse, ...) for the free constructions."""
-    return _letters(_free_generators(spec))
 
 
 def word_matrix(spec: GroupSpec, word) -> Isometry:
     """Evaluate a reduced word (signed 1-based generator indices)."""
-    letters = _letter_matrices(spec)
+    letters = _letters(_free_generators(spec))
     m = Isometry.identity()
     for s in word:
         idx = 2 * (abs(s) - 1) + (0 if s > 0 else 1)
@@ -375,15 +436,11 @@ def word_matrix(spec: GroupSpec, word) -> Isometry:
 def _census(mats, dists, wls, words, x, y, completeness, spec):
     dists = np.asarray(dists, dtype=np.float64)
     order = np.argsort(dists, kind="stable")
-    if isinstance(words, _PowerWords):
-        words = _PowerWords(words.exponents[order])
-    elif words is not None:
-        words = tuple(words[i] for i in order)
     return OrbitCensus(
         distances=dists[order],
         word_lengths=np.asarray(wls, dtype=np.int64)[order],
         mats=np.asarray(mats).reshape(-1, 2, 2)[order],
-        words=words,
+        words=None if words is None else words.take(order),
         basepoint_x=x,
         basepoint_y=y,
         completeness_radius=completeness,
@@ -475,12 +532,8 @@ def _certified_halfplanes(spec: GroupSpec, y: Point):
     descendants of a word w whose continuations start with m therefore lie
     in w.D_m, and d(x, w.D_m) = d(w^-1.x, D_m) bounds them from below.
     """
-    gens = _free_generators(spec)
     try:
-        if spec.kind == "schottky":
-            cert = ping_pong_certificate(spec)
-        else:
-            cert = verify_ping_pong(gens, propose_intervals(gens))
+        cert = ping_pong_certificate(spec)
     except (MarginViolation, NonHyperbolicGenerator):
         return None
     planes = [_halfplane_of_arc(arc) for arc in cert.intervals]
@@ -492,98 +545,63 @@ def _certified_halfplanes(spec: GroupSpec, y: Point):
 
 
 def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
-    letters = _letter_matrices(spec)
-    n_letters = len(letters)
+    """Pruned tree search over reduced words, one array step per level.
+
+    Level k is the frontier of words of length k (the identity is level 0).
+    Its elements within ``max_radius`` join the census; a word stays in the
+    frontier while the half-plane bound of its subtree is within
+    ``max_radius``, and each letter that does not cancel its last letter
+    extends it to a child, in letter-major order.
+    """
+    letters = _letters(_free_generators(spec))
     lmats = np.stack([np.array([[l.a, l.b], [l.c, l.d]]) for l in letters])
+    n_letters = len(lmats)
+    codes = signed_letter(np.arange(n_letters)).astype(np.min_scalar_type(-n_letters))
     halfplanes = _certified_halfplanes(spec, y)
     if halfplanes is None and max_word_length is None:
         raise InsufficientLimits(
             "free enumeration needs max_word_length when the generators "
             "have no certified interval system")
+    radius = math.inf if max_radius is None else max_radius
 
-    def subtree_bound(childs: np.ndarray, last: int) -> np.ndarray:
-        """Lower bound on d(x, w v . y) over all proper continuations v of
-        each child w (v must not start with the cancelling letter)."""
+    def subtree_bound(mats, last):
+        """Lower bound on d(x, w v . y) over the proper continuations v of
+        each word w (v does not start with the letter cancelling w's last)."""
         # The adjugate of a unimodular matrix is its inverse.
-        adjugates = np.stack([childs[:, 1, 1], -childs[:, 0, 1],
-                              -childs[:, 1, 0], childs[:, 0, 0]], axis=1)
-        zre, zim = apply_many(adjugates.reshape(-1, 2, 2), x)
-        bound = np.full(len(childs), np.inf)
-        for m in range(n_letters):
-            if m == last ^ 1:
-                continue
-            bound = np.minimum(bound, _halfplane_clearance(halfplanes[m], zre, zim))
-        return bound
+        adj = np.stack([mats[:, 1, 1], -mats[:, 0, 1], -mats[:, 1, 0], mats[:, 0, 0]], axis=1)
+        zre, zim = apply_many(adj.reshape(-1, 2, 2), x)
+        clearance = np.stack([_halfplane_clearance(hp, zre, zim) for hp in halfplanes])
+        clearance[last ^ 1, np.arange(len(last))] = np.inf
+        return clearance.min(axis=0)
 
-    out_mats = [np.eye(2)]
-    out_dists = [distance(x, y)]
-    out_wls = [0]
-    out_words = [()]
-
-    # Frontier state, level by level.
-    f_mats = np.eye(2)[None, :, :]
-    f_last = np.array([-1])
-    f_words = [()]
-    f_bound = np.array([0.0])
-    bound_floor = math.inf  # min lower bound over pruned / capped subtrees
-    level = 0
-    while len(f_mats) > 0:
-        level += 1
-        if max_word_length is not None and level > max_word_length:
-            if halfplanes is None:
-                bound_floor = 0.0
-            elif len(f_bound):
-                bound_floor = min(bound_floor, float(f_bound.min()))
-            break
-        new_mats, new_last, new_words, new_dists, new_bounds = [], [], [], [], []
-        for i in range(n_letters):
-            mask = f_last != (i ^ 1)
-            if not mask.any():
-                continue
-            parents = np.nonzero(mask)[0]
-            childs = f_mats[parents] @ lmats[i]
-            dist = distances_many(x, *apply_many(childs, y))
-            sgn = 1 if i % 2 == 0 else -1
-            letter = sgn * (i // 2 + 1)
-            words = [f_words[p] + (letter,) for p in parents]
-            if max_radius is not None:
-                take = dist <= max_radius
-            else:
-                take = np.ones(len(dist), dtype=bool)
-            for k in np.nonzero(take)[0]:
-                out_mats.append(childs[k])
-                out_dists.append(float(dist[k]))
-                out_wls.append(level)
-                out_words.append(words[k])
-            if halfplanes is not None:
-                bound = subtree_bound(childs, i)
-                if max_radius is not None:
-                    keep = bound <= max_radius
-                    if not keep.all():
-                        bound_floor = min(bound_floor, float(bound[~keep].min()))
-                else:
-                    keep = np.ones(len(bound), dtype=bool)
-            else:
-                bound = np.zeros(len(childs))
-                keep = np.ones(len(childs), dtype=bool)
-            if keep.any():
-                new_mats.append(childs[keep])
-                new_last.append(np.full(int(keep.sum()), i))
-                new_dists.append(dist[keep])
-                new_bounds.append(bound[keep])
-                new_words.extend(w for w, k in zip(words, keep) if k)
-        if len(out_mats) > budget:
+    mats, last, words = np.eye(2)[None], np.array([-1]), np.zeros((1, 0), codes.dtype)
+    dist, bound = np.array([distance(x, y)]), np.zeros(1)
+    levels, size = [], 0
+    bound_floor = math.inf  # least lower bound of a subtree left out
+    for level in itertools.count():
+        take = dist <= radius
+        levels.append((mats[take], dist[take], np.full(int(take.sum()), level), words[take]))
+        size += len(levels[-1][1])
+        if size > budget:
             raise BudgetExceeded(f"census exceeds budget {budget}")
-        if not new_mats:
+        keep = bound <= radius
+        bound_floor = min(bound_floor, float(bound[~keep].min(initial=math.inf)))
+        mats, last, words, bound = mats[keep], last[keep], words[keep], bound[keep]
+        if max_word_length is not None and level >= max_word_length:
+            bound_floor = min(bound_floor, float(bound.min(initial=math.inf)))
             break
-        f_mats = np.concatenate(new_mats)
-        f_last = np.concatenate(new_last)
-        f_bound = np.concatenate(new_bounds)
-        f_words = new_words
-    completeness = bound_floor
-    if max_radius is not None:
-        completeness = min(completeness, max_radius)
-    return _census(out_mats, out_dists, out_wls, out_words, x, y, completeness, spec)
+        if not len(mats):
+            break
+        li, p = np.nonzero(last != (np.arange(n_letters)[:, None] ^ 1))
+        mats, last = mats[p] @ lmats[li], li
+        words = np.concatenate([words[p], codes[li, None]], axis=1)
+        dist = distances_many(x, *apply_many(mats, y))
+        bound = np.zeros(len(li)) if halfplanes is None else subtree_bound(mats, li)
+    mats, dists, wls, words = zip(*levels)
+    width = words[-1].shape[1]
+    words = np.concatenate([np.pad(w, ((0, 0), (0, width - w.shape[1]))) for w in words])
+    return _census(np.concatenate(mats), np.concatenate(dists), np.concatenate(wls),
+                   _FreeWords(words), x, y, min(bound_floor, radius), spec)
 
 
 def _canonical_int_rows(rows: np.ndarray) -> np.ndarray:

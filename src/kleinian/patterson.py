@@ -28,7 +28,8 @@ from .hyperbolic import (
     busemann,
     shadow,
 )
-from .groups import GroupSpec, OrbitCensus, ping_pong_certificate, word_matrix
+from .groups import (GroupSpec, OrbitCensus, ping_pong_certificate, signed_letter,
+                     word_matrix)
 
 _LOG_FLOOR = -690.0  # below exp() underflow in linear scale
 
@@ -226,13 +227,6 @@ class EquivarianceAudit:
     unmatched: int
 
 
-def _reduce_prefix(letter: int, word: tuple) -> tuple:
-    """Reduced word of letter^-1 * word (signed generator indices)."""
-    if word and word[0] == letter:
-        return tuple(word[1:])
-    return (-letter,) + tuple(word)
-
-
 def equivariance_audit(census: OrbitCensus, g0_letter: int, s: float,
                        x: Point | None = None,
                        h: ModifierH = UNIT_MODIFIER) -> EquivarianceAudit:
@@ -252,26 +246,15 @@ def equivariance_audit(census: OrbitCensus, g0_letter: int, s: float,
         return EquivarianceAudit(0.0, 0.0, matched=len(mu), unmatched=0)
     g0 = word_matrix(census.spec, (g0_letter,))
     mu_pull = orbital_measure(census, s, x=g0.inverse().apply(x), h=h)
-
-    index = {w: i for i, w in enumerate(census.words)}
+    # (g0*mu)(atom of word g0^-1 w) = mu(atom of word w); compare with the
+    # measure at g0^-1 x evaluated on the same atom.
+    j = census.words.shifted_index(g0_letter)
+    hit = j >= 0
     w_mu = mu.weights
-    w_pull = mu_pull.weights
-    max_disc = 0.0
-    leakage = 0.0
-    matched = unmatched = 0
-    for i, w in enumerate(census.words):
-        target = _reduce_prefix(g0_letter, w)
-        j = index.get(target)
-        if j is None:
-            leakage += w_mu[i]
-            unmatched += 1
-            continue
-        # (g0*mu)(atom of word target) = mu(atom of word w); compare with
-        # the measure at g0^-1 x evaluated on the same atom.
-        max_disc = max(max_disc, abs(w_mu[i] - w_pull[j]))
-        matched += 1
-    return EquivarianceAudit(max_discrepancy=max_disc, leakage=leakage,
-                             matched=matched, unmatched=unmatched)
+    disc = np.abs(w_mu[hit] - mu_pull.weights[j[hit]])
+    return EquivarianceAudit(max_discrepancy=float(disc.max(initial=0.0)),
+                             leakage=math.fsum(w_mu[~hit]),
+                             matched=int(hit.sum()), unmatched=int((~hit).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +430,12 @@ def _reduced_words(n_letters: int, depth: int):
     return words
 
 
-def _signed(word_indices: tuple) -> tuple:
-    return tuple((i // 2 + 1) * (1 if i % 2 == 0 else -1) for i in word_indices)
-
-
 def word_interval(spec: GroupSpec, word_indices: tuple) -> BoundaryInterval:
     """Nested coding interval of a reduced word: the image of the last
     letter's ping-pong arc under the preceding prefix."""
     cert = ping_pong_certificate(spec)
     arc = cert.intervals[word_indices[-1]]
-    prefix = word_matrix(spec, _signed(word_indices[:-1]))
+    prefix = word_matrix(spec, tuple(map(signed_letter, word_indices[:-1])))
     return arc.apply(prefix)
 
 
@@ -476,9 +455,9 @@ def radial_limit_points(spec: GroupSpec, depth: int) -> list[RadialLimitPoint]:
     cert = ping_pong_certificate(spec)
     out = []
     for w in _reduced_words(len(cert.intervals), depth):
-        prefix = word_matrix(spec, _signed(w[:-1]))
+        prefix = word_matrix(spec, tuple(map(signed_letter, w[:-1])))
         xi = prefix.apply_boundary(cert.intervals[w[-1]].midpoint())
-        out.append(RadialLimitPoint(word=_signed(w), point=xi,
+        out.append(RadialLimitPoint(word=tuple(map(signed_letter, w)), point=xi,
                                     angle=boundary_angle(xi)))
     return out
 

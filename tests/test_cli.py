@@ -85,6 +85,20 @@ def test_patterson_shadow_and_equivariance_audits(tmp_path, capsys):
     assert "equivariance_leakage=" in capsys.readouterr().out
 
 
+def test_patterson_equivariance_on_conjugated_free_group(tmp_path, capsys):
+    doc = {"kind": "conjugated", "conjugator": [["1", "0.5"], ["0", "1"]],
+           "inner": groups.spec_to_json_dict(groups.schottky_spec(cli._A, cli._B))}
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    rc = run(["patterson", "--config", str(path), "--max-word-length", "8",
+              "--audit", "equivariance", "--out", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    key = "equivariance_max_discrepancy="
+    disc = [float(l[len(key):]) for l in out.splitlines() if l.startswith(key)]
+    assert len(disc) == 1 and disc[0] <= 1e-12
+
+
 def test_outputs_reproducible_across_runs(tmp_path):
     d1, d2 = tmp_path / "one", tmp_path / "two"
     for d in (d1, d2):
@@ -197,6 +211,10 @@ _B = [["1.6666666666666667", "1.3333333333333333"],
       "inner": {"kind": "modular_lattice"}}),
     (["patterson", "--config", "lattice", "--max-radius", "6",
       "--audit", "equivariance"], None),
+    (["patterson", "--max-radius", "6", "--audit", "equivariance"],
+     {"kind": "conjugated", "conjugator": [["1", "0.5"], ["0", "1"]],
+      "inner": {"kind": "modular_lattice"}}),
+    (["census", "--max-word-length", "5"], {"kind": "conjugated"}),
     (["separation", "--max-word-length", "3"],
      {"group": {"kind": "cyclic_hyperbolic", "generators": [_A]},
       "witness": [1, 2, 3]}),
@@ -205,6 +223,7 @@ _B = [["1.6666666666666667", "1.3333333333333333"],
         "schottky-parabolic-generator", "schottky-uncertifiable",
         "lattice-census-word-length-only", "lattice-exponent-word-length-only",
         "conjugated-lattice-word-length-only", "lattice-equivariance-audit",
+        "conjugated-lattice-equivariance-audit", "conjugated-without-inner",
         "separation-witness-not-2x2"])
 def test_invalid_input_exit_code(tmp_path, capsys, argv, config):
     if config is not None:

@@ -225,6 +225,49 @@ def test_budget_exceeded():
         enumerate_orbit(schottky_spec(A, B), max_word_length=10, budget=100)
 
 
+def _brute_force_words(spec, x, y, depth):
+    """{word: d(x, w.y)} over the reduced words of length <= depth, by a
+    plain recursion over the letters +-1, +-2."""
+    letters = {s: word_matrix(spec, (s,)) for s in (1, -1, 2, -2)}
+    out = {}
+
+    def visit(word, m):
+        out[word] = distance(x, m.apply(y))
+        if len(word) < depth:
+            for s, g in letters.items():
+                if not word or s != -word[-1]:
+                    visit(word + (s,), m @ g)
+
+    visit((), Isometry.identity())
+    return out
+
+
+@pytest.mark.parametrize("x, y, max_word_length, max_radius", [
+    (Point(0.3, 1.7), Point(-0.4, 0.8), None, 6.0),
+    (Point(0.3, 1.7), Point(-0.4, 0.8), 4, None),
+    (Point(0.3, 1.7), Point(-0.4, 0.8), 3, 5.0),
+    # d(x, y) = ln 50 > 1: the identity is outside the ball, a^-2 is inside.
+    (ORIGIN, Point(0.0, 50.0), 2, 1.0),
+], ids=["radius", "word-length", "combined", "identity-outside"])
+def test_free_census_matches_brute_force(x, y, max_word_length, max_radius):
+    spec = schottky_spec(A, B)
+    census = enumerate_orbit(spec, x, y, max_word_length=max_word_length,
+                             max_radius=max_radius)
+    depth = 8 if max_word_length is None else max_word_length
+    words = _brute_force_words(spec, x, y, depth)
+    inside = {w: d for w, d in words.items()
+              if max_radius is None or d <= max_radius}
+    if max_word_length is None:
+        # The recursion is deep enough: no word of its last level is inside.
+        assert max(len(w) for w in inside) < depth
+    got = [census.word(i) for i in range(len(census))]
+    assert set(got) == set(inside) and len(got) == len(inside)
+    assert np.allclose(census.distances, [inside[w] for w in got], atol=1e-9)
+    assert np.array_equal(census.word_lengths, [len(w) for w in got])
+    if max_radius is not None:
+        assert census.completeness_radius <= max_radius
+
+
 # ---------------------------------------------------------------------------
 # Modular lattice census vs an independent algebraic oracle.
 

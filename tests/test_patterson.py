@@ -16,6 +16,7 @@ from kleinian.groups import (
     OrbitCensus,
     cyclic_spec,
     enumerate_orbit,
+    nested_subgroup_spec,
     ping_pong_certificate,
     schottky_spec,
     word_matrix,
@@ -233,6 +234,65 @@ def test_cyclic_equivariance_leakage_is_the_boundary_atom():
     assert audit.unmatched == 1
     assert audit.leakage == pytest.approx(float(mu.weights[idx[0]]), rel=1e-12)
     assert audit.max_discrepancy <= 1e-14
+
+
+def _reduce_prefix(letter: int, word: tuple) -> tuple:
+    """Reduced word of letter^-1 * word (signed generator indices)."""
+    if word and word[0] == letter:
+        return tuple(word[1:])
+    return (-letter,) + tuple(word)
+
+
+def _reference_shifted_index(census, letter):
+    """Index of the reduced word letter^-1 w for each census word w, or -1,
+    by reducing word tuples and looking them up in a dict."""
+    index = {w: i for i, w in enumerate(census.words)}
+    return [index.get(_reduce_prefix(letter, w), -1) for w in census.words]
+
+
+def _reference_equivariance_audit(census, letter, s):
+    """The equivariance audit as a loop over the census words."""
+    mu = orbital_measure(census, s)
+    g0 = word_matrix(census.spec, (letter,))
+    w_pull = orbital_measure(census, s, x=g0.inverse().apply(census.basepoint_x)).weights
+    w_mu = mu.weights
+    max_disc = leakage = 0.0
+    matched = unmatched = 0
+    for i, j in enumerate(_reference_shifted_index(census, letter)):
+        if j < 0:
+            leakage += w_mu[i]
+            unmatched += 1
+        else:
+            max_disc = max(max_disc, abs(w_mu[i] - w_pull[j]))
+            matched += 1
+    return max_disc, leakage, matched, unmatched
+
+
+_AUDIT_CENSUSES = {
+    "schottky-L8-moved": lambda: enumerate_orbit(
+        schottky_spec(A, B), Point(0.3, 1.7), Point(-0.4, 0.8), max_word_length=8),
+    "schottky-R9": lambda: enumerate_orbit(schottky_spec(A, B), max_radius=9.0),
+    "nested-R15": lambda: enumerate_orbit(nested_subgroup_spec(A, B, 4), max_radius=15.0),
+    "cyclic-hyperbolic-L12": lambda: enumerate_orbit(cyclic_spec(A), max_word_length=12),
+    "cyclic-parabolic-R8": lambda: enumerate_orbit(cyclic_spec(PARABOLIC), max_radius=8.0),
+}
+
+
+@pytest.mark.parametrize("letter", [1, -1, 2, -2])
+@pytest.mark.parametrize("case", list(_AUDIT_CENSUSES))
+def test_equivariance_audit_matches_dict_reference(case, letter):
+    census = _AUDIT_CENSUSES[case]()
+    shifted = census.words.shifted_index(letter)
+    assert shifted.tolist() == _reference_shifted_index(census, letter)
+    if case.startswith("cyclic") and abs(letter) == 2:
+        return  # a cyclic group has no second generator to pull back by
+    s = 0.6685
+    max_disc, leakage, matched, unmatched = _reference_equivariance_audit(
+        census, letter, s)
+    audit = equivariance_audit(census, letter, s)
+    assert (audit.matched, audit.unmatched) == (matched, unmatched)
+    assert audit.max_discrepancy == max_disc
+    assert audit.leakage == pytest.approx(leakage, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
