@@ -238,15 +238,17 @@ def cmd_patterson(args) -> int:
     header = _header(args, digest)
     horizon = patterson.default_horizon(census)
     rng = np.random.default_rng(args.seed)
+    mu = None  # the measure at s_list[0], for the audits and the render
     for s in s_list:
-        mu = patterson.orbital_measure(census, s)
+        mu_s = patterson.orbital_measure(census, s)
+        if mu is None:
+            mu = mu_s
         tag = f"{s:.4f}"
         with open(out / f"measure_s{tag}.csv", "w") as fh:
-            mu.write_csv(fh, header_lines=header)
-        hist = patterson.boundary_histogram(mu, horizon=horizon)
+            mu_s.write_csv(fh, header_lines=header)
+        hist = patterson.boundary_histogram(mu_s, horizon=horizon)
         with open(out / f"histogram_s{tag}.csv", "w") as fh:
             hist.write_csv(fh, header_lines=header)
-    mu = patterson.orbital_measure(census, s_list[0])
     if args.audit == "conformal":
         worst = 0.0
         for _ in range(5):

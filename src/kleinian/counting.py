@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperbolic import Isometry, Point, distance
-from .groups import OrbitCensus
+from .groups import OrbitCensus, _write_table
 
 
 class IncompleteCensus(ValueError):
@@ -66,12 +66,12 @@ class CountingReport:
     delta: float
 
     def write_csv(self, fh, header_lines=()) -> None:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("R,N,n,logN\n")
-        for r, n_total, n_ann in zip(self.radii, self.counts, self.annular):
-            logn = math.log(n_total) if n_total > 0 else float("-inf")
-            fh.write(f"{r:.12g},{int(n_total)},{int(n_ann)},{logn:.12g}\n")
+        # math.log, not np.log, which may differ in the last bit.
+        logn = np.full(len(self.counts), -math.inf)
+        pos = self.counts > 0
+        logn[pos] = list(map(math.log, self.counts[pos].tolist()))
+        _write_table(fh, header_lines, "R,N,n,logN", "%.12g,%d,%d,%.12g",
+                     (self.radii, self.counts, self.annular, logn))
 
 
 def make_report(census: OrbitCensus, r_min: float = 0.0,
@@ -94,16 +94,13 @@ class ExponentEstimate:
     slopes: tuple[float, ...]
     spread: float
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "point_estimate": self.point_estimate,
             "window": list(self.window),
             "slopes": list(self.slopes),
             "spread": self.spread,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        }, indent=2)
 
 
 _MIN_COUNT = 50

@@ -23,6 +23,7 @@ from .hyperbolic import (
     BoundaryInterval,
     BoundaryPoint,
     Isometry,
+    NonInvertibleMatrix,
     Point,
     apply_many,
     boundary_angle,
@@ -44,6 +45,7 @@ KINDS = (
 # basepoints into the fundamental domain.
 _LATTICE_ENTRY_MAX = (1 << 15) - 1
 _LATTICE_CHUNK = 1 << 18  # bottom rows per batch of the lattice enumeration
+_TABLE_CHUNK = 1 << 14  # rows formatted per write of a CSV table
 
 
 class NonHyperbolicGenerator(ValueError):
@@ -114,7 +116,7 @@ def conjugate(spec: GroupSpec, c: Isometry) -> GroupSpec:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization.  Matrices are row-major, numbers are decimal strings.
+# JSON and CSV.  JSON matrices are row-major, numbers are decimal strings.
 
 def _mat_to_json(g: Isometry):
     return [[repr(g.a), repr(g.b)], [repr(g.c), repr(g.d)]]
@@ -163,6 +165,17 @@ def spec_to_json(spec: GroupSpec) -> str:
 
 def spec_from_json(text: str) -> GroupSpec:
     return spec_from_json_dict(json.loads(text))
+
+
+def _write_table(fh, header_lines, columns: str, fmt: str, cols) -> None:
+    """CSV table: '# ' header lines, the column line, then ``fmt % row`` per
+    row of the aligned 1-d arrays ``cols``, a bounded chunk at a time."""
+    for line in header_lines:
+        fh.write(f"# {line}\n")
+    fh.write(columns + "\n")
+    row = (fmt + "\n").__mod__
+    for i in range(0, len(cols[0]), _TABLE_CHUNK):
+        fh.writelines(map(row, zip(*(c[i:i + _TABLE_CHUNK].tolist() for c in cols))))
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +407,11 @@ class OrbitCensus:
         return None if self.words is None else self.words[i]
 
     def write_csv(self, fh, header_lines=()) -> None:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("distance,word_length,a,b,c,d\n")
-        for k in range(len(self)):
-            m = self.mats[k]
-            fh.write(f"{self.distances[k]:.12g},{int(self.word_lengths[k])},"
-                     f"{m[0, 0]:.12g},{m[0, 1]:.12g},{m[1, 0]:.12g},{m[1, 1]:.12g}\n")
+        m = self.mats
+        _write_table(fh, header_lines, "distance,word_length,a,b,c,d",
+                     "%.12g,%d,%.12g,%.12g,%.12g,%.12g",
+                     (self.distances, self.word_lengths,
+                      m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]))
 
 
 def _free_generators(spec: GroupSpec) -> tuple[Isometry, ...]:
@@ -428,6 +439,9 @@ def word_matrix(spec: GroupSpec, word) -> Isometry:
     letters = _letters(_free_generators(spec))
     m = Isometry.identity()
     for s in word:
+        if not 1 <= abs(s) <= len(letters) // 2:
+            raise ValueError(f"letter {s} is outside the letters "
+                             f"+-1..+-{len(letters) // 2} of {spec.kind!r}")
         idx = 2 * (abs(s) - 1) + (0 if s > 0 else 1)
         m = m @ letters[idx]
     return m
@@ -470,8 +484,11 @@ def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
                 exponents.append(sign * n)
                 if len(mats) > budget:
                     raise BudgetExceeded(f"census exceeds budget {budget}")
-            nxt = m @ step
-            if max(abs(nxt.a), abs(nxt.b), abs(nxt.c), abs(nxt.d)) > 1e70:
+            try:
+                nxt = m @ step
+            except NonInvertibleMatrix:  # the determinant was lost
+                nxt = None
+            if nxt is None or max(abs(nxt.a), abs(nxt.b), abs(nxt.c), abs(nxt.d)) > 1e70:
                 # Further powers would overflow; the excluded tail starts
                 # at the last representable displacement.
                 excluded.append(d)

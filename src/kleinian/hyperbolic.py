@@ -32,10 +32,6 @@ class Point:
         if self.im <= 0.0:
             raise ValueError("point must have positive imaginary part")
 
-    @staticmethod
-    def from_complex(z: complex) -> "Point":
-        return Point(z.real, z.imag)
-
     def as_complex(self) -> complex:
         return complex(self.re, self.im)
 
@@ -274,7 +270,7 @@ class BoundaryInterval:
 
     def contains_angle(self, theta: float) -> bool:
         if self.full:
-            return True
+            return np.ones_like(theta, dtype=bool) if np.ndim(theta) else True
         return (theta - self.lo_angle) % _TWO_PI <= self.width()
 
     def contains(self, xi: BoundaryPoint) -> bool:
@@ -394,18 +390,24 @@ def apply_many(mats, p: Point) -> tuple[np.ndarray, np.ndarray]:
 def distances_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Hyperbolic distances from x to the points (re, im), by the formula
     of :func:`distance`."""
-    # Overflow to inf is fine: such points are infinitely far.
-    with np.errstate(over="ignore"):
+    # Overflow to inf is fine: such points are infinitely far.  So is a
+    # point whose imaginary part underflowed to 0: it is dropped at inf.
+    with np.errstate(over="ignore", divide="ignore"):
         arg = 1.0 + ((re - x.re) ** 2 + (im - x.im) ** 2) / (2.0 * im * x.im)
     return np.arccosh(np.maximum(arg, 1.0))
+
+
+def disk_points_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The points (re, im) in the disk model centred at x, as complex numbers."""
+    q = ((re - x.re) + 1j * im) / x.im
+    return (q - 1j) / (q + 1j)
 
 
 def direction_angles_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Boundary-circle angles of the ray directions from x through the
     points (re, im), in the global parametrisation of :func:`boundary_angle`;
     a point at x gets angle 0."""
-    q = ((re - x.re) + 1j * im) / x.im
-    w = (q - 1j) / (q + 1j)
+    w = disk_points_many(x, re, im)
     theta = np.arctan2(w.imag, w.real)  # disk angle at x
     s = np.sin(theta / 2.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -23,13 +23,14 @@ from .hyperbolic import (
     boundary_angle,
     direction_angles_many,
     direction_from,
+    disk_points_many,
     distance,
     distances_many,
     busemann,
     shadow,
 )
-from .groups import (GroupSpec, OrbitCensus, ping_pong_certificate, signed_letter,
-                     word_matrix)
+from .groups import (GroupSpec, OrbitCensus, _write_table, ping_pong_certificate,
+                     signed_letter, word_matrix)
 
 _LOG_FLOOR = -690.0  # below exp() underflow in linear scale
 
@@ -82,12 +83,18 @@ def atom_positions(census: OrbitCensus) -> tuple[np.ndarray, np.ndarray]:
 class AtomicMeasure:
     """Weighted atoms at orbit points, with weights e^(-s d(x, p)) h(d)
     normalized by the truncated series at the census basepoint, so the
-    measure viewed from the basepoint has unit mass."""
+    measure viewed from the basepoint has unit mass.
+
+    ``distances`` holds d(x, p) for every atom p, x being the viewpoint
+    ``basepoint``: the distances the weights were computed from, which the
+    audits, the histogram and the render read instead of recomputing them.
+    """
 
     atom_re: np.ndarray
     atom_im: np.ndarray
     log_weights: np.ndarray
     word_lengths: np.ndarray
+    distances: np.ndarray
     basepoint: Point
     target: Point
     s: float
@@ -105,13 +112,9 @@ class AtomicMeasure:
         return float(math.fsum(np.exp(self.log_weights)))
 
     def write_csv(self, fh, header_lines=()) -> None:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("atom_re,atom_im,weight,word_length\n")
-        w = self.weights
-        for k in range(len(self)):
-            fh.write(f"{self.atom_re[k]:.12g},{self.atom_im[k]:.12g},"
-                     f"{w[k]:.12g},{int(self.word_lengths[k])}\n")
+        _write_table(fh, header_lines, "atom_re,atom_im,weight,word_length",
+                     "%.12g,%.12g,%.12g,%d",
+                     (self.atom_re, self.atom_im, self.weights, self.word_lengths))
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -140,12 +143,20 @@ def orbital_measure(census: OrbitCensus, s: float, x: Point | None = None,
     if log_norm < _LOG_FLOOR:
         raise DegenerateNormalizer(
             f"truncated normalizer exp({log_norm:.1f}) underflows")
-    d_x = distances_many(x, pre, pim)
+    d_x = d_base if x == census.basepoint_x else distances_many(x, pre, pim)
     log_w = -s * d_x + h.log_value(d_x) - log_norm
     return AtomicMeasure(
         atom_re=pre, atom_im=pim, log_weights=log_w,
-        word_lengths=census.word_lengths.copy(), basepoint=x,
+        word_lengths=census.word_lengths.copy(), distances=d_x, basepoint=x,
         target=census.basepoint_y, s=s, modifier=h, log_normalizer=log_norm)
+
+
+def _far_atoms(mu: AtomicMeasure, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """(direction angles from the basepoint, weights) of the atoms at
+    distance >= horizon, in atom order."""
+    far = mu.distances >= horizon
+    angles = direction_angles_many(mu.basepoint, mu.atom_re[far], mu.atom_im[far])
+    return angles, np.exp(mu.log_weights[far])
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +182,7 @@ class ConformalAudit:
 def conformal_ratio_audit(mu: AtomicMeasure, mu_prime: AtomicMeasure,
                           far_count: int = 50) -> ConformalAudit:
     """Compare atom-weight ratios of two measures of one family against
-    e^(-s (d(x', p) - d(x, p))) with independently recomputed distances.
+    e^(-s (d(x', p) - d(x, p))), the distances of each measure's viewpoint.
 
     The ratio uses unnormalized weights (the shared normalizer cancels), so
     the identity is algebraic and must hold to rounding.  For the
@@ -188,23 +199,20 @@ def conformal_ratio_audit(mu: AtomicMeasure, mu_prime: AtomicMeasure,
         raise MismatchedConstruction(
             "the exact ratio identity requires the unit gauge")
     x, xp = mu.basepoint, mu_prime.basepoint
-    d_x = distances_many(x, mu.atom_re, mu.atom_im)
-    d_xp = distances_many(xp, mu.atom_re, mu.atom_im)
+    d_x, d_xp = mu.distances, mu_prime.distances
     ratio = np.exp(mu_prime.log_weights - mu.log_weights)
     predicted = np.exp(-mu.s * (d_xp - d_x))
     max_dev = float(np.abs(ratio - predicted).max())
 
-    base = mu.basepoint
-    d_base = distances_many(base, mu.atom_re, mu.atom_im)
-    order = np.argsort(d_base)[::-1][:far_count]
+    order = np.argsort(d_x)[::-1][:far_count]
     gaps, dists = [], []
     for i in order:
         p = Point(float(mu.atom_re[i]), float(mu.atom_im[i]))
-        if distance(base, p) < 1e-9:
+        if distance(x, p) < 1e-9:
             continue
-        xi = direction_from(base, p)
+        xi = direction_from(x, p)
         gaps.append(abs((d_xp[i] - d_x[i]) - busemann(xi, xp, x)))
-        dists.append(float(d_base[i]))
+        dists.append(float(d_x[i]))
     return ConformalAudit(
         max_deviation=max_dev,
         busemann_gaps=np.array(gaps),
@@ -270,13 +278,8 @@ def shadow_mass(mu: AtomicMeasure, arc: BoundaryInterval,
     """Mass of atoms at or beyond the horizon whose direction from the
     basepoint lies in the arc.  At horizon 0 every atom participates (the
     basepoint atom gets the conventional direction angle 0)."""
-    d = distances_many(mu.basepoint, mu.atom_re, mu.atom_im)
-    far = d >= horizon
-    angles = direction_angles_many(mu.basepoint, mu.atom_re, mu.atom_im)
-    mask = far & arc.contains_angle(angles)
-    if not mask.any():
-        return 0.0
-    return float(math.fsum(np.exp(mu.log_weights[mask])))
+    angles, weights = _far_atoms(mu, horizon)
+    return math.fsum(weights[arc.contains_angle(angles)])
 
 
 @dataclass(frozen=True)
@@ -319,10 +322,7 @@ def shadow_lemma_audit(census: OrbitCensus, mu: AtomicMeasure, alpha: float,
     if horizon is None:
         horizon = default_horizon(census)
     base = mu.basepoint
-    d_atoms = distances_many(base, mu.atom_re, mu.atom_im)
-    far = d_atoms >= horizon
-    angles = direction_angles_many(base, mu.atom_re, mu.atom_im)[far]
-    weights = np.exp(mu.log_weights[far])
+    angles, weights = _far_atoms(mu, horizon)
     order = np.argsort(angles, kind="stable")
     angles = angles[order]
     prefix = np.concatenate([[0.0], np.cumsum(weights[order])])
@@ -340,11 +340,10 @@ def shadow_lemma_audit(census: OrbitCensus, mu: AtomicMeasure, alpha: float,
         return float((total - prefix[i_lo]) + prefix[i_hi])
 
     band = np.isin(census.word_lengths, np.asarray(word_lengths))
-    pre, pim = atom_positions(census)
     dists, masses, ratios = [], [], []
     empty = 0
     for i in np.nonzero(band)[0]:
-        p = Point(float(pre[i]), float(pim[i]))
+        p = Point(float(mu.atom_re[i]), float(mu.atom_im[i]))
         d = distance(base, p)
         m = arc_weight(shadow(base, p, r)) if d > 0 else float(total)
         if m == 0.0:
@@ -383,38 +382,29 @@ def shadow_cover_bound(census: OrbitCensus, mu: AtomicMeasure, radius: float,
     if horizon is None:
         horizon = default_horizon(census)
     base = mu.basepoint
-    pre, pim = atom_positions(census)
-    d = distances_many(base, pre, pim)
+    d = mu.distances
     sel = np.nonzero((d >= radius - delta) & (d <= radius + delta))[0]
     if len(sel) == 0:
         raise ValueError("annulus contains no census elements")
-    arcs = []
-    for i in sel:
-        p = Point(float(pre[i]), float(pim[i]))
-        if distance(base, p) <= r:
-            arcs.append(BoundaryInterval.full_circle())
-        else:
-            arcs.append(shadow(base, p, r))
+    points = (Point(float(mu.atom_re[i]), float(mu.atom_im[i])) for i in sel)
+    arcs = [BoundaryInterval.full_circle() if distance(base, p) <= r
+            else shadow(base, p, r) for p in points]
     thetas = np.linspace(0.0, _TWO_PI, grid, endpoint=False)
     mult = np.zeros(grid, dtype=np.int64)
-    union = np.zeros(grid, dtype=bool)
-    for arc in arcs:
-        m = arc.contains_angle(thetas)
-        mult += m
-        union |= m
-    masses = [shadow_mass(mu, arc, horizon=horizon) for arc in arcs]
-    d_atoms = distances_many(base, mu.atom_re, mu.atom_im)
-    angs = direction_angles_many(base, mu.atom_re, mu.atom_im)
-    far = d_atoms >= horizon
+    angles, weights = _far_atoms(mu, horizon)
     # Mass of atoms falling in the union of the shadows (grid-rounded
     # membership is only used for multiplicity; the union mass is exact).
-    in_union = np.zeros(len(angs), dtype=bool)
+    in_union = np.zeros(len(angles), dtype=bool)
+    masses = []
     for arc in arcs:
-        in_union |= arc.contains_angle(angs)
-    covered = float(math.fsum(np.exp(mu.log_weights[far & in_union])))
+        mult += arc.contains_angle(thetas)
+        inside = arc.contains_angle(angles)
+        masses.append(math.fsum(weights[inside]))
+        in_union |= inside
+    covered = math.fsum(weights[in_union])
     return CoverBound(
         radius=radius, delta=delta, count=len(sel),
-        min_mass=float(min(masses)), multiplicity=int(mult.max()),
+        min_mass=min(masses), multiplicity=int(mult.max()),
         covered_mass=covered)
 
 
@@ -473,21 +463,15 @@ class BoundaryHistogram:
     mass: np.ndarray
 
     def write_csv(self, fh, header_lines=()) -> None:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("bin_lo,bin_hi,mass\n")
-        for lo, hi, m in zip(self.bin_lo, self.bin_hi, self.mass):
-            fh.write(f"{lo:.12g},{hi:.12g},{m:.12g}\n")
+        _write_table(fh, header_lines, "bin_lo,bin_hi,mass", "%.12g,%.12g,%.12g",
+                     (self.bin_lo, self.bin_hi, self.mass))
 
 
 def boundary_histogram(mu: AtomicMeasure, bins: int = 360,
                        horizon: float = 0.0) -> BoundaryHistogram:
     """Pushforward of the far atoms to the circle, binned by direction
     angle from the basepoint."""
-    d = distances_many(mu.basepoint, mu.atom_re, mu.atom_im)
-    far = d >= horizon
-    angles = direction_angles_many(mu.basepoint, mu.atom_re, mu.atom_im)[far]
-    weights = np.exp(mu.log_weights[far])
+    angles, weights = _far_atoms(mu, horizon)
     edges = np.linspace(0.0, _TWO_PI, bins + 1)
     mass, _ = np.histogram(angles, bins=edges, weights=weights)
     return BoundaryHistogram(bin_lo=edges[:-1], bin_hi=edges[1:], mass=mass)
@@ -505,13 +489,10 @@ def render_ppm(mu: AtomicMeasure, fh, size: int = 1024,
     """Binary PPM (P6) of the atom density in the disk model centered at
     the measure's basepoint: white background, grayscale by accumulated
     weight, deterministic for identical inputs."""
-    x = mu.basepoint
-    q = ((mu.atom_re - x.re) + 1j * mu.atom_im) / x.im
-    w = (q - 1j) / (q + 1j)  # disk model, basepoint at the center
-    d = distances_many(x, mu.atom_re, mu.atom_im)
-    keep = d >= horizon
-    px = np.clip(((w.real[keep] + 1.0) / 2.0 * size).astype(np.int64), 0, size - 1)
-    py = np.clip(((1.0 - (w.imag[keep] + 1.0) / 2.0) * size).astype(np.int64), 0, size - 1)
+    keep = mu.distances >= horizon
+    w = disk_points_many(mu.basepoint, mu.atom_re[keep], mu.atom_im[keep])
+    px = np.clip(((w.real + 1.0) / 2.0 * size).astype(np.int64), 0, size - 1)
+    py = np.clip(((1.0 - (w.imag + 1.0) / 2.0) * size).astype(np.int64), 0, size - 1)
     density = np.zeros((size, size), dtype=np.float64)
     np.add.at(density, (py, px), np.exp(mu.log_weights[keep]))
     peak = density.max()

@@ -61,6 +61,23 @@ def test_separation_certificate(tmp_path, capsys):
     assert "s0=0.31" in capsys.readouterr().out
 
 
+def test_separation_on_a_rotated_cyclic_subgroup(tmp_path, capsys):
+    # The powers of the rotated generator lose their determinant before word
+    # length 200; the walk ends there.  The rotation about i keeps every
+    # orbit distance from i, so s0 is that of the builtin subgroup.
+    c, s = np.cos(0.35), np.sin(0.35)
+    k = cli.Isometry(c, s, -s, c)
+    a, b = k.inverse() @ cli._A @ k, k.inverse() @ cli._B @ k
+    doc = {"group": groups.spec_to_json_dict(groups.cyclic_spec(a)),
+           "witness": groups._mat_to_json(b)}
+    path = tmp_path / "rotated.json"
+    path.write_text(json.dumps(doc))
+    rc = run(["separation", "--config", str(path), "--max-word-length", "200",
+              "--out", str(tmp_path)])
+    assert rc == 0
+    assert "s0=0.310000" in capsys.readouterr().out
+
+
 def test_patterson_artifacts_and_render(tmp_path, capsys):
     rc = run(["patterson", "--config", "schottky", "--max-word-length", "7",
               "--render", "--audit", "conformal", "--out", str(tmp_path)])

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,40 @@ def test_deep_cyclic_power_overflow_is_capped_gracefully():
     # Powers beyond float range are excluded but the census stays valid.
     assert np.isfinite(census.mats).all()
     assert np.all(np.diff(census.distances) >= 0.0)
+
+
+def _rotation(theta):
+    """The rotation about i by angle theta."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return Isometry(c, s, -s, c)
+
+
+def test_cyclic_walk_ends_where_the_determinant_is_lost():
+    # The entries of the powers of a rotated hyperbolic element pass 1e8,
+    # and its determinant is lost, long before they reach 1e70; that
+    # direction of the walk ends there, as at the 1e70 guard.
+    k = _rotation(0.7)
+    census = enumerate_orbit(cyclic_spec(k.inverse() @ A @ k), max_word_length=200)
+    assert 17 <= len(census) < 401
+    assert math.isfinite(census.completeness_radius)
+    # The rotation fixes i, so d(i, g^n i) = |n| log 9 while the powers are
+    # still accurate.
+    near = census.word_lengths <= 8
+    assert near.sum() == 17
+    assert np.allclose(census.distances[near],
+                       census.word_lengths[near] * math.log(9.0), atol=1e-6)
+
+
+def test_orbit_points_that_underflow_are_dropped_without_warnings():
+    # Conjugated by a rotation and then by A, some orbit points of the
+    # nested subgroup come so close to the real axis that their imaginary
+    # parts underflow to 0: they lie at distance inf, outside the ball.
+    spec = conjugate(conjugate(nested_subgroup_spec(A, B, 4), _rotation(0.7)), A)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        census = enumerate_orbit(spec, max_radius=20.0)
+    assert len(census) > 1
+    assert census.distances[-1] <= 20.0
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +515,14 @@ def test_conjugated_census_matrices_are_conjugated():
              if conj.word_lengths[i] == 1]
     mats = {tuple(np.round([g.a, g.b, g.c, g.d], 9)) for g in found}
     assert tuple(np.round([expected.a, expected.b, expected.c, expected.d], 9)) in mats
+
+
+@pytest.mark.parametrize("spec, letter", [
+    (cyclic_spec(A), 0), (cyclic_spec(A), 2), (cyclic_spec(A), -2),
+    (schottky_spec(A, B), 3), (nested_subgroup_spec(A, B, depth=2), -4)])
+def test_word_matrix_rejects_letters_outside_the_alphabet(spec, letter):
+    with pytest.raises(ValueError, match=f"letter {letter} is outside"):
+        word_matrix(spec, (1, letter))
 
 
 def test_nested_subgroup_letters_are_conjugated_generators():

@@ -10,7 +10,10 @@ from kleinian.hyperbolic import (
     ORIGIN,
     Point,
     boundary_angle,
+    direction_angles_many,
     distance,
+    distances_many,
+    shadow,
 )
 from kleinian.groups import (
     OrbitCensus,
@@ -110,6 +113,13 @@ def test_parabolic_weights_follow_closed_form():
     ones = w[census.word_lengths == 1]
     assert len(ones) == 2
     assert np.all(ones == pytest.approx(heaviest))
+
+
+@pytest.mark.parametrize("x", [None, Point(0.3, 1.7)])
+def test_measure_distances_are_the_viewpoint_distances(census8, x):
+    mu = orbital_measure(census8, 0.7, x=x)
+    expected = distances_many(mu.basepoint, mu.atom_re, mu.atom_im)
+    assert np.array_equal(mu.distances, expected)
 
 
 def test_polynomial_modifier_scales_weights():
@@ -295,6 +305,12 @@ def test_equivariance_audit_matches_dict_reference(case, letter):
     assert audit.leakage == pytest.approx(leakage, rel=1e-12, abs=0.0)
 
 
+def test_equivariance_audit_rejects_a_letter_outside_the_group():
+    census = enumerate_orbit(cyclic_spec(A), max_word_length=6)
+    with pytest.raises(ValueError, match="letter 2 is outside"):
+        equivariance_audit(census, 2, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # Shadow masses.
 
@@ -342,8 +358,6 @@ def test_shadow_lemma_tiny_radius_flagged(census8):
 
 def test_shadow_lemma_matches_direct_shadow_mass(census8):
     # The prefix-table accumulation agrees with the direct per-arc sum.
-    from kleinian.hyperbolic import shadow
-
     mu = orbital_measure(census8, 0.6685)
     horizon = default_horizon(census8)
     audit = shadow_lemma_audit(census8, mu, alpha=0.6685, r=1.5,
@@ -362,6 +376,31 @@ def test_shadow_cover_bound_holds(census8):
     assert bound.count > 0
     assert bound.multiplicity >= 1
     assert bound.holds
+
+
+@pytest.mark.parametrize("x", [None, Point(0.3, 1.7)])
+def test_shadow_cover_bound_masses_are_shadow_masses(census8, x):
+    mu = orbital_measure(census8, 0.6685, x=x)
+    horizon = default_horizon(census8)
+    radius, delta, r = 7.0, 1.0, 1.5
+    bound = shadow_cover_bound(census8, mu, radius=radius, r=r, delta=delta)
+    base = mu.basepoint
+    arcs = []
+    d = mu.distances
+    for i in np.nonzero((d >= radius - delta) & (d <= radius + delta))[0]:
+        p = Point(float(mu.atom_re[i]), float(mu.atom_im[i]))
+        arcs.append(BoundaryInterval.full_circle() if distance(base, p) <= r
+                    else shadow(base, p, r))
+    assert bound.count == len(arcs) > 0
+    assert bound.min_mass == min(shadow_mass(mu, arc, horizon=horizon)
+                                 for arc in arcs)
+    # The covered mass: every atom beyond the horizon in some shadow.
+    angles = direction_angles_many(base, mu.atom_re, mu.atom_im)
+    inside = np.zeros(len(mu), dtype=bool)
+    for arc in arcs:
+        inside |= arc.contains_angle(angles)
+    far = d >= horizon
+    assert bound.covered_mass == math.fsum(mu.weights[far & inside])
 
 
 # ---------------------------------------------------------------------------
