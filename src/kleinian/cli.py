@@ -238,15 +238,12 @@ def cmd_patterson(args) -> int:
     header = _header(args, digest)
     horizon = patterson.default_horizon(census)
     rng = np.random.default_rng(args.seed)
-    mu = None  # the measure at s_list[0], for the audits and the render
-    for s in s_list:
-        mu_s = patterson.orbital_measure(census, s)
-        if mu is None:
-            mu = mu_s
+    for s in reversed(s_list):  # mu ends as the measure at s_list[0]
+        mu = patterson.orbital_measure(census, s)
         tag = f"{s:.4f}"
         with open(out / f"measure_s{tag}.csv", "w") as fh:
-            mu_s.write_csv(fh, header_lines=header)
-        hist = patterson.boundary_histogram(mu_s, horizon=horizon)
+            mu.write_csv(fh, header_lines=header)
+        hist = patterson.boundary_histogram(mu, horizon=horizon)
         with open(out / f"histogram_s{tag}.csv", "w") as fh:
             hist.write_csv(fh, header_lines=header)
     if args.audit == "conformal":

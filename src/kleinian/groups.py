@@ -23,7 +23,6 @@ from .hyperbolic import (
     BoundaryInterval,
     BoundaryPoint,
     Isometry,
-    NonInvertibleMatrix,
     Point,
     apply_many,
     boundary_angle,
@@ -470,9 +469,8 @@ def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
     g = spec.generators[0]
     mats, dists, exponents, excluded = [], [], [], []
     for sign, step in ((1, g), (-1, g.inverse())):
-        m, n, prev = Isometry.identity(), 0, math.inf
+        m, n, prev, d = Isometry.identity(), 0, math.inf, distance(x, y)
         while True:
-            d = distance(x, m.apply(y))
             if ((max_word_length is not None and n > max_word_length)
                     or (max_radius is not None and d > max_radius)):
                 excluded.append(d)
@@ -484,18 +482,22 @@ def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
                 exponents.append(sign * n)
                 if len(mats) > budget:
                     raise BudgetExceeded(f"census exceeds budget {budget}")
-            try:
+            try:  # a lost determinant, or an image of y off the half-plane
                 nxt = m @ step
-            except NonInvertibleMatrix:  # the determinant was lost
-                nxt = None
-            if nxt is None or max(abs(nxt.a), abs(nxt.b), abs(nxt.c), abs(nxt.d)) > 1e70:
-                # Further powers would overflow; the excluded tail starts
-                # at the last representable displacement.
-                excluded.append(d)
+                lost = max(abs(nxt.a), abs(nxt.b), abs(nxt.c), abs(nxt.d)) > 1e70
+                nxt_d = None if lost else distance(x, nxt.apply(y))
+            except ValueError:
+                lost = True
+            if lost:
+                # The next power is beyond double precision.  A power g^k moves
+                # y at least |k| times the translation length (a parabolic g
+                # gives no bound), so none from n + 1 on is nearer than this.
+                ell = g.translation_length() if g.classify() == "hyperbolic" else 0.0
+                excluded.append((n + 1) * ell - distance(x, y))
                 break
             if n >= budget:
                 raise BudgetExceeded(f"cyclic walk exceeds budget {budget}")
-            m, n, prev = nxt, n + 1, d
+            m, n, prev, d = nxt, n + 1, d, nxt_d
     completeness = min(excluded) if excluded else math.inf
     if max_radius is not None:
         completeness = min(completeness, max_radius)

@@ -182,7 +182,7 @@ class ConformalAudit:
 def conformal_ratio_audit(mu: AtomicMeasure, mu_prime: AtomicMeasure,
                           far_count: int = 50) -> ConformalAudit:
     """Compare atom-weight ratios of two measures of one family against
-    e^(-s (d(x', p) - d(x, p))), the distances of each measure's viewpoint.
+    e^(-s (d(x', p) - d(x, p))) with independently recomputed distances.
 
     The ratio uses unnormalized weights (the shared normalizer cancels), so
     the identity is algebraic and must hold to rounding.  For the
@@ -199,7 +199,7 @@ def conformal_ratio_audit(mu: AtomicMeasure, mu_prime: AtomicMeasure,
         raise MismatchedConstruction(
             "the exact ratio identity requires the unit gauge")
     x, xp = mu.basepoint, mu_prime.basepoint
-    d_x, d_xp = mu.distances, mu_prime.distances
+    d_x, d_xp = (distances_many(v, mu.atom_re, mu.atom_im) for v in (x, xp))
     ratio = np.exp(mu_prime.log_weights - mu.log_weights)
     predicted = np.exp(-mu.s * (d_xp - d_x))
     max_dev = float(np.abs(ratio - predicted).max())
@@ -344,7 +344,7 @@ def shadow_lemma_audit(census: OrbitCensus, mu: AtomicMeasure, alpha: float,
     empty = 0
     for i in np.nonzero(band)[0]:
         p = Point(float(mu.atom_re[i]), float(mu.atom_im[i]))
-        d = distance(base, p)
+        d = distance(base, p)  # reported; np.arccosh may differ in the last bit
         m = arc_weight(shadow(base, p, r)) if d > 0 else float(total)
         if m == 0.0:
             empty += 1
@@ -386,9 +386,9 @@ def shadow_cover_bound(census: OrbitCensus, mu: AtomicMeasure, radius: float,
     sel = np.nonzero((d >= radius - delta) & (d <= radius + delta))[0]
     if len(sel) == 0:
         raise ValueError("annulus contains no census elements")
-    points = (Point(float(mu.atom_re[i]), float(mu.atom_im[i])) for i in sel)
-    arcs = [BoundaryInterval.full_circle() if distance(base, p) <= r
-            else shadow(base, p, r) for p in points]
+    arcs = [BoundaryInterval.full_circle() if d[i] <= r
+            else shadow(base, Point(float(mu.atom_re[i]), float(mu.atom_im[i])), r)
+            for i in sel]
     thetas = np.linspace(0.0, _TWO_PI, grid, endpoint=False)
     mult = np.zeros(grid, dtype=np.int64)
     angles, weights = _far_atoms(mu, horizon)

@@ -61,11 +61,13 @@ def test_separation_certificate(tmp_path, capsys):
     assert "s0=0.31" in capsys.readouterr().out
 
 
-def test_separation_on_a_rotated_cyclic_subgroup(tmp_path, capsys):
-    # The powers of the rotated generator lose their determinant before word
-    # length 200; the walk ends there.  The rotation about i keeps every
-    # orbit distance from i, so s0 is that of the builtin subgroup.
-    c, s = np.cos(0.35), np.sin(0.35)
+@pytest.mark.parametrize("theta", [0.7, -1.2])
+def test_separation_on_a_rotated_cyclic_subgroup(tmp_path, capsys, theta):
+    # The powers of the rotated generator lose their determinant, or map i
+    # below the real axis, before word length 200; the walk ends there.  The
+    # rotation about i keeps every orbit distance from i, so s0 is that of
+    # the builtin subgroup.
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
     k = cli.Isometry(c, s, -s, c)
     a, b = k.inverse() @ cli._A @ k, k.inverse() @ cli._B @ k
     doc = {"group": groups.spec_to_json_dict(groups.cyclic_spec(a)),

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -174,8 +175,8 @@ def _rotation(theta):
 
 def test_cyclic_walk_ends_where_the_determinant_is_lost():
     # The entries of the powers of a rotated hyperbolic element pass 1e8,
-    # and its determinant is lost, long before they reach 1e70; that
-    # direction of the walk ends there, as at the 1e70 guard.
+    # and its determinant is lost, long before they reach 1e70; the walk
+    # ends there.
     k = _rotation(0.7)
     census = enumerate_orbit(cyclic_spec(k.inverse() @ A @ k), max_word_length=200)
     assert 17 <= len(census) < 401
@@ -186,6 +187,44 @@ def test_cyclic_walk_ends_where_the_determinant_is_lost():
     assert near.sum() == 17
     assert np.allclose(census.distances[near],
                        census.word_lengths[near] * math.log(9.0), atol=1e-6)
+
+
+def _exact_distances(g, x, y, n_max):
+    """d(x, g^n y) for |n| <= n_max, from the given floats in rational
+    arithmetic, so that no power loses precision."""
+    out = {}
+    xr, xi, yr, yi = (Fraction(v) for v in (x.re, x.im, y.re, y.im))
+    for sign, step in ((1, g), (-1, g.inverse())):
+        a0, b0, c0, d0 = (Fraction(v) for v in step.matrix())
+        a, b, c, d = 1, 0, 0, 1
+        for n in range(n_max + 1):
+            den = (c * yr + d) ** 2 + (c * yi) ** 2
+            wr = ((a * yr + b) * (c * yr + d) + a * c * yi * yi) / den
+            wi = (a * d - b * c) * yi / den
+            cosh = 1 + ((xr - wr) ** 2 + (xi - wi) ** 2) / (2 * xi * wi)
+            out[sign * n] = math.acosh(float(cosh))
+            a, b, c, d = a * a0 + b * c0, a * b0 + b * d0, c * a0 + d * c0, c * b0 + d * d0
+    return out
+
+
+@pytest.mark.parametrize("theta", [0.7, 1.4])
+def test_cyclic_walk_claims_no_power_it_lost(theta):
+    # y = g^N i lies |N| log 9 from i (the rotation k fixes i).  The powers
+    # toward a far y lose their determinant before the walk passes its
+    # nearest one; every power nearer than the claimed radius, in exact
+    # arithmetic on the given floats, must still be in the census.
+    k = _rotation(theta)
+    g = k.inverse() @ A @ k
+    for n_target in range(-24, 25, 4):
+        y = k.inverse().apply(Point(0.0, 9.0 ** n_target))
+        census = enumerate_orbit(cyclic_spec(g), y=y, max_word_length=200)
+        exact = _exact_distances(g, ORIGIN, y, 50)
+        assert min(exact[50], exact[-50]) > census.completeness_radius
+        # The bound is attained when x, y and the lost power lie in order on
+        # the axis; a power that far is a rounding error from the radius.
+        near = {n for n, d in exact.items() if d < census.completeness_radius - 1e-9}
+        missing = near - set(census.words.exponents.tolist())
+        assert not missing, (n_target, sorted(missing))
 
 
 def test_orbit_points_that_underflow_are_dropped_without_warnings():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -178,6 +179,15 @@ def test_conformal_ratio_same_viewpoint_is_exact(census8):
     mu = orbital_measure(census8, 0.5)
     audit = conformal_ratio_audit(mu, orbital_measure(census8, 0.5, x=ORIGIN))
     assert audit.max_deviation == 0.0
+
+
+def test_conformal_audit_catches_weights_of_another_viewpoint(census8):
+    # The audit recomputes the distances from each measure's basepoint, so a
+    # measure whose weights and distances belong to another viewpoint fails.
+    mu = orbital_measure(census8, 0.5)
+    moved = dataclasses.replace(orbital_measure(census8, 0.5, x=Point(0.3, 1.4)),
+                                basepoint=Point(-0.3, 1.4))
+    assert conformal_ratio_audit(mu, moved).max_deviation > 1e-3
 
 
 def test_busemann_gap_shrinks_toward_boundary(census8):
