@@ -127,13 +127,18 @@ def _header(args, config_hash: str) -> list[str]:
             f"seed={args.seed}"]
 
 
+_MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(text: str) -> np.ndarray:
     try:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}, expected lo:hi:step") from exc
-    if step <= 0 or hi < lo:
-        raise ConfigError(f"bad grid {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < step < math.inf
+            and lo <= hi and (hi - lo) / step < _MAX_GRID_POINTS):
+        raise ConfigError(f"bad grid {text!r}: need finite lo <= hi and step > 0, "
+                          f"with at most {_MAX_GRID_POINTS} points")
     return np.arange(lo, hi + 1e-12, step)
 
 
@@ -142,6 +147,8 @@ def _parse_window(text: str) -> tuple[float, float]:
         lo, hi = (float(p) for p in text.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad window {text!r}, expected lo:hi") from exc
+    if math.isnan(lo) or math.isnan(hi):
+        raise ConfigError(f"bad window {text!r}")
     return lo, hi
 
 
@@ -185,11 +192,9 @@ def cmd_census(args) -> int:
 
 
 def cmd_exponent(args) -> int:
+    r_min, r_max = _parse_window(args.window) if args.window else (None, None)
     census, _, digest = _load_census(args)
     report = counting.make_report(census)
-    r_min = r_max = None
-    if args.window:
-        r_min, r_max = _parse_window(args.window)
     estimate = counting.estimate_exponent(report, r_min=r_min, r_max=r_max)
     out = _out_dir(args)
     with open(out / "report.csv", "w") as fh:
@@ -203,8 +208,8 @@ def cmd_exponent(args) -> int:
 
 
 def cmd_separation(args) -> int:
-    census, witness, digest = _load_census(args)
     grid = _parse_grid(args.s_grid) if args.s_grid else np.arange(0.01, 1.01, 0.01)
+    census, witness, digest = _load_census(args)
     cert = counting.separation_certificate(census, witness, grid)
     out = _out_dir(args)
     payload = {
@@ -224,15 +229,16 @@ def cmd_separation(args) -> int:
 
 
 def cmd_patterson(args) -> int:
+    s_list = [float(s) for s in _parse_grid(args.s_grid)] if args.s_grid else None
+    if not 0.0 < args.r < math.inf:
+        raise ConfigError(f"--r must be finite and > 0: {args.r}")
     census, _, digest = _load_census(args)
     if args.audit == "equivariance" and census.words is None:
         raise ConfigError("--audit equivariance needs a census with words; "
                           "the lattice census has none")
     report = counting.make_report(census)
     delta_hat = counting.estimate_exponent(report).point_estimate
-    if args.s_grid:
-        s_list = [float(s) for s in _parse_grid(args.s_grid)]
-    else:
+    if s_list is None:
         s_list = [delta_hat + off for off in (0.1, 0.05, 0.02)]
     out = _out_dir(args)
     header = _header(args, digest)

@@ -108,27 +108,24 @@ _SLIDE_WIDTH = 4.0
 
 
 def estimate_exponent(report: CountingReport, r_min: float | None = None,
-                      r_max: float | None = None,
-                      counts: np.ndarray | None = None) -> ExponentEstimate:
+                      r_max: float | None = None) -> ExponentEstimate:
     """Slope of ln N(R) over [r_min, r_max].
 
     r_min is raised to the first grid radius with N >= 50 so the regression
     only sees statistically meaningful counts; sliding sub-windows of width
     4.0 quantify how far the finite-scale slope is from settling.
-    ``counts`` overrides the count column (used for annular-count estimates).
     """
     radii = report.radii
-    values = report.counts if counts is None else counts
     if r_max is None:
         r_max = float(radii[-1])
-    eligible = (values >= _MIN_COUNT) & (radii <= r_max)
+    eligible = (report.counts >= _MIN_COUNT) & (radii <= r_max)
     if r_min is not None:
         eligible &= radii >= r_min
     if eligible.sum() < 3:
         raise InsufficientData(
             f"need at least 3 grid radii with N >= {_MIN_COUNT}")
     radii = radii[eligible]
-    logs = np.log(values[eligible].astype(np.float64))
+    logs = np.log(report.counts[eligible].astype(np.float64))
     slope = float(np.polyfit(radii, logs, 1)[0])
 
     span = radii[-1] - radii[0]
@@ -151,14 +148,6 @@ def estimate_exponent(report: CountingReport, r_min: float | None = None,
         slopes=tuple(slopes),
         spread=float(max(slopes) - min(slopes)),
     )
-
-
-def estimate_exponent_annular(report: CountingReport,
-                              r_min: float | None = None,
-                              r_max: float | None = None) -> ExponentEstimate:
-    """Exponent estimated from the annular counts n(R, delta)."""
-    return estimate_exponent(report, r_min=r_min, r_max=r_max,
-                             counts=report.annular)
 
 
 def boundedness_audit(report: CountingReport, delta_hat: float,

@@ -198,11 +198,16 @@ class Isometry:
 
 
 def distance(x: Point, y: Point) -> float:
-    """Hyperbolic distance, d = arccosh(1 + |x-y|^2 / (2 Im x Im y))."""
+    """Hyperbolic distance, d = arccosh(1 + t) with t = |x-y|^2 / (2 Im x Im y).
+
+    Where 1 + t rounds to 1 (points closer than about 1e-8 times their
+    height) the distance is its first-order term sqrt(2t), so distinct
+    points are never at distance 0."""
     dre = x.re - y.re
     dim = x.im - y.im
-    arg = 1.0 + (dre * dre + dim * dim) / (2.0 * x.im * y.im)
-    return math.acosh(max(arg, 1.0))
+    t = (dre * dre + dim * dim) / (2.0 * x.im * y.im)
+    d = math.acosh(1.0 + t)
+    return d if d > 0.0 else math.sqrt(2.0 * t)
 
 
 def _to_infinity(xi: BoundaryPoint) -> Isometry:
@@ -321,11 +326,6 @@ def _to_center(x: Point) -> Isometry:
     return Isometry(1.0 / s, -x.re / s, 0.0, s)
 
 
-def angle_at(x: Point, xi: BoundaryPoint) -> float:
-    """Angle of xi on the circle of the disk model centered at x."""
-    return boundary_angle(_to_center(x).apply_boundary(xi))
-
-
 def boundary_at_angle(x: Point, theta: float) -> BoundaryPoint:
     """Boundary point at the given angle of the disk model centered at x."""
     return _to_center(x).inverse().apply_boundary(boundary_from_angle(theta))
@@ -365,15 +365,6 @@ def shadow(x: Point, y: Point, r: float) -> BoundaryInterval:
     return BoundaryInterval.from_points(lo, hi)
 
 
-def geodesic_point(x: Point, theta: float, t: float) -> Point:
-    """Point at hyperbolic distance t along the ray from x with disk angle
-    theta (in the disk model centered at x)."""
-    rho = math.tanh(t / 2.0)
-    w = rho * complex(math.cos(theta), math.sin(theta))
-    q = 1j * (1.0 + w) / (1.0 - w)  # inverse Cayley, back to half-plane at i
-    return _to_center(x).inverse().apply(Point(q.real, q.imag))
-
-
 # ---------------------------------------------------------------------------
 # Batch kernels over arrays of orbit points.
 
@@ -393,8 +384,12 @@ def distances_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     # Overflow to inf is fine: such points are infinitely far.  So is a
     # point whose imaginary part underflowed to 0: it is dropped at inf.
     with np.errstate(over="ignore", divide="ignore"):
-        arg = 1.0 + ((re - x.re) ** 2 + (im - x.im) ** 2) / (2.0 * im * x.im)
-    return np.arccosh(np.maximum(arg, 1.0))
+        t = ((re - x.re) ** 2 + (im - x.im) ** 2) / (2.0 * im * x.im)
+    # t < 0 only for an image that fell off the half-plane: distance 0.
+    d = np.arccosh(np.maximum(1.0 + t, 1.0))
+    small = (d == 0.0) & (t > 0.0)
+    d[small] = np.sqrt(2.0 * t[small])
+    return d
 
 
 def disk_points_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -403,15 +398,23 @@ def disk_points_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return (q - 1j) / (q + 1j)
 
 
+def boundary_angles_at(x: Point, theta: np.ndarray) -> np.ndarray:
+    """Global boundary-circle angles, as :func:`boundary_angle` gives them,
+    of the boundary points at disk angles theta of the disk model centred
+    at x: :func:`boundary_at_angle` over an array."""
+    s = np.sin(theta / 2.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xi = x.im * (-np.cos(theta / 2.0) / s) + x.re
+        xi2 = xi * xi
+        angles = np.arctan2(-2.0 * xi, xi2 - 1.0) % _TWO_PI
+    # Past |xi| = 1e154, xi^2 overflows and the angle, within 1e-154 of 0,
+    # is 0 as for infinity itself (s = 0, or a subnormal s overflowing xi).
+    return np.where((s == 0.0) | np.isinf(xi2), 0.0, angles)
+
+
 def direction_angles_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Boundary-circle angles of the ray directions from x through the
     points (re, im), in the global parametrisation of :func:`boundary_angle`;
     a point at x gets angle 0."""
     w = disk_points_many(x, re, im)
-    theta = np.arctan2(w.imag, w.real)  # disk angle at x
-    s = np.sin(theta / 2.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        xi = x.im * (-np.cos(theta / 2.0) / s) + x.re
-        angles = np.arctan2(-2.0 * xi, xi * xi - 1.0) % _TWO_PI
-    # A subnormal s overflows xi: the ray still ends at infinity, angle 0.
-    return np.where((s == 0.0) | np.isinf(xi), 0.0, angles)
+    return boundary_angles_at(x, np.arctan2(w.imag, w.real))

@@ -21,6 +21,7 @@ from .hyperbolic import (
     Point,
     apply_many,
     boundary_angle,
+    boundary_angles_at,
     direction_angles_many,
     direction_from,
     disk_points_many,
@@ -108,9 +109,6 @@ class AtomicMeasure:
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
 
-    def total_mass(self) -> float:
-        return float(math.fsum(np.exp(self.log_weights)))
-
     def write_csv(self, fh, header_lines=()) -> None:
         _write_table(fh, header_lines, "atom_re,atom_im,weight,word_length",
                      "%.12g,%.12g,%.12g,%d",
@@ -171,12 +169,6 @@ class ConformalAudit:
     max_deviation: float
     busemann_gaps: np.ndarray
     busemann_distances: np.ndarray
-
-    def max_gap_beyond(self, radius: float) -> float:
-        mask = self.busemann_distances >= radius
-        if not mask.any():
-            return math.nan
-        return float(self.busemann_gaps[mask].max())
 
 
 def conformal_ratio_audit(mu: AtomicMeasure, mu_prime: AtomicMeasure,
@@ -303,10 +295,6 @@ class ShadowAudit:
     def max_ratio(self) -> float:
         return float(self.ratios.max()) if len(self.ratios) else 0.0
 
-    @property
-    def r_too_small(self) -> bool:
-        return self.empty_shadows > 0
-
 
 def shadow_lemma_audit(census: OrbitCensus, mu: AtomicMeasure, alpha: float,
                        r: float, word_lengths=(3, 4, 5, 6, 7),
@@ -316,9 +304,11 @@ def shadow_lemma_audit(census: OrbitCensus, mu: AtomicMeasure, alpha: float,
 
     Shadows are cast from the measure's basepoint; the word-length band
     should avoid the truncation edge, whose shadows lose tail mass.
-    Atom masses are accumulated through a sorted-angle prefix table so the
-    audit is linear in census size per element band.
+    Atom masses are read off a sorted-angle prefix table at the arc
+    endpoints, so the audit is linear in census size per element band.
     """
+    if not r > 0.0:
+        raise ValueError("shadow radius must be positive")
     if horizon is None:
         horizon = default_horizon(census)
     base = mu.basepoint
@@ -328,32 +318,25 @@ def shadow_lemma_audit(census: OrbitCensus, mu: AtomicMeasure, alpha: float,
     prefix = np.concatenate([[0.0], np.cumsum(weights[order])])
     total = prefix[-1]
 
-    def arc_weight(arc: BoundaryInterval) -> float:
-        if arc.full:
-            return float(total)
-        lo = arc.lo_angle
-        hi = (arc.lo_angle + arc.width()) % _TWO_PI
-        i_lo = np.searchsorted(angles, lo, side="left")
-        i_hi = np.searchsorted(angles, hi, side="right")
-        if lo <= hi:
-            return float(prefix[i_hi] - prefix[i_lo])
-        return float((total - prefix[i_lo]) + prefix[i_hi])
-
     band = np.isin(census.word_lengths, np.asarray(word_lengths))
-    dists, masses, ratios = [], [], []
-    empty = 0
-    for i in np.nonzero(band)[0]:
-        p = Point(float(mu.atom_re[i]), float(mu.atom_im[i]))
-        d = distance(base, p)  # reported; np.arccosh may differ in the last bit
-        m = arc_weight(shadow(base, p, r)) if d > 0 else float(total)
-        if m == 0.0:
-            empty += 1
-        dists.append(d)
-        masses.append(m)
-        ratios.append(m * math.exp(alpha * d))
+    d = mu.distances[band]
+    masses = np.full(len(d), total)
+    # Elements farther than r cast the arc of half-width asin(sinh r / sinh d)
+    # around their direction, as :func:`shadow` does; the others the circle.
+    arc = d > r
+    w = disk_points_many(base, mu.atom_re[band][arc], mu.atom_im[band][arc])
+    phi = np.arctan2(w.imag, w.real) % _TWO_PI
+    half = np.arcsin(np.sinh(r) / np.sinh(d[arc]))
+    lo = boundary_angles_at(base, (phi - half) % _TWO_PI)
+    width = (boundary_angles_at(base, (phi + half) % _TWO_PI) - lo) % _TWO_PI
+    hi = (lo + np.where(width > 0.0, width, _TWO_PI)) % _TWO_PI
+    i_lo = np.searchsorted(angles, lo, side="left")
+    i_hi = np.searchsorted(angles, hi, side="right")
+    masses[arc] = np.where(lo <= hi, prefix[i_hi] - prefix[i_lo],
+                           (total - prefix[i_lo]) + prefix[i_hi])
     return ShadowAudit(
-        distances=np.array(dists), masses=np.array(masses),
-        ratios=np.array(ratios), alpha=alpha, r=r, empty_shadows=empty)
+        distances=d, masses=masses, ratios=masses * np.exp(alpha * d),
+        alpha=alpha, r=r, empty_shadows=int((masses == 0.0).sum()))
 
 
 @dataclass(frozen=True)
@@ -420,15 +403,6 @@ def _reduced_words(n_letters: int, depth: int):
     return words
 
 
-def word_interval(spec: GroupSpec, word_indices: tuple) -> BoundaryInterval:
-    """Nested coding interval of a reduced word: the image of the last
-    letter's ping-pong arc under the preceding prefix."""
-    cert = ping_pong_certificate(spec)
-    arc = cert.intervals[word_indices[-1]]
-    prefix = word_matrix(spec, tuple(map(signed_letter, word_indices[:-1])))
-    return arc.apply(prefix)
-
-
 @dataclass(frozen=True)
 class RadialLimitPoint:
     word: tuple  # signed generator indices
@@ -475,13 +449,6 @@ def boundary_histogram(mu: AtomicMeasure, bins: int = 360,
     edges = np.linspace(0.0, _TWO_PI, bins + 1)
     mass, _ = np.histogram(angles, bins=edges, weights=weights)
     return BoundaryHistogram(bin_lo=edges[:-1], bin_hi=edges[1:], mass=mass)
-
-
-def histogram_distance(h1: BoundaryHistogram, h2: BoundaryHistogram) -> float:
-    """Total-variation-style distance between two histograms on one grid."""
-    if len(h1.mass) != len(h2.mass):
-        raise ValueError("histograms use different grids")
-    return 0.5 * float(np.abs(h1.mass - h2.mass).sum())
 
 
 def render_ppm(mu: AtomicMeasure, fh, size: int = 1024,

@@ -64,27 +64,6 @@ class SequenceProbe:
     def __len__(self):
         return len(self.log_u)
 
-    def write_csv(self, fh, log_space: bool = True) -> None:
-        fh.write(f"# log_space={'true' if log_space else 'false'}\n")
-        for v in (self.log_u if log_space else np.exp(self.log_u)):
-            fh.write(f"{v:.17g}\n")
-
-    @staticmethod
-    def read_csv(fh) -> "SequenceProbe":
-        log_space = False
-        values = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "log_space=true" in line.replace(" ", ""):
-                    log_space = True
-                continue
-            values.append(float(line))
-        arr = np.array(values)
-        return SequenceProbe.from_log(arr) if log_space else SequenceProbe.from_values(arr)
-
 
 def _log_cumsum(log_u: np.ndarray) -> np.ndarray:
     """Logs of the partial sums U_n = u_0 + ... + u_n."""
@@ -129,20 +108,6 @@ def critical_exponent(probe: SequenceProbe) -> ExponentPair:
     return ExponentPair(from_terms, from_sums)
 
 
-def tail_rate_bounds(probe: SequenceProbe) -> tuple[float, float]:
-    """(liminf, limsup) proxies for (1/n) ln u_n: min and max over the tail
-    20% of indices.  They differ for sequences with oscillating growth
-    rate, e.g. geometrically growing alternating blocks."""
-    lu = probe.log_u
-    idx = _tail_indices(len(lu))
-    with np.errstate(invalid="ignore"):
-        rates = lu[idx] / idx
-    finite = rates[np.isfinite(rates)]
-    if len(finite) == 0:
-        return -math.inf, -math.inf
-    return float(finite.min()), float(finite.max())
-
-
 @dataclass(frozen=True)
 class Lemma1Report:
     """Simultaneous convergence diagnostic for sum u_n e^{-sn} and
@@ -154,16 +119,6 @@ class Lemma1Report:
     exponents: ExponentPair
     agreement: float
     neutral_band: float
-
-    def classifications_agree(self) -> bool:
-        center = max(self.exponents.from_terms, self.exponents.from_partial_sums)
-        for s, cu, cs in zip(self.s_grid, self.classification_terms,
-                             self.classification_sums):
-            if abs(s - center) <= self.neutral_band:
-                continue
-            if cu != cs:
-                return False
-        return True
 
 
 _GROWTH_THRESHOLD = 0.5
@@ -227,15 +182,6 @@ def fekete_check(probe: SequenceProbe, tol: float = _LOG_TOL) -> FeketeReport:
     last = float(roots[-1])
     return FeketeReport(log_root_inf=inf_root, log_root_last=last,
                         gap=last - inf_root)
-
-
-def minimal_submultiplicative_scale(probe: SequenceProbe) -> float:
-    """Smallest C >= 1 such that u_{n+m} <= C u_n u_m on the horizon."""
-    lu = probe.log_u
-    worst = 0.0
-    for n, m in _index_pairs(len(lu) - 1, 1):
-        worst = max(worst, float((lu[n + m] - lu[n] - lu[m]).max()))
-    return math.exp(max(worst, 0.0))
 
 
 def _window_log_sums(lu: np.ndarray, kappa: int) -> np.ndarray:

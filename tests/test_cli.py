@@ -205,6 +205,27 @@ def test_degenerate_normalizer_exit_code(tmp_path, capsys, monkeypatch):
     assert rc == cli.EXIT_DEGENERATE
 
 
+# Flag values the parser must reject before it enumerates anything.
+_BAD_FLAGS = {
+    "patterson-s-grid-nan": ["patterson", "--s-grid", "nan:1:0.1"],
+    "patterson-s-grid-inf": ["patterson", "--s-grid", "0:inf:0.1"],
+    "patterson-s-grid-too-fine": ["patterson", "--s-grid", "0:1:1e-300"],
+    "separation-s-grid-nan": ["separation", "--s-grid", "nan:1:0.1"],
+    "separation-s-grid-inf": ["separation", "--s-grid", "0:inf:0.1"],
+    "separation-s-grid-step-zero": ["separation", "--s-grid", "0:1:0"],
+    "shadow-r-negative": ["patterson", "--audit", "shadow", "--r", "-1"],
+    "shadow-r-nan": ["patterson", "--audit", "shadow", "--r", "nan"],
+    "shadow-r-inf": ["patterson", "--audit", "shadow", "--r", "inf"],
+    "exponent-window-nan": ["exponent", "--window", "nan:5"],
+}
+
+
+def _bad_flag_argv(case):
+    command, *flags = _BAD_FLAGS[case]
+    config = "schottky-separation" if command == "separation" else "schottky"
+    return [command, "--config", config, "--max-word-length", "7", *flags]
+
+
 _A = [["3.0", "0.0"], ["0.0", "0.3333333333333333"]]
 _B = [["1.6666666666666667", "1.3333333333333333"],
       ["1.3333333333333333", "1.6666666666666667"]]
@@ -237,13 +258,14 @@ _B = [["1.6666666666666667", "1.3333333333333333"],
     (["separation", "--max-word-length", "3"],
      {"group": {"kind": "cyclic_hyperbolic", "generators": [_A]},
       "witness": [1, 2, 3]}),
+    *[(_bad_flag_argv(case), None) for case in _BAD_FLAGS],
 ], ids=["radius-nan", "radius-inf", "radius-negative", "word-length-negative",
         "no-limit", "top-level-array", "nested-negative-depth",
         "schottky-parabolic-generator", "schottky-uncertifiable",
         "lattice-census-word-length-only", "lattice-exponent-word-length-only",
         "conjugated-lattice-word-length-only", "lattice-equivariance-audit",
         "conjugated-lattice-equivariance-audit", "conjugated-without-inner",
-        "separation-witness-not-2x2"])
+        "separation-witness-not-2x2", *_BAD_FLAGS])
 def test_invalid_input_exit_code(tmp_path, capsys, argv, config):
     if config is not None:
         path = tmp_path / "group.json"
@@ -254,6 +276,14 @@ def test_invalid_input_exit_code(tmp_path, capsys, argv, config):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", list(_BAD_FLAGS))
+def test_bad_flags_are_rejected_before_enumerating(tmp_path, capsys, monkeypatch, case):
+    def enumerate_orbit(*args, **kwargs):
+        raise AssertionError("enumerated before checking the flags")
+    monkeypatch.setattr(cli.groups, "enumerate_orbit", enumerate_orbit)
+    assert run(_bad_flag_argv(case) + ["--out", str(tmp_path)]) == cli.EXIT_PARSE
 
 
 # ---------------------------------------------------------------------------

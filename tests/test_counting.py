@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -20,7 +21,6 @@ from kleinian.counting import (
     annular_count,
     boundedness_audit,
     estimate_exponent,
-    estimate_exponent_annular,
     make_report,
     orbital_count,
     poincare_partial,
@@ -152,7 +152,7 @@ def test_annular_estimate_agrees_with_ball_estimate():
     census = enumerate_orbit(schottky_spec(A, B), max_word_length=11)
     report = make_report(census)
     ball = estimate_exponent(report)
-    ann = estimate_exponent_annular(report)
+    ann = estimate_exponent(dataclasses.replace(report, counts=report.annular))
     assert abs(ball.point_estimate - ann.point_estimate) <= (
         ball.spread + ann.spread)
 

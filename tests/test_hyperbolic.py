@@ -11,9 +11,9 @@ from kleinian.hyperbolic import (
     Isometry,
     ORIGIN,
     Point,
-    angle_at,
     apply_many,
     boundary_angle,
+    boundary_angles_at,
     boundary_at_angle,
     boundary_from_angle,
     busemann,
@@ -22,7 +22,6 @@ from kleinian.hyperbolic import (
     direction_from,
     distance,
     distances_many,
-    geodesic_point,
     shadow,
 )
 
@@ -31,6 +30,24 @@ RNG = np.random.default_rng(20260823)
 
 def random_point(rng=RNG) -> Point:
     return Point(float(rng.uniform(-5, 5)), float(math.exp(rng.uniform(-2, 2))))
+
+
+def to_center(x: Point) -> Isometry:
+    """The isometry z -> (z - Re x)/Im x sending x to i."""
+    return Isometry(1.0, -x.re, 0.0, x.im)
+
+
+def angle_at(x: Point, xi: BoundaryPoint) -> float:
+    """Angle of xi on the circle of the disk model centred at x."""
+    return boundary_angle(to_center(x).apply_boundary(xi))
+
+
+def geodesic_point(x: Point, theta: float, t: float) -> Point:
+    """Point at hyperbolic distance t along the ray from x with disk angle
+    theta (in the disk model centred at x)."""
+    w = math.tanh(t / 2.0) * complex(math.cos(theta), math.sin(theta))
+    q = 1j * (1.0 + w) / (1.0 - w)  # inverse Cayley, back to half-plane at i
+    return to_center(x).inverse().apply(Point(q.real, q.imag))
 
 
 def random_isometry(rng=RNG) -> Isometry:
@@ -356,6 +373,14 @@ def test_distance_positive_definite(x, y):
             assert d > 0.0
 
 
+@pytest.mark.parametrize("gap", [1e-9, 1e-11, 1e-15])
+def test_distance_resolves_points_closer_than_rounding(gap):
+    # 1 + |x-y|^2 / 2 rounds to 1 here; the distance is still gap to first order.
+    x, y = Point(0.0, 1.0), Point(gap, 1.0)
+    assert distance(x, y) == pytest.approx(gap, rel=1e-6)
+    assert distances_many(x, np.array([gap]), np.array([1.0]))[0] == distance(x, y)
+
+
 isometries = st.tuples(*[st.floats(-3.0, 3.0)] * 4).filter(
     lambda m: m[0] * m[3] - m[1] * m[2] > 0.1).map(lambda m: Isometry(*m))
 
@@ -387,6 +412,18 @@ def test_batch_kernels_match_scalar_primitives(x, items):
 
 
 arc_angles = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_points, st.lists(arc_angles, min_size=1, max_size=20))
+@example(ORIGIN, [0.0, 5e-324, 1e-307, 2.0 * math.pi, -math.pi])
+def test_boundary_angles_at_matches_scalar_boundary_at_angle(x, thetas):
+    angles = boundary_angles_at(x, np.array(thetas))
+    for got, theta in zip(angles, thetas):
+        assert 0.0 <= got <= 2.0 * math.pi
+        expected = boundary_angle(boundary_at_angle(x, theta))
+        gap = (got - expected + math.pi) % (2.0 * math.pi) - math.pi
+        assert abs(gap) <= 1e-8
 
 
 @settings(max_examples=200, deadline=None)
