@@ -147,8 +147,6 @@ def _parse_window(text: str) -> tuple[float, float]:
         lo, hi = (float(p) for p in text.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad window {text!r}, expected lo:hi") from exc
-    if math.isnan(lo) or math.isnan(hi):
-        raise ConfigError(f"bad window {text!r}")
     return lo, hi
 
 

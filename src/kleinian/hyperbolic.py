@@ -198,11 +198,8 @@ class Isometry:
 
 
 def distance(x: Point, y: Point) -> float:
-    """Hyperbolic distance, d = arccosh(1 + t) with t = |x-y|^2 / (2 Im x Im y).
-
-    Where 1 + t rounds to 1 (points closer than about 1e-8 times their
-    height) the distance is its first-order term sqrt(2t), so distinct
-    points are never at distance 0."""
+    """Hyperbolic distance, arccosh(1 + t) with t = |x-y|^2 / (2 Im x Im y),
+    or sqrt(2t) where 1 + t rounds to 1, so distinct points stay apart."""
     dre = x.re - y.re
     dim = x.im - y.im
     t = (dre * dre + dim * dim) / (2.0 * x.im * y.im)
@@ -383,9 +380,9 @@ def distances_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     of :func:`distance`."""
     # Overflow to inf is fine: such points are infinitely far.  So is a
     # point whose imaginary part underflowed to 0: it is dropped at inf.
+    # An image that fell below the real axis (t < 0) is at distance 0.
     with np.errstate(over="ignore", divide="ignore"):
         t = ((re - x.re) ** 2 + (im - x.im) ** 2) / (2.0 * im * x.im)
-    # t < 0 only for an image that fell off the half-plane: distance 0.
     d = np.arccosh(np.maximum(1.0 + t, 1.0))
     small = (d == 0.0) & (t > 0.0)
     d[small] = np.sqrt(2.0 * t[small])
@@ -407,8 +404,7 @@ def boundary_angles_at(x: Point, theta: np.ndarray) -> np.ndarray:
         xi = x.im * (-np.cos(theta / 2.0) / s) + x.re
         xi2 = xi * xi
         angles = np.arctan2(-2.0 * xi, xi2 - 1.0) % _TWO_PI
-    # Past |xi| = 1e154, xi^2 overflows and the angle, within 1e-154 of 0,
-    # is 0 as for infinity itself (s = 0, or a subnormal s overflowing xi).
+    # Past |xi| = 1e154 xi^2 overflows; the angle is 0 there, as at infinity.
     return np.where((s == 0.0) | np.isinf(xi2), 0.0, angles)
 
 

@@ -216,7 +216,6 @@ _BAD_FLAGS = {
     "shadow-r-negative": ["patterson", "--audit", "shadow", "--r", "-1"],
     "shadow-r-nan": ["patterson", "--audit", "shadow", "--r", "nan"],
     "shadow-r-inf": ["patterson", "--audit", "shadow", "--r", "inf"],
-    "exponent-window-nan": ["exponent", "--window", "nan:5"],
 }
 
 
