@@ -22,6 +22,7 @@ from .groups import (
     GroupSpec,
     OrbitCensus,
     PingPongCertificate,
+    conjugate,
     cyclic_spec,
     enumerate_orbit,
     modular_lattice_spec,

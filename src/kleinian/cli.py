@@ -4,7 +4,7 @@ verification suite over the built-in example groups.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid config or limits
 (including generators without a ping-pong certificate), 3 enumeration budget
-exceeded, 4 exact-arithmetic overflow, 5 insufficient data for estimation,
+exceeded, 4 arithmetic overflow, 5 insufficient data for estimation,
 6 no separation certificate, 7 degenerate measure normalizer.
 """
 
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .hyperbolic import Isometry, Point
+from .hyperbolic import Isometry, NonInvertibleMatrix, Point
 from . import counting, groups, patterson, sequences
 
 EXIT_CHECK_FAILED = 1
@@ -45,6 +45,7 @@ _EXIT_CODES = {
     groups.MarginViolation: EXIT_PARSE,
     groups.BudgetExceeded: EXIT_BUDGET,
     OverflowError: EXIT_OVERFLOW,
+    NonInvertibleMatrix: EXIT_OVERFLOW,  # a config's matrices were checked on parsing
     counting.InsufficientData: EXIT_INSUFFICIENT,
     counting.NoCertificate: EXIT_NO_CERTIFICATE,
     patterson.DegenerateNormalizer: EXIT_DEGENERATE,
@@ -441,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
+    def common(p):
+        p.add_argument("--config", required=True,
                        help="built-in name (schottky, parabolic, "
                             "cyclic-hyperbolic, lattice, schottky-separation) "
                             "or path to a group JSON document")
@@ -492,7 +493,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
         code = next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
-        prefix = "exact arithmetic overflow: " if code == EXIT_OVERFLOW else ""
+        prefix = "arithmetic overflow: " if code == EXIT_OVERFLOW else ""
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return code
 

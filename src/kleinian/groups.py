@@ -76,26 +76,33 @@ class GroupSpec:
     depth: int | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown group kind {self.kind!r}")
-        if self.kind == "conjugated" and (self.inner is None or self.conjugator is None):
+        """Every static rule a spec must meet, whatever built it."""
+        kind, gens = self.kind, self.generators
+        if kind not in KINDS:
+            raise ValueError(f"unknown group kind {kind!r}")
+        classes = [g.classify() for g in gens]
+        if kind.startswith("cyclic_") and ["cyclic_" + c for c in classes] != [kind]:
+            raise ValueError(f"a {kind} group needs one generator of that type, got {classes}")
+        if kind == "schottky" and not gens:
+            raise ValueError("a schottky group needs at least one generator")
+        if kind == "schottky" and set(classes) != {"hyperbolic"}:
+            raise NonHyperbolicGenerator(f"schottky generators must be hyperbolic, got {classes}")
+        if kind == "nested_subgroup" and (len(gens) != 2 or type(self.depth) is not int
+                                          or self.depth < 0):
+            raise ValueError("a nested subgroup needs two generators and an integer "
+                             f"depth >= 0, got {len(gens)} and {self.depth!r}")
+        if kind == "conjugated" and (self.inner is None or self.conjugator is None):
             raise ValueError("a conjugated group needs 'inner' and 'conjugator'")
 
 
 def schottky_spec(g1: Isometry, g2: Isometry) -> GroupSpec:
-    for g in (g1, g2):
-        if g.classify() != "hyperbolic":
-            raise NonHyperbolicGenerator(f"generator {g} is {g.classify()}")
     return GroupSpec("schottky", generators=(g1, g2))
 
 
 def cyclic_spec(g: Isometry) -> GroupSpec:
-    kind = g.classify()
-    if kind == "hyperbolic":
-        return GroupSpec("cyclic_hyperbolic", generators=(g,))
-    if kind == "parabolic":
-        return GroupSpec("cyclic_parabolic", generators=(g,))
-    raise ValueError(f"cyclic spec needs a hyperbolic or parabolic generator, got {kind}")
+    """The cyclic group of a hyperbolic or parabolic g."""
+    kind = "cyclic_parabolic" if g.classify() == "parabolic" else "cyclic_hyperbolic"
+    return GroupSpec(kind, generators=(g,))
 
 
 def modular_lattice_spec() -> GroupSpec:
@@ -104,8 +111,6 @@ def modular_lattice_spec() -> GroupSpec:
 
 def nested_subgroup_spec(alpha: Isometry, beta: Isometry, depth: int) -> GroupSpec:
     """The subgroup generated by {alpha^-n beta alpha^n : 0 <= n <= depth}."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     return GroupSpec("nested_subgroup", generators=(alpha, beta), depth=depth)
 
 
@@ -146,8 +151,6 @@ def spec_from_json_dict(doc: dict) -> GroupSpec:
         raise ValueError(f"unsupported model {doc.get('model')!r}")
     kind = doc["kind"]
     generators = tuple(_mat_from_json(m) for m in doc.get("generators", []))
-    if kind == "nested_subgroup":
-        return nested_subgroup_spec(*generators, doc.get("depth"))
     conjugator = doc.get("conjugator")
     if conjugator is not None:
         conjugator = _mat_from_json(conjugator)
@@ -492,7 +495,7 @@ def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
                 # The next power is beyond double precision.  A power g^k moves
                 # y at least |k| times the translation length (a parabolic g
                 # gives no bound), so none from n + 1 on is nearer than this.
-                ell = g.translation_length() if g.classify() == "hyperbolic" else 0.0
+                ell = g.translation_length() if spec.kind == "cyclic_hyperbolic" else 0.0
                 excluded.append((n + 1) * ell - distance(x, y))
                 break
             if n >= budget:
@@ -792,6 +795,4 @@ def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,
         return _enumerate_free(spec, x, y, max_word_length, max_radius, budget)
     if spec.kind == "modular_lattice":
         return _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget)
-    if spec.kind == "conjugated":
-        return _enumerate_conjugated(spec, x, y, max_word_length, max_radius, budget)
-    raise ValueError(f"unsupported kind {spec.kind!r}")
+    return _enumerate_conjugated(spec, x, y, max_word_length, max_radius, budget)

@@ -19,6 +19,12 @@ _TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
 
 
+def _fold_angle(theta):
+    """theta mod 2*pi in [0, 2*pi); % alone gives 2*pi for a tiny negative theta."""
+    theta = theta % _TWO_PI
+    return theta * (theta < _TWO_PI)
+
+
 @dataclass(frozen=True)
 class Point:
     """A point of the upper half-plane."""
@@ -66,7 +72,7 @@ def boundary_angle(xi: BoundaryPoint) -> float:
     if xi.is_infinity:
         return 0.0
     # xi = -cot(theta/2), with theta/2 = atan2(1, -xi) in (0, pi).
-    return 2.0 * math.atan2(1.0, -xi.value)
+    return _fold_angle(2.0 * math.atan2(1.0, -xi.value))
 
 
 def boundary_from_angle(theta: float) -> BoundaryPoint:
@@ -234,8 +240,8 @@ class BoundaryInterval:
     full: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "lo_angle", self.lo_angle % _TWO_PI)
-        object.__setattr__(self, "hi_angle", self.hi_angle % _TWO_PI)
+        object.__setattr__(self, "lo_angle", _fold_angle(self.lo_angle))
+        object.__setattr__(self, "hi_angle", _fold_angle(self.hi_angle))
 
     @staticmethod
     def full_circle() -> "BoundaryInterval":
@@ -340,7 +346,7 @@ def direction_angle_from(x: Point, p: Point) -> float:
     w = (q - 1j) / (q + 1j)  # Cayley: disk centered at image i
     if abs(w) == 0.0:
         raise ValueError("direction undefined: p coincides with x")
-    return math.atan2(w.imag, w.real) % _TWO_PI
+    return _fold_angle(math.atan2(w.imag, w.real))
 
 
 def shadow(x: Point, y: Point, r: float) -> BoundaryInterval:
@@ -403,7 +409,7 @@ def boundary_angles_at(x: Point, theta: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         xi = x.im * (-np.cos(theta / 2.0) / s) + x.re
         xi2 = xi * xi
-        angles = np.arctan2(-2.0 * xi, xi2 - 1.0) % _TWO_PI
+        angles = _fold_angle(np.arctan2(-2.0 * xi, xi2 - 1.0))
     # Past |xi| = 1e154 xi^2 overflows; the angle is 0 there, as at infinity.
     return np.where((s == 0.0) | np.isinf(xi2), 0.0, angles)
 

@@ -34,6 +34,7 @@ from .groups import (GroupSpec, OrbitCensus, _write_table, ping_pong_certificate
                      signed_letter, word_matrix)
 
 _LOG_FLOOR = -690.0  # below exp() underflow in linear scale
+_COVER_GRID = 4096  # directions at which shadow_cover_bound counts the cover
 
 
 class DegenerateNormalizer(ValueError):
@@ -227,10 +228,9 @@ class EquivarianceAudit:
     unmatched: int
 
 
-def equivariance_audit(census: OrbitCensus, g0_letter: int, s: float,
-                       x: Point | None = None,
-                       h: ModifierH = UNIT_MODIFIER) -> EquivarianceAudit:
-    """Check g*mu_{x,y} against mu_{g^-1 x, y} on a word-truncated census.
+def equivariance_audit(census: OrbitCensus, g0_letter: int, s: float) -> EquivarianceAudit:
+    """Check g*mu_{x,y} against mu_{g^-1 x, y} on a word-truncated census,
+    x and y its basepoints, with the unit gauge.
 
     ``g0_letter`` is a signed 1-based generator index (0 means the
     identity).  The pulled-back atom for census word w sits at the orbit
@@ -239,13 +239,11 @@ def equivariance_audit(census: OrbitCensus, g0_letter: int, s: float,
     """
     if census.words is None:
         raise ValueError("equivariance audit needs word metadata")
-    if x is None:
-        x = census.basepoint_x
-    mu = orbital_measure(census, s, x=x, h=h)
+    mu = orbital_measure(census, s)
     if g0_letter == 0:
         return EquivarianceAudit(0.0, 0.0, matched=len(mu), unmatched=0)
     g0 = word_matrix(census.spec, (g0_letter,))
-    mu_pull = orbital_measure(census, s, x=g0.inverse().apply(x), h=h)
+    mu_pull = orbital_measure(census, s, x=g0.inverse().apply(census.basepoint_x))
     # (g0*mu)(atom of word g0^-1 w) = mu(atom of word w); compare with the
     # measure at g0^-1 x evaluated on the same atom.
     j = census.words.shifted_index(g0_letter)
@@ -357,13 +355,9 @@ class CoverBound:
 
 
 def shadow_cover_bound(census: OrbitCensus, mu: AtomicMeasure, radius: float,
-                       r: float, delta: float = 1.0,
-                       horizon: float | None = None,
-                       grid: int = 4096) -> CoverBound:
+                       r: float, delta: float = 1.0) -> CoverBound:
     """Empirical multiplicity of the shadow cover over one annulus of orbit
     points, with the induced count bound checked exactly on the census."""
-    if horizon is None:
-        horizon = default_horizon(census)
     base = mu.basepoint
     d = mu.distances
     sel = np.nonzero((d >= radius - delta) & (d <= radius + delta))[0]
@@ -372,9 +366,9 @@ def shadow_cover_bound(census: OrbitCensus, mu: AtomicMeasure, radius: float,
     arcs = [BoundaryInterval.full_circle() if d[i] <= r
             else shadow(base, Point(float(mu.atom_re[i]), float(mu.atom_im[i])), r)
             for i in sel]
-    thetas = np.linspace(0.0, _TWO_PI, grid, endpoint=False)
-    mult = np.zeros(grid, dtype=np.int64)
-    angles, weights = _far_atoms(mu, horizon)
+    thetas = np.linspace(0.0, _TWO_PI, _COVER_GRID, endpoint=False)
+    mult = np.zeros(_COVER_GRID, dtype=np.int64)
+    angles, weights = _far_atoms(mu, default_horizon(census))
     # Mass of atoms falling in the union of the shadows (grid-rounded
     # membership is only used for multiplicity; the union mass is exact).
     in_union = np.zeros(len(angles), dtype=bool)
@@ -451,17 +445,15 @@ def boundary_histogram(mu: AtomicMeasure, bins: int = 360,
     return BoundaryHistogram(bin_lo=edges[:-1], bin_hi=edges[1:], mass=mass)
 
 
-def render_ppm(mu: AtomicMeasure, fh, size: int = 1024,
-               horizon: float = 0.0) -> None:
+def render_ppm(mu: AtomicMeasure, fh, size: int = 1024) -> None:
     """Binary PPM (P6) of the atom density in the disk model centered at
     the measure's basepoint: white background, grayscale by accumulated
     weight, deterministic for identical inputs."""
-    keep = mu.distances >= horizon
-    w = disk_points_many(mu.basepoint, mu.atom_re[keep], mu.atom_im[keep])
+    w = disk_points_many(mu.basepoint, mu.atom_re, mu.atom_im)
     px = np.clip(((w.real + 1.0) / 2.0 * size).astype(np.int64), 0, size - 1)
     py = np.clip(((1.0 - (w.imag + 1.0) / 2.0) * size).astype(np.int64), 0, size - 1)
     density = np.zeros((size, size), dtype=np.float64)
-    np.add.at(density, (py, px), np.exp(mu.log_weights[keep]))
+    np.add.at(density, (py, px), mu.weights)
     peak = density.max()
     if peak > 0.0:
         gray = (255.0 * (1.0 - density / peak)).astype(np.uint8)

@@ -15,6 +15,7 @@ import numpy as np
 
 _TAIL_FRACTION = 0.2
 _LOG_TOL = 1e-9
+_EXHAUSTIVE_LIMIT = 4000  # indices up to which divergence_argument_check scans every pair
 
 
 class AllZero(ValueError):
@@ -122,6 +123,7 @@ class Lemma1Report:
 
 
 _GROWTH_THRESHOLD = 0.5
+_NEUTRAL_BAND = 0.02  # half-width of the inconclusive band around the exponent
 
 
 def _classify_series(log_terms: np.ndarray) -> str:
@@ -132,8 +134,7 @@ def _classify_series(log_terms: np.ndarray) -> str:
     return "bounded" if growth < _GROWTH_THRESHOLD else "growing"
 
 
-def lemma1_check(probe: SequenceProbe, s_grid,
-                 neutral_band: float = 0.02) -> Lemma1Report:
+def lemma1_check(probe: SequenceProbe, s_grid) -> Lemma1Report:
     """Classify both series at each grid s and compare the two exponent
     estimates.  Classification is not asserted inside the neutral band
     around the common exponent, where finite horizons are inconclusive."""
@@ -151,7 +152,7 @@ def lemma1_check(probe: SequenceProbe, s_grid,
         classification_sums=tuple(cls_U),
         exponents=pair,
         agreement=abs(pair.from_terms - pair.from_partial_sums),
-        neutral_band=neutral_band,
+        neutral_band=_NEUTRAL_BAND,
     )
 
 
@@ -165,14 +166,14 @@ class FeketeReport:
     gap: float
 
 
-def fekete_check(probe: SequenceProbe, tol: float = _LOG_TOL) -> FeketeReport:
+def fekete_check(probe: SequenceProbe) -> FeketeReport:
     """Validate u_{n+m} <= u_n u_m exhaustively, then report the infimum of
     the n-th roots and the gap to the last-index root."""
     lu = probe.log_u
     if not np.isfinite(lu[1:]).all():
         raise ValueError("sequence must be strictly positive from index 1")
     for n, m in _index_pairs(len(lu) - 1, 1):
-        bad = lu[n + m] > lu[n] + lu[m] + tol
+        bad = lu[n + m] > lu[n] + lu[m] + _LOG_TOL
         if bad.any():
             m0 = int(m[np.argmax(bad)])
             raise NotSubmultiplicative(
@@ -208,8 +209,7 @@ class FaitReport:
     chain_constant: float
 
 
-def fait_check(probe: SequenceProbe, kappa: int, scale: float = 1.0,
-               tol: float = _LOG_TOL) -> FaitReport:
+def fait_check(probe: SequenceProbe, kappa: int, scale: float = 1.0) -> FaitReport:
     """Validate u_k u_l <= scale * sum_{i=k+l-kappa}^{k+l+kappa} u_i for all
     admissible (k, l), then report:
 
@@ -225,7 +225,7 @@ def fait_check(probe: SequenceProbe, kappa: int, scale: float = 1.0,
     log_scale = math.log(scale)
     win = _window_log_sums(lu, kappa)
     for k, l in _index_pairs(n_max, kappa, kappa):
-        bad = lu[k] + lu[l] > log_scale + win[k + l] + tol
+        bad = lu[k] + lu[l] > log_scale + win[k + l] + _LOG_TOL
         if bad.any():
             l0 = int(l[np.argmax(bad)])
             raise HypothesisViolated(
@@ -284,14 +284,12 @@ class DivergenceReport:
     tail_lower_bound: float
 
 
-def divergence_argument_check(probe: SequenceProbe,
-                              exhaustive_limit: int = 4000,
-                              rng=None) -> DivergenceReport:
+def divergence_argument_check(probe: SequenceProbe, rng=None) -> DivergenceReport:
     """For w_1 .. w_N (the probe array is read as starting at index 1):
     validate w_{n+m} <= W_n W_m, check subadditivity of ln W~_n where
     W~_n = 1 + W_1 + ... + W_n, and return L = min_n (ln W~_n)/n.
 
-    Checks are exhaustive up to ``exhaustive_limit`` indices and sampled
+    Checks are exhaustive up to _EXHAUSTIVE_LIMIT indices and sampled
     beyond (the horizon can reach millions of terms).
     """
     lw = np.concatenate([[-np.inf], probe.log_u])  # w_0 unused
@@ -299,16 +297,16 @@ def divergence_argument_check(probe: SequenceProbe,
     lW = np.logaddexp.accumulate(lw)               # lW[n] = log(w_1+..+w_n)
     lWt = np.logaddexp.accumulate(np.concatenate([[0.0], lW[1:]]))
 
-    def pairs(limit):
-        if n_max <= limit:
+    def pairs():
+        if n_max <= _EXHAUSTIVE_LIMIT:
             yield from _index_pairs(n_max, 1)
         else:
             gen = rng if rng is not None else np.random.default_rng(0)
-            for n in gen.integers(1, n_max, size=limit):
+            for n in gen.integers(1, n_max, size=_EXHAUSTIVE_LIMIT):
                 m = gen.integers(1, n_max - n + 1, size=64)
                 yield int(n), m
 
-    for n, m in pairs(exhaustive_limit):
+    for n, m in pairs():
         bad = lw[n + m] > lW[n] + lW[m] + _LOG_TOL
         if bad.any():
             m0 = int(m[np.argmax(bad)])
@@ -316,7 +314,7 @@ def divergence_argument_check(probe: SequenceProbe,
                 f"w_{n + m0} > W_{n} * W_{m0}", witness=(n, m0))
 
     subadd = True
-    for n, m in pairs(exhaustive_limit):
+    for n, m in pairs():
         if (lWt[n + m] > lWt[n] + lWt[m] + _LOG_TOL).any():
             subadd = False
             break

@@ -228,6 +228,9 @@ def _bad_flag_argv(case):
 _A = [["3.0", "0.0"], ["0.0", "0.3333333333333333"]]
 _B = [["1.6666666666666667", "1.3333333333333333"],
       ["1.3333333333333333", "1.6666666666666667"]]
+_ID = [["1", "0"], ["0", "1"]]
+# The rotation about i by 0.5, an elliptic element.
+_ROT = [[str(np.cos(0.25)), str(np.sin(0.25))], [str(-np.sin(0.25)), str(np.cos(0.25))]]
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -257,6 +260,15 @@ _B = [["1.6666666666666667", "1.3333333333333333"],
     (["separation", "--max-word-length", "3"],
      {"group": {"kind": "cyclic_hyperbolic", "generators": [_A]},
       "witness": [1, 2, 3]}),
+    (["census", "--max-radius", "5"], {"kind": "cyclic_hyperbolic", "generators": []}),
+    (["census", "--max-word-length", "3"], {"kind": "schottky", "generators": []}),
+    (["census", "--max-radius", "5"], {"kind": "cyclic_hyperbolic", "generators": [_ROT]}),
+    (["census", "--max-word-length", "5"],
+     {"kind": "cyclic_hyperbolic", "generators": [_ROT]}),
+    (["census", "--max-word-length", "3"], {"kind": "cyclic_parabolic", "generators": [_ID]}),
+    (["census", "--max-radius", "5"], {"kind": "cyclic_parabolic", "generators": [_A]}),
+    (["census", "--max-radius", "5"],
+     {"kind": "nested_subgroup", "generators": [_A, _B], "depth": 2.5}),
     *[(_bad_flag_argv(case), None) for case in _BAD_FLAGS],
 ], ids=["radius-nan", "radius-inf", "radius-negative", "word-length-negative",
         "no-limit", "top-level-array", "nested-negative-depth",
@@ -264,7 +276,10 @@ _B = [["1.6666666666666667", "1.3333333333333333"],
         "lattice-census-word-length-only", "lattice-exponent-word-length-only",
         "conjugated-lattice-word-length-only", "lattice-equivariance-audit",
         "conjugated-lattice-equivariance-audit", "conjugated-without-inner",
-        "separation-witness-not-2x2", *_BAD_FLAGS])
+        "separation-witness-not-2x2", "cyclic-without-generator",
+        "schottky-without-generators", "cyclic-elliptic-radius",
+        "cyclic-elliptic-word-length", "parabolic-identity",
+        "parabolic-on-hyperbolic-generator", "nested-fractional-depth", *_BAD_FLAGS])
 def test_invalid_input_exit_code(tmp_path, capsys, argv, config):
     if config is not None:
         path = tmp_path / "group.json"
@@ -275,6 +290,19 @@ def test_invalid_input_exit_code(tmp_path, capsys, argv, config):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_overflow_while_enumerating_exit_code(tmp_path, capsys):
+    # The nested generators alpha^-n beta alpha^n leave double precision
+    # long before n = 1000.
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(
+        {"kind": "nested_subgroup", "generators": [_A, _B], "depth": 1000}))
+    rc = run(["census", "--config", str(path), "--max-radius", "5",
+              "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OVERFLOW
+    err = capsys.readouterr().err
+    assert err.startswith("error: arithmetic overflow: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("case", list(_BAD_FLAGS))

@@ -184,6 +184,19 @@ def test_boundary_angle_monotone_in_xi():
     assert angles == sorted(angles)
 
 
+# Each angle is a hair below 2 pi or above it, and % 2 pi alone gives 2 pi.
+@pytest.mark.parametrize("angle", [
+    lambda: direction_angles_many(ORIGIN, np.array([1e-17]), np.array([2.0]))[0],
+    lambda: direction_angle_from(ORIGIN, Point(1e-17, 2.0)),
+    lambda: boundary_angles_at(ORIGIN, np.array([2.0 * math.pi]))[0],
+    lambda: BoundaryInterval(-1e-17, 1.0).lo_angle,
+    lambda: boundary_angle(BoundaryPoint(1e20)),
+], ids=["direction_angles_many", "direction_angle_from", "boundary_angles_at",
+        "BoundaryInterval", "boundary_angle"])
+def test_angles_at_two_pi_fold_to_zero(angle):
+    assert angle() == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Busemann cocycle.
 
@@ -381,8 +394,16 @@ def test_distance_resolves_points_closer_than_rounding(gap):
     assert distances_many(x, np.array([gap]), np.array([1.0]))[0] == distance(x, y)
 
 
-isometries = st.tuples(*[st.floats(-3.0, 3.0)] * 4).filter(
-    lambda m: m[0] * m[3] - m[1] * m[2] > 0.1).map(lambda m: Isometry(*m))
+def _iwasawa(x, t, theta):
+    """The isometry n(x) a(t) k(theta); every isometry is one of these."""
+    c, s = math.cos(theta), math.sin(theta)
+    return (Isometry(1.0, x, 0.0, 1.0) @ Isometry(math.exp(t), 0.0, 0.0, math.exp(-t))
+            @ Isometry(c, s, -s, c))
+
+
+# Built from three parameters, so no draw is filtered out.
+isometries = st.builds(_iwasawa, st.floats(-3.0, 3.0), st.floats(-1.5, 1.5),
+                       st.floats(-math.pi, math.pi))
 
 
 @settings(max_examples=200, deadline=None)
@@ -420,7 +441,7 @@ arc_angles = st.floats(-10.0, 10.0)
 def test_boundary_angles_at_matches_scalar_boundary_at_angle(x, thetas):
     angles = boundary_angles_at(x, np.array(thetas))
     for got, theta in zip(angles, thetas):
-        assert 0.0 <= got <= 2.0 * math.pi
+        assert 0.0 <= got < 2.0 * math.pi
         expected = boundary_angle(boundary_at_angle(x, theta))
         gap = (got - expected + math.pi) % (2.0 * math.pi) - math.pi
         assert abs(gap) <= 1e-8

@@ -131,7 +131,8 @@ def test_lemma1_neutral_band_suppresses_borderline_disagreement():
     probe = SequenceProbe.from_log(0.5 * n)
     # s right at the exponent is inconclusive at any finite horizon; the
     # band keeps the agreement verdict from depending on it.
-    report = lemma1_check(probe, s_grid=[0.5], neutral_band=0.02)
+    report = lemma1_check(probe, s_grid=[0.5])
+    assert report.neutral_band == 0.02
     assert classifications_agree(report)
 
 

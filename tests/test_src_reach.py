@@ -15,9 +15,6 @@ KEPT = {
                           "patterson.audit span",
     "minimal_fait_scale": "acceptance criterion 09 reports the (C, kappa) it "
                           "measures on the annular counts",
-    "conjugate": "the constructor of the conjugated group kind, beside the "
-                 "exported cyclic_spec and schottky_spec; criterion 08 "
-                 "builds its conjugate with it",
 }
 
 
