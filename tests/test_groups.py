@@ -606,6 +606,25 @@ def test_spec_json_round_trip(spec):
     json.loads(text)  # valid JSON document
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: schottky_spec(A, PARABOLIC), NonHyperbolicGenerator),
+    (lambda: GroupSpec("schottky"), ValueError),
+    (lambda: cyclic_spec(_rotation(0.5)), ValueError),
+    (lambda: cyclic_spec(Isometry.identity()), ValueError),
+    (lambda: GroupSpec("cyclic_parabolic", generators=(A,)), ValueError),
+    (lambda: GroupSpec("cyclic_hyperbolic", generators=(A, B)), ValueError),
+    (lambda: nested_subgroup_spec(A, B, -1), ValueError),
+    (lambda: nested_subgroup_spec(A, B, 2.0), ValueError),
+    (lambda: nested_subgroup_spec(A, B, True), ValueError),
+    (lambda: spec_from_json('{"kind": "nested_subgroup", "depth": 1}'), ValueError),
+], ids=["schottky-parabolic", "schottky-empty", "cyclic-elliptic", "cyclic-identity",
+        "parabolic-on-hyperbolic", "cyclic-two-generators", "nested-negative-depth",
+        "nested-float-depth", "nested-bool-depth", "nested-json-without-generators"])
+def test_every_constructor_meets_the_spec_rules(build, error):
+    with pytest.raises(error):
+        build()
+
+
 def test_spec_json_numbers_are_decimal_strings():
     doc = json.loads(spec_to_json(schottky_spec(A, B)))
     entry = doc["generators"][0][0][0]

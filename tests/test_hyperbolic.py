@@ -184,7 +184,7 @@ def test_boundary_angle_monotone_in_xi():
     assert angles == sorted(angles)
 
 
-# Each angle is a hair below 2 pi or above it, and % 2 pi alone gives 2 pi.
+# % 2 pi alone rounds each of these angles to exactly 2 pi, which is angle 0.
 @pytest.mark.parametrize("angle", [
     lambda: direction_angles_many(ORIGIN, np.array([1e-17]), np.array([2.0]))[0],
     lambda: direction_angle_from(ORIGIN, Point(1e-17, 2.0)),
