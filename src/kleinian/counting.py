@@ -116,11 +116,11 @@ def estimate_exponent(report: CountingReport, r_min: float | None = None,
     4.0 quantify how far the finite-scale slope is from settling.
     """
     radii = report.radii
-    if r_max is None:
-        r_max = float(radii[-1])
-    eligible = (report.counts >= _MIN_COUNT) & (radii <= r_max)
+    eligible = report.counts >= _MIN_COUNT
     if r_min is not None:
         eligible &= radii >= r_min
+    if r_max is not None:
+        eligible &= radii <= r_max
     if eligible.sum() < 3:
         raise InsufficientData(
             f"need at least 3 grid radii with N >= {_MIN_COUNT}")

@@ -331,9 +331,6 @@ class _PowerWords(Sequence):
         n = int(self.exponents[i])
         return (1,) * n if n >= 0 else (-1,) * -n
 
-    def take(self, order):
-        return _PowerWords(self.exponents[order])
-
     def shifted_index(self, letter: int) -> np.ndarray:
         """Index of the reduced word letter^-1 w for each word w, or -1:
         g^-1 g^n = g^(n-1) and g g^n = g^(n+1)."""
@@ -356,9 +353,6 @@ class _FreeWords(Sequence):
     def __getitem__(self, i):
         row = self.letters[i]
         return tuple(int(s) for s in row[row != 0])
-
-    def take(self, order):
-        return _FreeWords(self.letters[order])
 
     def shifted_index(self, letter: int) -> np.ndarray:
         """Index of the reduced word letter^-1 w for each word w, or -1:
@@ -449,14 +443,34 @@ def word_matrix(spec: GroupSpec, word) -> Isometry:
     return m
 
 
+def _stack(pieces):
+    """Concatenate a column's pieces, zero-padding 2-D pieces on the right to
+    the widest, and empty the list so that the pieces can be released."""
+    if len({p.shape[1:] for p in pieces}) == 1:
+        out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    else:
+        out = np.zeros((sum(map(len, pieces)), max(p.shape[1] for p in pieces)),
+                       pieces[0].dtype)
+        start = 0
+        for p in pieces:
+            out[start:start + len(p), :p.shape[1]] = p
+            start += len(p)
+    pieces.clear()
+    return out
+
+
 def _census(mats, dists, wls, words, x, y, completeness, spec):
-    dists = np.asarray(dists, dtype=np.float64)
+    """Census sorted by distance, ties in the given order.  Each column is a
+    list of pieces, and ``words`` is None or a pair of the word class and its
+    pieces; the columns are stacked, reordered and released one at a time."""
+    dists = _stack(dists)
     order = np.argsort(dists, kind="stable")
-    return OrbitCensus(
-        distances=dists[order],
-        word_lengths=np.asarray(wls, dtype=np.int64)[order],
-        mats=np.asarray(mats).reshape(-1, 2, 2)[order],
-        words=None if words is None else words.take(order),
+    dists = dists[order]
+    return OrbitCensus(  # keyword arguments are evaluated in this order
+        distances=dists,
+        word_lengths=_stack(wls)[order],
+        words=None if words is None else words[0](_stack(words[1])[order]),
+        mats=_stack(mats)[order],
         basepoint_x=x,
         basepoint_y=y,
         completeness_radius=completeness,
@@ -505,8 +519,8 @@ def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
     if max_radius is not None:
         completeness = min(completeness, max_radius)
     exponents = np.array(exponents, dtype=np.int64)
-    return _census(mats, dists, np.abs(exponents), _PowerWords(exponents),
-                   x, y, completeness, spec)
+    return _census([np.array(mats).reshape(-1, 2, 2)], [np.array(dists, dtype=np.float64)],
+                   [np.abs(exponents)], (_PowerWords, [exponents]), x, y, completeness, spec)
 
 
 def _halfplane_of_arc(arc: BoundaryInterval):
@@ -530,18 +544,21 @@ def _halfplane_of_arc(arc: BoundaryInterval):
 
 def _halfplane_clearance(hp, zre, zim):
     """Distance d(z, D) to a half-plane from :func:`_halfplane_of_arc`;
-    zero for points inside.  Uses sinh d(z, geodesic) = |q| / (2 r Im z)
-    with q = |z - c|^2 - r^2 (and its vertical-line limit)."""
-    if hp[0] == "line":
-        _, xi, side = hp
-        t = zre - xi
-        dist = np.arcsinh(np.abs(t) / zim)
-        return np.where(t * side >= 0.0, 0.0, dist)
-    _, c, r, outside = hp
-    q = (zre - c) ** 2 + zim ** 2 - r * r
-    dist = np.arcsinh(np.abs(q) / (2.0 * r * zim))
-    inside = (q > 0.0) if outside else (q < 0.0)
-    return np.where(inside, 0.0, dist)
+    zero for points inside, and for points whose imaginary part was lost to
+    rounding (no bound).  Uses sinh d(z, geodesic) = |q| / (2 r Im z) with
+    q = |z - c|^2 - r^2 (and its vertical-line limit)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if hp[0] == "line":
+            _, xi, side = hp
+            t = zre - xi
+            dist = np.arcsinh(np.abs(t) / zim)
+            inside = t * side >= 0.0
+        else:
+            _, c, r, outside = hp
+            q = (zre - c) ** 2 + zim ** 2 - r * r
+            dist = np.arcsinh(np.abs(q) / (2.0 * r * zim))
+            inside = (q > 0.0) if outside else (q < 0.0)
+    return np.where(inside | ~(zim > 0.0), 0.0, dist)
 
 
 def _certified_halfplanes(spec: GroupSpec, y: Point):
@@ -567,13 +584,13 @@ def _certified_halfplanes(spec: GroupSpec, y: Point):
 
 
 def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
-    """Pruned tree search over reduced words, one array step per level.
+    """Pruned tree search over reduced words, one array step per letter.
 
-    Level k is the frontier of words of length k (the identity is level 0).
-    Its elements within ``max_radius`` join the census; a word stays in the
-    frontier while the half-plane bound of its subtree is within
-    ``max_radius``, and each letter that does not cancel its last letter
-    extends it to a child, in letter-major order.
+    Level k holds the words of length k (the identity is level 0).  Each
+    letter in turn extends, in order, the frontier words of level k - 1 that
+    it does not cancel; its children within ``max_radius`` join the census,
+    and those whose subtree bound is within ``max_radius`` join the next
+    frontier.  So only one letter's children are alive at a time.
     """
     letters = _letters(_free_generators(spec))
     lmats = np.stack([np.array([[l.a, l.b], [l.c, l.d]]) for l in letters])
@@ -588,42 +605,50 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
 
     def subtree_bound(mats, last):
         """Lower bound on d(x, w v . y) over the proper continuations v of
-        each word w (v does not start with the letter cancelling w's last)."""
+        the words w ending in letter ``last`` (v does not start with last^-1)."""
         # The adjugate of a unimodular matrix is its inverse.
         adj = np.stack([mats[:, 1, 1], -mats[:, 0, 1], -mats[:, 1, 0], mats[:, 0, 0]], axis=1)
         zre, zim = apply_many(adj.reshape(-1, 2, 2), x)
-        clearance = np.stack([_halfplane_clearance(hp, zre, zim) for hp in halfplanes])
-        clearance[last ^ 1, np.arange(len(last))] = np.inf
-        return clearance.min(axis=0)
+        return functools.reduce(np.minimum, (_halfplane_clearance(hp, zre, zim)
+                                             for m, hp in enumerate(halfplanes) if m != last ^ 1))
 
-    mats, last, words = np.eye(2)[None], np.array([-1]), np.zeros((1, 0), codes.dtype)
-    dist, bound = np.array([distance(x, y)]), np.zeros(1)
-    levels, size = [], 0
-    bound_floor = math.inf  # least lower bound of a subtree left out
-    for level in itertools.count():
+    pieces = [], [], [], []  # census columns: mats, distances, word lengths, words
+    size, bound_floor = 0, math.inf  # bound_floor: least bound of a subtree left out
+
+    def visit(level, last, mats, words, dist, bound):
+        """Census the words within the radius, and return the frontier entry
+        (last letter, matrices, words) of those whose subtree may reach it."""
+        nonlocal size, bound_floor
         take = dist <= radius
-        levels.append((mats[take], dist[take], np.full(int(take.sum()), level), words[take]))
-        size += len(levels[-1][1])
+        for col, part in zip(pieces, (mats, dist, np.full(len(dist), level), words)):
+            col.append(part[take])
+        size += len(pieces[1][-1])
         if size > budget:
             raise BudgetExceeded(f"census exceeds budget {budget}")
         keep = bound <= radius
-        bound_floor = min(bound_floor, float(bound[~keep].min(initial=math.inf)))
-        mats, last, words, bound = mats[keep], last[keep], words[keep], bound[keep]
         if max_word_length is not None and level >= max_word_length:
-            bound_floor = min(bound_floor, float(bound.min(initial=math.inf)))
-            break
-        if not len(mats):
-            break
-        li, p = np.nonzero(last != (np.arange(n_letters)[:, None] ^ 1))
-        mats, last = mats[p] @ lmats[li], li
-        words = np.concatenate([words[p], codes[li, None]], axis=1)
+            keep[:] = False
+        bound_floor = min(bound_floor, float(bound[~keep].min(initial=math.inf)))
+        return last, mats[keep], words[keep]
+
+    def extend(level, li, parents):
+        """Visit the children w.li of the parent words w, in order."""
+        mats = np.concatenate([f[1] for f in parents]) @ lmats[li]
+        words = np.concatenate([f[2] for f in parents])
+        words = np.column_stack([words, np.full(len(words), codes[li])])
         dist = distances_many(x, *apply_many(mats, y))
-        bound = np.zeros(len(li)) if halfplanes is None else subtree_bound(mats, li)
-    mats, dists, wls, words = zip(*levels)
-    width = words[-1].shape[1]
-    words = np.concatenate([np.pad(w, ((0, 0), (0, width - w.shape[1]))) for w in words])
-    return _census(np.concatenate(mats), np.concatenate(dists), np.concatenate(wls),
-                   _FreeWords(words), x, y, min(bound_floor, radius), spec)
+        bound = np.zeros(len(mats)) if halfplanes is None else subtree_bound(mats, li)
+        return visit(level, li, mats, words, dist, bound)
+
+    frontier = [visit(0, -1, np.eye(2)[None], np.zeros((1, 0), codes.dtype),
+                      np.array([distance(x, y)]), np.zeros(1))]
+    for level in itertools.count(1):
+        frontier = [f for f in frontier if len(f[1])]
+        if not frontier:
+            break
+        frontier = [extend(level, li, [f for f in frontier if f[0] != li ^ 1])
+                    for li in range(n_letters)]
+    return _census(*pieces[:3], (_FreeWords, pieces[3]), x, y, min(bound_floor, radius), spec)
 
 
 def _canonical_int_rows(rows: np.ndarray) -> np.ndarray:
@@ -755,7 +780,7 @@ def _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget):
     rows, dists, wls = (np.concatenate(col) for col in zip(*out))
     # Distance ties keep the order of a word-length BFS over sorted rows.
     order = np.lexsort((rows[:, 3], rows[:, 2], rows[:, 1], rows[:, 0], wls, dists))
-    return _census(rows[order].reshape(-1, 2, 2), dists[order], wls[order], None,
+    return _census([rows[order].reshape(-1, 2, 2)], [dists[order]], [wls[order]], None,
                    x, y, completeness, spec)
 
 

@@ -189,6 +189,17 @@ def test_insufficient_data_exit_code(tmp_path, capsys):
     assert rc == cli.EXIT_INSUFFICIENT
 
 
+@pytest.mark.parametrize("command", ["exponent", "patterson"])
+def test_census_too_small_for_any_counting_radius_exit_code(tmp_path, capsys, command):
+    # The identity alone is complete only to radius 0: the counting grid
+    # holds no radius at all.
+    rc = run([command, "--config", "schottky", "--max-word-length", "0",
+              "--out", str(tmp_path)])
+    assert rc == cli.EXIT_INSUFFICIENT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_no_certificate_exit_code(tmp_path, capsys):
     rc = run(["separation", "--config", "schottky-separation",
               "--max-word-length", "50", "--s-grid", "2.0:3.0:0.5",

@@ -1,13 +1,16 @@
 import io
+import itertools
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from kleinian.hyperbolic import Isometry, ORIGIN, Point, distance
+from kleinian.hyperbolic import (
+    Isometry, ORIGIN, Point, apply_many, distance, distances_many)
 from kleinian import groups
 from kleinian.groups import (
     BudgetExceeded,
@@ -340,6 +343,126 @@ def test_free_census_matches_brute_force(x, y, max_word_length, max_radius):
     assert np.array_equal(census.word_lengths, [len(w) for w in got])
     if max_radius is not None:
         assert census.completeness_radius <= max_radius
+
+
+def _reference_free_census(spec, x, y, max_word_length, max_radius):
+    """(mats, distances, word_lengths, letters, completeness_radius) by a
+    level-at-a-time search: one np.nonzero over a (letter, parent) mask
+    builds all children of a level in letter-major order, the levels are
+    concatenated, and one stable sort by distance orders the census.  A
+    conjugated spec conjugates the census of its inner spec, as the library
+    does."""
+    if spec.kind == "conjugated":
+        c = spec.conjugator
+        *cols, radius = _reference_free_census(spec.inner, c.apply(x), c.apply(y),
+                                                max_word_length, max_radius)
+        cm = np.array([[c.a, c.b], [c.c, c.d]])
+        cinv = np.array([[c.d, -c.b], [-c.c, c.a]])
+        return (cinv[None, :, :] @ cols[0] @ cm[None, :, :], *cols[1:], radius)
+    letters = groups._letters(groups._free_generators(spec))
+    lmats = np.stack([np.array([[l.a, l.b], [l.c, l.d]]) for l in letters])
+    n_letters = len(lmats)
+    codes = groups.signed_letter(np.arange(n_letters)).astype(
+        np.min_scalar_type(-n_letters))
+    halfplanes = groups._certified_halfplanes(spec, y)
+    radius = math.inf if max_radius is None else max_radius
+
+    def subtree_bound(mats, last):
+        adj = np.stack([mats[:, 1, 1], -mats[:, 0, 1], -mats[:, 1, 0], mats[:, 0, 0]], axis=1)
+        zre, zim = apply_many(adj.reshape(-1, 2, 2), x)
+        clearance = np.stack([groups._halfplane_clearance(hp, zre, zim) for hp in halfplanes])
+        clearance[last ^ 1, np.arange(len(last))] = np.inf
+        return clearance.min(axis=0)
+
+    mats, last, words = np.eye(2)[None], np.array([-1]), np.zeros((1, 0), codes.dtype)
+    dist, bound = np.array([distance(x, y)]), np.zeros(1)
+    levels = []
+    bound_floor = math.inf
+    for level in itertools.count():
+        take = dist <= radius
+        levels.append((mats[take], dist[take], np.full(int(take.sum()), level), words[take]))
+        keep = bound <= radius
+        bound_floor = min(bound_floor, float(bound[~keep].min(initial=math.inf)))
+        mats, last, words, bound = mats[keep], last[keep], words[keep], bound[keep]
+        if max_word_length is not None and level >= max_word_length:
+            bound_floor = min(bound_floor, float(bound.min(initial=math.inf)))
+            break
+        if not len(mats):
+            break
+        li, p = np.nonzero(last != (np.arange(n_letters)[:, None] ^ 1))
+        mats, last = mats[p] @ lmats[li], li
+        words = np.concatenate([words[p], codes[li, None]], axis=1)
+        dist = distances_many(x, *apply_many(mats, y))
+        bound = np.zeros(len(li)) if halfplanes is None else subtree_bound(mats, li)
+    mats, dists, wls, words = zip(*levels)
+    width = words[-1].shape[1]
+    words = np.concatenate([np.pad(w, ((0, 0), (0, width - w.shape[1]))) for w in words])
+    dists = np.concatenate(dists)
+    order = np.argsort(dists, kind="stable")
+    return (np.concatenate(mats)[order], dists[order], np.concatenate(wls)[order],
+            words[order], min(bound_floor, radius))
+
+
+_C = Isometry(1.0, 0.5, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("spec, x, y, max_word_length, max_radius", [
+    # x = y = i: many distance ties, whose order the stable sort keeps.
+    (schottky_spec(A, B), ORIGIN, ORIGIN, 8, None),
+    (schottky_spec(A, B), Point(0.3, 1.7), Point(-0.4, 0.8), None, 6.0),
+    (schottky_spec(A, B), Point(0.3, 1.7), Point(-0.4, 0.8), 4, 5.0),
+    (schottky_spec(A, B), ORIGIN, Point(0.0, 50.0), 2, 1.0),
+    (nested_subgroup_spec(A, B, 4), ORIGIN, ORIGIN, None, 16.0),
+    (conjugate(schottky_spec(A, B), _C), ORIGIN, ORIGIN, 6, None),
+], ids=["schottky-L8-ties", "radius", "combined", "identity-outside",
+        "nested-R16", "conjugated-L6"])
+def test_free_census_rows_match_level_at_a_time_reference(spec, x, y, max_word_length,
+                                                          max_radius):
+    # Row order sets the bytes of every artifact, so compare arrays, not sets.
+    census = enumerate_orbit(spec, x, y, max_word_length=max_word_length,
+                             max_radius=max_radius)
+    mats, dists, wls, letters, radius = _reference_free_census(
+        spec, x, y, max_word_length, max_radius)
+    assert np.array_equal(census.mats, mats)
+    assert np.array_equal(census.distances, dists)
+    assert np.array_equal(census.word_lengths, wls)
+    assert census.words.letters.dtype == letters.dtype
+    assert np.array_equal(census.words.letters, letters)
+    assert census.completeness_radius == radius
+
+
+def test_lost_imaginary_parts_do_not_poison_the_subtree_bound():
+    # At depth 8 some frontier words w send x so near the real axis that
+    # Im(w^-1 x) underflows; such a word's subtree is kept (no bound), not
+    # dropped on a NaN bound or given a -inf one.  The suite turns the
+    # divide-by-zero warning into an error.
+    census = enumerate_orbit(nested_subgroup_spec(A, B, 8), max_word_length=3)
+    assert len(census) == 1 + 18 * (1 + 17 + 17 ** 2)
+    assert math.isfinite(census.completeness_radius)
+    assert census.completeness_radius >= 0.0
+
+
+def _retained_bytes(census):
+    return (census.mats.nbytes + census.distances.nbytes
+            + census.word_lengths.nbytes + census.words.letters.nbytes)
+
+
+@pytest.mark.parametrize("spec, max_word_length, max_radius, ratio", [
+    (schottky_spec(A, B), 10, None, 2.0),
+    (nested_subgroup_spec(A, B, 4), None, 18.0, 8.0),
+], ids=["schottky-L10", "nested-R18"])
+def test_free_search_peak_memory_is_a_small_multiple_of_the_census(
+        spec, max_word_length, max_radius, ratio):
+    # The search holds one letter's children at a time, and the final sort
+    # one extra column at a time.
+    tracemalloc.start()
+    try:
+        census = enumerate_orbit(spec, max_word_length=max_word_length,
+                                 max_radius=max_radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ratio * _retained_bytes(census)
 
 
 # ---------------------------------------------------------------------------
