@@ -615,9 +615,9 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
     pieces = [], [], [], []  # census columns: mats, distances, word lengths, words
     size, bound_floor = 0, math.inf  # bound_floor: least bound of a subtree left out
 
-    def visit(level, last, mats, words, dist, bound):
-        """Census the words within the radius, and return the frontier entry
-        (last letter, matrices, words) of those whose subtree may reach it."""
+    def visit(level, mats, words, dist, bound):
+        """Census the words within the radius, and return the matrices and
+        words of those whose subtree may reach it."""
         nonlocal size, bound_floor
         take = dist <= radius
         for col, part in zip(pieces, (mats, dist, np.full(len(dist), level), words)):
@@ -629,7 +629,7 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
         if max_word_length is not None and level >= max_word_length:
             keep[:] = False
         bound_floor = min(bound_floor, float(bound[~keep].min(initial=math.inf)))
-        return last, mats[keep], words[keep]
+        return mats[keep], words[keep]
 
     def extend(level, li, parents):
         """Visit the children w.li of the parent words w, in order."""
@@ -638,10 +638,10 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
         words = np.column_stack([words, np.full(len(words), codes[li])])
         dist = distances_many(x, *apply_many(mats, y))
         bound = np.zeros(len(mats)) if halfplanes is None else subtree_bound(mats, li)
-        return visit(level, li, mats, words, dist, bound)
+        return li, *visit(level, mats, words, dist, bound)
 
-    frontier = [visit(0, -1, np.eye(2)[None], np.zeros((1, 0), codes.dtype),
-                      np.array([distance(x, y)]), np.zeros(1))]
+    frontier = [(-1, *visit(0, np.eye(2)[None], np.zeros((1, 0), codes.dtype),
+                            np.array([distance(x, y)]), np.zeros(1)))]
     for level in itertools.count(1):
         frontier = [f for f in frontier if len(f[1])]
         if not frontier:
