@@ -194,11 +194,8 @@ class PingPongCertificate:
 
 
 def _letters(generators) -> list[Isometry]:
-    out = []
-    for g in generators:
-        out.append(g)
-        out.append(g.inverse())
-    return out
+    """The letters g1, g1^-1, g2, g2^-1, ..."""
+    return [h for g in generators for h in (g, g.inverse())]
 
 
 def verify_ping_pong(generators, candidate_intervals) -> PingPongCertificate:
@@ -615,9 +612,9 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
     pieces = [], [], [], []  # census columns: mats, distances, word lengths, words
     size, bound_floor = 0, math.inf  # bound_floor: least bound of a subtree left out
 
-    def visit(level, mats, words, dist, bound):
-        """Census the words within the radius, and return the matrices and
-        words of those whose subtree may reach it."""
+    def visit(level, mats, words, last, dist, bound):
+        """Census the words within the radius, and return the matrices, words
+        and last letters of those whose subtree may reach it."""
         nonlocal size, bound_floor
         take = dist <= radius
         for col, part in zip(pieces, (mats, dist, np.full(len(dist), level), words)):
@@ -625,29 +622,31 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
         size += len(pieces[1][-1])
         if size > budget:
             raise BudgetExceeded(f"census exceeds budget {budget}")
-        keep = bound <= radius
-        if max_word_length is not None and level >= max_word_length:
-            keep[:] = False
+        keep = (bound <= radius) & (max_word_length is None or level < max_word_length)
         bound_floor = min(bound_floor, float(bound[~keep].min(initial=math.inf)))
-        return mats[keep], words[keep]
+        return mats[keep], words[keep], last[keep]
 
-    def extend(level, li, parents):
-        """Visit the children w.li of the parent words w, in order."""
-        mats = np.concatenate([f[1] for f in parents]) @ lmats[li]
-        words = np.concatenate([f[2] for f in parents])
+    def extend(level, li, mats, words):
+        """Visit the children w.li of the words w, in order."""
+        mats = mats @ lmats[li]
         words = np.column_stack([words, np.full(len(words), codes[li])])
         dist = distances_many(x, *apply_many(mats, y))
         bound = np.zeros(len(mats)) if halfplanes is None else subtree_bound(mats, li)
-        return li, *visit(level, mats, words, dist, bound)
+        return visit(level, mats, words, np.full(len(mats), li), dist, bound)
 
-    frontier = [(-1, *visit(0, np.eye(2)[None], np.zeros((1, 0), codes.dtype),
-                            np.array([distance(x, y)]), np.zeros(1)))]
+    frontier = visit(0, np.eye(2)[None], np.zeros((1, 0), codes.dtype), np.array([-1]),
+                     np.array([distance(x, y)]), np.zeros(1))
     for level in itertools.count(1):
-        frontier = [f for f in frontier if len(f[1])]
-        if not frontier:
+        mats, words, last = frontier  # in row order
+        if not len(mats):
             break
-        frontier = [extend(level, li, [f for f in frontier if f[0] != li ^ 1])
-                    for li in range(n_letters)]
+        frontier = [], [], []  # the next frontier's pieces, one per letter
+        for li in range(n_letters):
+            sel = last != li ^ 1
+            if sel.any():
+                for col, part in zip(frontier, extend(level, li, mats[sel], words[sel])):
+                    col.append(part)
+        frontier = tuple(map(_stack, frontier))
     return _census(*pieces[:3], (_FreeWords, pieces[3]), x, y, min(bound_floor, radius), spec)
 
 

@@ -412,10 +412,13 @@ _C = Isometry(1.0, 0.5, 0.0, 1.0)
     (schottky_spec(A, B), Point(0.3, 1.7), Point(-0.4, 0.8), None, 6.0),
     (schottky_spec(A, B), Point(0.3, 1.7), Point(-0.4, 0.8), 4, 5.0),
     (schottky_spec(A, B), ORIGIN, Point(0.0, 50.0), 2, 1.0),
+    # Only the subtree of `a` reaches the radius, so at level 2 the letter
+    # A cancels every frontier word and extends none.
+    (schottky_spec(A, B), Point(0.0, 30.0), ORIGIN, None, 2.0),
     (nested_subgroup_spec(A, B, 4), ORIGIN, ORIGIN, None, 16.0),
     (conjugate(schottky_spec(A, B), _C), ORIGIN, ORIGIN, 6, None),
 ], ids=["schottky-L8-ties", "radius", "combined", "identity-outside",
-        "nested-R16", "conjugated-L6"])
+        "one-letter-frontier", "nested-R16", "conjugated-L6"])
 def test_free_census_rows_match_level_at_a_time_reference(spec, x, y, max_word_length,
                                                           max_radius):
     # Row order sets the bytes of every artifact, so compare arrays, not sets.
