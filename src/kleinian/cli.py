@@ -227,6 +227,18 @@ def cmd_separation(args) -> int:
     return 0
 
 
+def _conformal_worst(census, mu, rng) -> float:
+    """Worst conformal-ratio deviation of ``mu`` against its measures at five
+    random viewpoints, drawn from ``rng``."""
+    worst = 0.0
+    for _ in range(5):
+        xp = Point(float(rng.uniform(-1, 1)), float(math.exp(rng.uniform(-1, 1))))
+        aud = patterson.conformal_ratio_audit(
+            mu, patterson.orbital_measure(census, mu.s, x=xp))
+        worst = max(worst, aud.max_deviation)
+    return worst
+
+
 def cmd_patterson(args) -> int:
     s_list = [float(s) for s in _parse_grid(args.s_grid)] if args.s_grid else None
     if not 0.0 < args.r < math.inf:
@@ -242,7 +254,6 @@ def cmd_patterson(args) -> int:
     out = _out_dir(args)
     header = _header(args, digest)
     horizon = patterson.default_horizon(census)
-    rng = np.random.default_rng(args.seed)
     for s in reversed(s_list):  # mu ends as the measure at s_list[0]
         mu = patterson.orbital_measure(census, s)
         tag = f"{s:.4f}"
@@ -252,12 +263,7 @@ def cmd_patterson(args) -> int:
         with open(out / f"histogram_s{tag}.csv", "w") as fh:
             hist.write_csv(fh, header_lines=header)
     if args.audit == "conformal":
-        worst = 0.0
-        for _ in range(5):
-            xp = Point(float(rng.uniform(-1, 1)), float(math.exp(rng.uniform(-1, 1))))
-            aud = patterson.conformal_ratio_audit(
-                mu, patterson.orbital_measure(census, s_list[0], x=xp))
-            worst = max(worst, aud.max_deviation)
+        worst = _conformal_worst(census, mu, np.random.default_rng(args.seed))
         print(f"conformal_max_deviation={worst:.3e}")
     elif args.audit == "equivariance":
         aud = patterson.equivariance_audit(census, 1, s_list[0])
@@ -359,13 +365,7 @@ def _suite_patterson():
     s = delta_hat + 0.1
     mu = patterson.orbital_measure(census, s)
 
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(5):
-        xp = Point(float(rng.uniform(-1, 1)), float(math.exp(rng.uniform(-1, 1))))
-        aud = patterson.conformal_ratio_audit(
-            mu, patterson.orbital_measure(census, s, x=xp))
-        worst = max(worst, aud.max_deviation)
+    worst = _conformal_worst(census, mu, np.random.default_rng(11))
     yield ("conformality", worst <= 1e-12, f"max deviation {worst:.2e}")
 
     eq = patterson.equivariance_audit(census, 1, s)

@@ -481,6 +481,18 @@ def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
     stops at the first excluded power no nearer than the one before it:
     every later power is excluded and at least as far."""
     g = spec.generators[0]
+    if spec.kind == "cyclic_parabolic" and max_radius is not None:
+        # The ball holds every power with d(y, g^n y) <= R - d(x, y), and a
+        # parabolic g has sinh(d(p, g^n p) / 2) = |n| sinh(d(p, g p) / 2).  The
+        # entries of g^n, at most sqrt(2 cosh d(i, g^n i)), stay below the walk's
+        # 1e70 for |n| sinh(d(i, g i) / 2) <= 4e69.  If the powers n = -k..k,
+        # more than the budget, pass both tests, the walk would exceed it.
+        half = [math.sinh(0.5 * distance(p, g.apply(p))) for p in (y, ORIGIN)]
+        r = min(max_radius - distance(x, y), 1400.0)  # keeps sinh(r / 2) finite
+        k = budget // 2 + 1
+        if (r > 0.0 and math.sinh(0.5 * r) * (1.0 - 1e-9) > k * half[0]
+                and 4e69 >= k * half[1] and (max_word_length is None or max_word_length >= k)):
+            raise BudgetExceeded(f"census exceeds budget {budget}")
     mats, dists, exponents, excluded = [], [], [], []
     for sign, step in ((1, g), (-1, g.inverse())):
         m, n, prev, d = Isometry.identity(), 0, math.inf, distance(x, y)
@@ -559,7 +571,8 @@ def _halfplane_clearance(hp, zre, zim):
 
 
 def _certified_halfplanes(spec: GroupSpec, y: Point):
-    """Half-plane system for rigorous subtree pruning, or None.
+    """Half-plane system for rigorous subtree pruning, or None when y lies
+    in one of the half-planes.  Raises unless the letters are certified.
 
     Soundness: with certified disjoint letter arcs, each letter maps the
     convex hull of every other letter's arc (and of its own) into the
@@ -568,11 +581,7 @@ def _certified_halfplanes(spec: GroupSpec, y: Point):
     descendants of a word w whose continuations start with m therefore lie
     in w.D_m, and d(x, w.D_m) = d(w^-1.x, D_m) bounds them from below.
     """
-    try:
-        cert = ping_pong_certificate(spec)
-    except (MarginViolation, NonHyperbolicGenerator):
-        return None
-    planes = [_halfplane_of_arc(arc) for arc in cert.intervals]
+    planes = [_halfplane_of_arc(arc) for arc in ping_pong_certificate(spec).intervals]
     yre, yim = np.array([y.re]), np.array([y.im])
     for hp in planes:
         if float(_halfplane_clearance(hp, yre, yim)[0]) <= 0.0:
@@ -596,8 +605,8 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
     halfplanes = _certified_halfplanes(spec, y)
     if halfplanes is None and max_word_length is None:
         raise InsufficientLimits(
-            "free enumeration needs max_word_length when the generators "
-            "have no certified interval system")
+            "free enumeration needs max_word_length when the basepoint y "
+            "lies in a letter half-plane (no subtree bound)")
     radius = math.inf if max_radius is None else max_radius
 
     def subtree_bound(mats, last):
@@ -806,7 +815,8 @@ def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,
     constructions), by convexity of n -> cosh d(x, g^n y) (cyclic groups) or
     by exact lattice-point enumeration (the modular lattice, which needs
     ``max_radius``).  Limits that cannot bound the census raise
-    :class:`InsufficientLimits`.
+    :class:`InsufficientLimits`; free generators without a certificate raise
+    :class:`MarginViolation` or :class:`NonHyperbolicGenerator`.
     """
     if max_word_length is None and max_radius is None:
         raise InsufficientLimits(
@@ -814,8 +824,6 @@ def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,
     if spec.kind in ("cyclic_hyperbolic", "cyclic_parabolic"):
         return _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget)
     if spec.kind in ("schottky", "nested_subgroup"):
-        if spec.kind == "schottky":
-            ping_pong_certificate(spec)  # raises unless certified
         return _enumerate_free(spec, x, y, max_word_length, max_radius, budget)
     if spec.kind == "modular_lattice":
         return _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget)

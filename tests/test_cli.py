@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -176,6 +177,16 @@ def test_budget_exceeded_exit_code(tmp_path, capsys, monkeypatch):
     assert rc == cli.EXIT_BUDGET
 
 
+def test_parabolic_ball_beyond_budget_exits_before_walking(tmp_path, capsys):
+    # About 1e13 powers of the parabolic generator lie within radius 60;
+    # walking them one at a time up to the 1e7 budget takes minutes.
+    t0 = time.perf_counter()
+    rc = run(["census", "--config", "parabolic", "--max-radius", "60",
+              "--out", str(tmp_path)])
+    assert rc == cli.EXIT_BUDGET
+    assert time.perf_counter() - t0 < 2.0
+
+
 def test_overflow_exit_code(tmp_path, capsys):
     rc = run(["census", "--config", "lattice", "--max-radius", "25",
               "--out", str(tmp_path)])
@@ -242,6 +253,8 @@ _B = [["1.6666666666666667", "1.3333333333333333"],
 _ID = [["1", "0"], ["0", "1"]]
 # The rotation about i by 0.5, an elliptic element.
 _ROT = [[str(np.cos(0.25)), str(np.sin(0.25))], [str(-np.sin(0.25)), str(np.cos(0.25))]]
+# The rotation about i by pi, of order 2.
+_R_PI = [["0", "-1"], ["1", "0"]]
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -257,6 +270,10 @@ _ROT = [[str(np.cos(0.25)), str(np.sin(0.25))], [str(-np.sin(0.25)), str(np.cos(
      {"kind": "schottky", "generators": [[["1", "1"], ["0", "1"]], _B]}),
     (["census", "--max-word-length", "3"],
      {"kind": "schottky", "generators": [_A, [["2", "0"], ["0", "0.5"]]]}),
+    # alpha of order 2: the nested generators hold beta twice, so no
+    # ping-pong certificate exists and the words are not distinct elements.
+    (["census", "--max-word-length", "3"],
+     {"kind": "nested_subgroup", "generators": [_R_PI, _B], "depth": 2}),
     (["census", "--config", "lattice", "--max-word-length", "3"], None),
     (["exponent", "--config", "lattice", "--max-word-length", "3"], None),
     (["census", "--max-word-length", "3"],
@@ -283,7 +300,7 @@ _ROT = [[str(np.cos(0.25)), str(np.sin(0.25))], [str(-np.sin(0.25)), str(np.cos(
     *[(_bad_flag_argv(case), None) for case in _BAD_FLAGS],
 ], ids=["radius-nan", "radius-inf", "radius-negative", "word-length-negative",
         "no-limit", "top-level-array", "nested-negative-depth",
-        "schottky-parabolic-generator", "schottky-uncertifiable",
+        "schottky-parabolic-generator", "schottky-uncertifiable", "nested-uncertifiable",
         "lattice-census-word-length-only", "lattice-exponent-word-length-only",
         "conjugated-lattice-word-length-only", "lattice-equivariance-audit",
         "conjugated-lattice-equivariance-audit", "conjugated-without-inner",

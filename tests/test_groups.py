@@ -15,6 +15,7 @@ from kleinian import groups
 from kleinian.groups import (
     BudgetExceeded,
     GroupSpec,
+    InsufficientLimits,
     MarginViolation,
     NonHyperbolicGenerator,
     conjugate,
@@ -73,6 +74,20 @@ def test_verify_rejects_overlapping_candidate_arcs():
     with pytest.raises(MarginViolation) as err:
         verify_ping_pong((A, B), bad)
     assert err.value.letters == (0, 1)
+
+
+def test_nested_subgroup_without_certificate_is_refused():
+    # With alpha of order 2 the nested letters are b, a^-1 b a, b: words in
+    # them are not distinct elements, and no ping-pong certificate exists.
+    R_pi = Isometry(0.0, -1.0, 1.0, 0.0)
+    with pytest.raises(MarginViolation):
+        enumerate_orbit(nested_subgroup_spec(R_pi, B, 2), max_word_length=3)
+
+
+def test_basepoint_in_a_letter_half_plane_needs_a_word_length():
+    # y = 0.01i lies in the half-plane of a^-1's arc, so no subtree bound holds.
+    with pytest.raises(InsufficientLimits, match="letter half-plane"):
+        enumerate_orbit(schottky_spec(A, B), y=Point(0.0, 0.01), max_radius=5.0)
 
 
 def test_random_reduced_words_are_not_identity():
