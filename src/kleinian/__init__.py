@@ -55,6 +55,7 @@ from .sequences import (
 )
 from .patterson import (
     AtomicMeasure,
+    CensusAtoms,
     ModifierH,
     boundary_histogram,
     conformal_ratio_audit,

@@ -254,14 +254,16 @@ def cmd_patterson(args) -> int:
     out = _out_dir(args)
     header = _header(args, digest)
     horizon = patterson.default_horizon(census)
+    atoms = patterson.CensusAtoms(census)
     for s in reversed(s_list):  # mu ends as the measure at s_list[0]
-        mu = patterson.orbital_measure(census, s)
+        mu = patterson.orbital_measure(census, s, atoms=atoms)
         tag = f"{s:.4f}"
         with open(out / f"measure_s{tag}.csv", "w") as fh:
             mu.write_csv(fh, header_lines=header)
         hist = patterson.boundary_histogram(mu, horizon=horizon)
         with open(out / f"histogram_s{tag}.csv", "w") as fh:
             hist.write_csv(fh, header_lines=header)
+    del atoms  # frees the measure files' shared text; mu refers to it weakly
     if args.audit == "conformal":
         worst = _conformal_worst(census, mu, np.random.default_rng(args.seed))
         print(f"conformal_max_deviation={worst:.3e}")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperbolic import Isometry, Point, distance
-from .groups import OrbitCensus, _write_table
+from .groups import OrbitCensus, _table_chunks, _write_table
 
 
 class IncompleteCensus(ValueError):
@@ -70,8 +70,8 @@ class CountingReport:
         logn = np.full(len(self.counts), -math.inf)
         pos = self.counts > 0
         logn[pos] = list(map(math.log, self.counts[pos].tolist()))
-        _write_table(fh, header_lines, "R,N,n,logN", "%.12g,%d,%d,%.12g",
-                     (self.radii, self.counts, self.annular, logn))
+        _write_table(fh, header_lines, "R,N,n,logN", _table_chunks(
+            "%.12g,%d,%d,%.12g", (self.radii, self.counts, self.annular, logn)))
 
 
 def make_report(census: OrbitCensus, r_min: float = 0.0,

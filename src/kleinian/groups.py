@@ -169,15 +169,33 @@ def spec_from_json(text: str) -> GroupSpec:
     return spec_from_json_dict(json.loads(text))
 
 
-def _write_table(fh, header_lines, columns: str, fmt: str, cols) -> None:
-    """CSV table: '# ' header lines, the column line, then ``fmt % row`` per
-    row of the aligned 1-d arrays ``cols``, a bounded chunk at a time."""
+def _table_chunks(fmt: str, cols):
+    """The lines ``fmt % row`` of the rows of the aligned 1-d arrays ``cols``,
+    joined into one string per chunk of rows.  Each chunk takes one ``%``:
+    the row format repeated once per row, applied to the chunk's values
+    interleaved row by row, so every value gets the conversion it gets alone."""
+    k = len(cols)
+    for i in range(0, len(cols[0]), _TABLE_CHUNK):
+        parts = [c[i:i + _TABLE_CHUNK].tolist() for c in cols]
+        values = [None] * (k * len(parts[0]))
+        for j, part in enumerate(parts):
+            values[j::k] = part
+        yield (fmt + "\n") * len(parts[0]) % tuple(values)
+
+
+def _filled_chunks(templates, col):
+    """Each chunk template of :func:`_table_chunks` filled with its chunk of
+    the 1-d array ``col``, one value per remaining conversion."""
+    return (t % tuple(col[i:i + _TABLE_CHUNK].tolist())
+            for i, t in zip(range(0, len(col), _TABLE_CHUNK), templates))
+
+
+def _write_table(fh, header_lines, columns: str, chunks) -> None:
+    """CSV table: '# ' header lines, the column line, then the row chunks."""
     for line in header_lines:
         fh.write(f"# {line}\n")
     fh.write(columns + "\n")
-    row = (fmt + "\n").__mod__
-    for i in range(0, len(cols[0]), _TABLE_CHUNK):
-        fh.writelines(map(row, zip(*(c[i:i + _TABLE_CHUNK].tolist() for c in cols))))
+    fh.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +419,10 @@ class OrbitCensus:
 
     def write_csv(self, fh, header_lines=()) -> None:
         m = self.mats
-        _write_table(fh, header_lines, "distance,word_length,a,b,c,d",
-                     "%.12g,%d,%.12g,%.12g,%.12g,%.12g",
-                     (self.distances, self.word_lengths,
-                      m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]))
+        _write_table(fh, header_lines, "distance,word_length,a,b,c,d", _table_chunks(
+            "%.12g,%d,%.12g,%.12g,%.12g,%.12g",
+            (self.distances, self.word_lengths,
+             m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1])))
 
 
 def _free_generators(spec: GroupSpec) -> tuple[Isometry, ...]:
@@ -598,6 +616,11 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
     and those whose subtree bound is within ``max_radius`` join the next
     frontier.  So only one letter's children are alive at a time.
     """
+    if spec.kind == "nested_subgroup" and 2 * (spec.depth + 1) > budget:
+        # Building the letters, one composition each, would itself outrun
+        # the budget: a parabolic alpha never overflows to stop it.
+        raise BudgetExceeded(f"the {2 * (spec.depth + 1)} letters of depth "
+                             f"{spec.depth} exceed budget {budget}")
     letters = _letters(_free_generators(spec))
     lmats = np.stack([np.array([[l.a, l.b], [l.c, l.d]]) for l in letters])
     n_letters = len(lmats)

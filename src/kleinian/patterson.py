@@ -9,8 +9,10 @@ is done in log-space so deep truncations at large s stay representable.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,8 +32,8 @@ from .hyperbolic import (
     busemann,
     shadow,
 )
-from .groups import (GroupSpec, OrbitCensus, _write_table, ping_pong_certificate,
-                     signed_letter, word_matrix)
+from .groups import (GroupSpec, OrbitCensus, _filled_chunks, _table_chunks, _write_table,
+                     ping_pong_certificate, signed_letter, word_matrix)
 
 _LOG_FLOOR = -690.0  # below exp() underflow in linear scale
 _COVER_GRID = 4096  # directions at which shadow_cover_bound counts the cover
@@ -81,6 +83,43 @@ def atom_positions(census: OrbitCensus) -> tuple[np.ndarray, np.ndarray]:
     return apply_many(census.mats, census.basepoint_y)
 
 
+# A measure CSV row with every column rendered but the weight.  A formatted
+# number holds only digits, '.', 'e', '+', '-', 'inf' or 'nan', never '%', so
+# the weight's conversion ('%%' renders as '%') is the only one left.
+_ATOM_ROW = "%.12g,%.12g,%%.12g,%d"
+
+
+class CensusAtoms:
+    """What the measures of one census share, each computed on first use:
+    the orbit points gamma.y, their distances from the census basepoint,
+    the word lengths, and the measure CSV's atom columns as text.
+
+    The text is one template per chunk of rows, with every column rendered
+    but the weight, so each measure's file formats only its weights.  The
+    text is nearly as large as one measure file and lives exactly as long as
+    this object, which its measures refer to weakly.
+    """
+
+    def __init__(self, census: OrbitCensus):
+        self.census = census
+
+    @functools.cached_property
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        return atom_positions(self.census)
+
+    @functools.cached_property
+    def base_distances(self) -> np.ndarray:
+        return distances_many(self.census.basepoint_x, *self.positions)
+
+    @functools.cached_property
+    def word_lengths(self) -> np.ndarray:
+        return self.census.word_lengths.copy()
+
+    @functools.cached_property
+    def csv_templates(self) -> list[str]:
+        return list(_table_chunks(_ATOM_ROW, (*self.positions, self.word_lengths)))
+
+
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Weighted atoms at orbit points, with weights e^(-s d(x, p)) h(d)
@@ -90,6 +129,12 @@ class AtomicMeasure:
     ``distances`` holds d(x, p) for every atom p, x being the viewpoint
     ``basepoint``: the distances the weights were computed from, which the
     audits, the histogram and the render read instead of recomputing them.
+
+    ``atoms`` is a weak reference to the :class:`CensusAtoms` the measure
+    was built from.  While its owner keeps it, ``write_csv`` fills the
+    shared atom-column text with this measure's weights; once it is freed,
+    the measure renders its atom columns itself, to the same bytes.  So a
+    measure kept for later use does not keep that text alive.
     """
 
     atom_re: np.ndarray
@@ -102,6 +147,7 @@ class AtomicMeasure:
     s: float
     modifier: ModifierH
     log_normalizer: float
+    atoms: weakref.ref = field(repr=False, compare=False)
 
     def __len__(self):
         return len(self.log_weights)
@@ -111,9 +157,11 @@ class AtomicMeasure:
         return np.exp(self.log_weights)
 
     def write_csv(self, fh, header_lines=()) -> None:
+        atoms = self.atoms()
+        templates = (atoms.csv_templates if atoms is not None else
+                     _table_chunks(_ATOM_ROW, (self.atom_re, self.atom_im, self.word_lengths)))
         _write_table(fh, header_lines, "atom_re,atom_im,weight,word_length",
-                     "%.12g,%.12g,%.12g,%d",
-                     (self.atom_re, self.atom_im, self.weights, self.word_lengths))
+                     _filled_chunks(templates, self.weights))
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -124,19 +172,26 @@ def _logsumexp(a: np.ndarray) -> float:
 
 
 def orbital_measure(census: OrbitCensus, s: float, x: Point | None = None,
-                    h: ModifierH = UNIT_MODIFIER) -> AtomicMeasure:
+                    h: ModifierH = UNIT_MODIFIER,
+                    atoms: CensusAtoms | None = None) -> AtomicMeasure:
     """Truncated orbital measure with atoms at gamma.y.
 
     The normalizer is always the truncated series at the census basepoint,
     so measures at different viewpoints x form one conformal family sharing
     a normalization, and the basepoint measure has unit mass exactly.
+    ``atoms``, the census's :class:`CensusAtoms`, lets the measures of one
+    census share their atoms; by default they are computed for this one.
     """
     if len(census) == 0:
         raise ValueError("census is empty")
+    if atoms is None:
+        atoms = CensusAtoms(census)
+    elif atoms.census is not census:
+        raise ValueError("atoms of another census")
     if x is None:
         x = census.basepoint_x
-    pre, pim = atom_positions(census)
-    d_base = distances_many(census.basepoint_x, pre, pim)
+    pre, pim = atoms.positions
+    d_base = atoms.base_distances
     log_norm_terms = -s * d_base + h.log_value(d_base)
     log_norm = _logsumexp(log_norm_terms)
     if log_norm < _LOG_FLOOR:
@@ -146,8 +201,9 @@ def orbital_measure(census: OrbitCensus, s: float, x: Point | None = None,
     log_w = -s * d_x + h.log_value(d_x) - log_norm
     return AtomicMeasure(
         atom_re=pre, atom_im=pim, log_weights=log_w,
-        word_lengths=census.word_lengths.copy(), distances=d_x, basepoint=x,
-        target=census.basepoint_y, s=s, modifier=h, log_normalizer=log_norm)
+        word_lengths=atoms.word_lengths, distances=d_x, basepoint=x,
+        target=census.basepoint_y, s=s, modifier=h, log_normalizer=log_norm,
+        atoms=weakref.ref(atoms))
 
 
 def _far_atoms(mu: AtomicMeasure, horizon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -239,11 +295,13 @@ def equivariance_audit(census: OrbitCensus, g0_letter: int, s: float) -> Equivar
     """
     if census.words is None:
         raise ValueError("equivariance audit needs word metadata")
-    mu = orbital_measure(census, s)
+    atoms = CensusAtoms(census)
+    mu = orbital_measure(census, s, atoms=atoms)
     if g0_letter == 0:
         return EquivarianceAudit(0.0, 0.0, matched=len(mu), unmatched=0)
     g0 = word_matrix(census.spec, (g0_letter,))
-    mu_pull = orbital_measure(census, s, x=g0.inverse().apply(census.basepoint_x))
+    mu_pull = orbital_measure(census, s, x=g0.inverse().apply(census.basepoint_x),
+                              atoms=atoms)
     # (g0*mu)(atom of word g0^-1 w) = mu(atom of word w); compare with the
     # measure at g0^-1 x evaluated on the same atom.
     j = census.words.shifted_index(g0_letter)
@@ -431,8 +489,8 @@ class BoundaryHistogram:
     mass: np.ndarray
 
     def write_csv(self, fh, header_lines=()) -> None:
-        _write_table(fh, header_lines, "bin_lo,bin_hi,mass", "%.12g,%.12g,%.12g",
-                     (self.bin_lo, self.bin_hi, self.mass))
+        _write_table(fh, header_lines, "bin_lo,bin_hi,mass", _table_chunks(
+            "%.12g,%.12g,%.12g", (self.bin_lo, self.bin_hi, self.mass)))
 
 
 def boundary_histogram(mu: AtomicMeasure, bins: int = 360,

@@ -1,5 +1,6 @@
 import json
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -117,6 +118,39 @@ def test_patterson_equivariance_on_conjugated_free_group(tmp_path, capsys):
     key = "equivariance_max_discrepancy="
     disc = [float(l[len(key):]) for l in out.splitlines() if l.startswith(key)]
     assert len(disc) == 1 and disc[0] <= 1e-12
+
+
+def test_patterson_writes_each_measure_once_and_frees_the_shared_text(
+        tmp_path, monkeypatch):
+    # Traced runs time and count the bytes of each measure file by wrapping
+    # AtomicMeasure.write_csv, so every file must go through one call of it.
+    written, atoms = [], []
+    write_csv = patterson.AtomicMeasure.write_csv
+
+    def spy_write_csv(mu, fh, header_lines=()):
+        shared = mu.atoms()
+        assert shared is not None and all(ref() is shared for ref in atoms)
+        written.append(fh.name)
+        atoms.append(weakref.ref(shared))
+        write_csv(mu, fh, header_lines)
+        assert "csv_templates" in vars(shared)
+
+    render_ppm = patterson.render_ppm
+    alive_at_render = []
+
+    def spy_render_ppm(mu, fh, *args, **kwargs):
+        alive_at_render.append(mu.atoms() is not None
+                               or any(ref() is not None for ref in atoms))
+        return render_ppm(mu, fh, *args, **kwargs)
+
+    monkeypatch.setattr(patterson.AtomicMeasure, "write_csv", spy_write_csv)
+    monkeypatch.setattr(cli.patterson, "render_ppm", spy_render_ppm)
+    rc = run(["patterson", "--config", "schottky", "--max-word-length", "7",
+              "--s-grid", "0.7:0.8:0.05", "--render", "--out", str(tmp_path)])
+    assert rc == 0
+    files = sorted(str(p) for p in tmp_path.glob("measure_s*.csv"))
+    assert len(files) == 3 and sorted(written) == files
+    assert alive_at_render == [False]
 
 
 def test_outputs_reproducible_across_runs(tmp_path):
@@ -251,53 +285,62 @@ _A = [["3.0", "0.0"], ["0.0", "0.3333333333333333"]]
 _B = [["1.6666666666666667", "1.3333333333333333"],
       ["1.3333333333333333", "1.6666666666666667"]]
 _ID = [["1", "0"], ["0", "1"]]
+_P = [["1", "1"], ["0", "1"]]
 # The rotation about i by 0.5, an elliptic element.
 _ROT = [[str(np.cos(0.25)), str(np.sin(0.25))], [str(-np.sin(0.25)), str(np.cos(0.25))]]
 # The rotation about i by pi, of order 2.
 _R_PI = [["0", "-1"], ["1", "0"]]
 
 
-@pytest.mark.parametrize("argv, config", [
-    (["exponent", "--config", "parabolic", "--max-radius", "nan"], None),
-    (["exponent", "--config", "parabolic", "--max-radius", "inf"], None),
-    (["exponent", "--config", "parabolic", "--max-radius", "-1"], None),
-    (["census", "--config", "schottky", "--max-word-length", "-5"], None),
-    (["census", "--config", "schottky"], None),
-    (["census", "--max-word-length", "3"], [_A, _B]),
+@pytest.mark.parametrize("argv, config, code", [
+    (["exponent", "--config", "parabolic", "--max-radius", "nan"], None, cli.EXIT_PARSE),
+    (["exponent", "--config", "parabolic", "--max-radius", "inf"], None, cli.EXIT_PARSE),
+    (["exponent", "--config", "parabolic", "--max-radius", "-1"], None, cli.EXIT_PARSE),
+    (["census", "--config", "schottky", "--max-word-length", "-5"], None, cli.EXIT_PARSE),
+    (["census", "--config", "schottky"], None, cli.EXIT_PARSE),
+    (["census", "--max-word-length", "3"], [_A, _B], cli.EXIT_PARSE),
     (["census", "--max-radius", "5"],
-     {"kind": "nested_subgroup", "generators": [_A, _B], "depth": -3}),
+     {"kind": "nested_subgroup", "generators": [_A, _B], "depth": -3}, cli.EXIT_PARSE),
     (["census", "--max-word-length", "3"],
-     {"kind": "schottky", "generators": [[["1", "1"], ["0", "1"]], _B]}),
+     {"kind": "schottky", "generators": [[["1", "1"], ["0", "1"]], _B]}, cli.EXIT_PARSE),
     (["census", "--max-word-length", "3"],
-     {"kind": "schottky", "generators": [_A, [["2", "0"], ["0", "0.5"]]]}),
+     {"kind": "schottky", "generators": [_A, [["2", "0"], ["0", "0.5"]]]}, cli.EXIT_PARSE),
     # alpha of order 2: the nested generators hold beta twice, so no
     # ping-pong certificate exists and the words are not distinct elements.
     (["census", "--max-word-length", "3"],
-     {"kind": "nested_subgroup", "generators": [_R_PI, _B], "depth": 2}),
-    (["census", "--config", "lattice", "--max-word-length", "3"], None),
-    (["exponent", "--config", "lattice", "--max-word-length", "3"], None),
+     {"kind": "nested_subgroup", "generators": [_R_PI, _B], "depth": 2}, cli.EXIT_PARSE),
+    (["census", "--config", "lattice", "--max-word-length", "3"], None, cli.EXIT_PARSE),
+    (["exponent", "--config", "lattice", "--max-word-length", "3"], None, cli.EXIT_PARSE),
     (["census", "--max-word-length", "3"],
      {"kind": "conjugated", "conjugator": [["1", "0.5"], ["0", "1"]],
-      "inner": {"kind": "modular_lattice"}}),
+      "inner": {"kind": "modular_lattice"}}, cli.EXIT_PARSE),
     (["patterson", "--config", "lattice", "--max-radius", "6",
-      "--audit", "equivariance"], None),
+      "--audit", "equivariance"], None, cli.EXIT_PARSE),
     (["patterson", "--max-radius", "6", "--audit", "equivariance"],
      {"kind": "conjugated", "conjugator": [["1", "0.5"], ["0", "1"]],
-      "inner": {"kind": "modular_lattice"}}),
-    (["census", "--max-word-length", "5"], {"kind": "conjugated"}),
+      "inner": {"kind": "modular_lattice"}}, cli.EXIT_PARSE),
+    (["census", "--max-word-length", "5"], {"kind": "conjugated"}, cli.EXIT_PARSE),
     (["separation", "--max-word-length", "3"],
      {"group": {"kind": "cyclic_hyperbolic", "generators": [_A]},
-      "witness": [1, 2, 3]}),
-    (["census", "--max-radius", "5"], {"kind": "cyclic_hyperbolic", "generators": []}),
-    (["census", "--max-word-length", "3"], {"kind": "schottky", "generators": []}),
-    (["census", "--max-radius", "5"], {"kind": "cyclic_hyperbolic", "generators": [_ROT]}),
-    (["census", "--max-word-length", "5"],
-     {"kind": "cyclic_hyperbolic", "generators": [_ROT]}),
-    (["census", "--max-word-length", "3"], {"kind": "cyclic_parabolic", "generators": [_ID]}),
-    (["census", "--max-radius", "5"], {"kind": "cyclic_parabolic", "generators": [_A]}),
+      "witness": [1, 2, 3]}, cli.EXIT_PARSE),
     (["census", "--max-radius", "5"],
-     {"kind": "nested_subgroup", "generators": [_A, _B], "depth": 2.5}),
-    *[(_bad_flag_argv(case), None) for case in _BAD_FLAGS],
+     {"kind": "cyclic_hyperbolic", "generators": []}, cli.EXIT_PARSE),
+    (["census", "--max-word-length", "3"], {"kind": "schottky", "generators": []}, cli.EXIT_PARSE),
+    (["census", "--max-radius", "5"],
+     {"kind": "cyclic_hyperbolic", "generators": [_ROT]}, cli.EXIT_PARSE),
+    (["census", "--max-word-length", "5"],
+     {"kind": "cyclic_hyperbolic", "generators": [_ROT]}, cli.EXIT_PARSE),
+    (["census", "--max-word-length", "3"],
+     {"kind": "cyclic_parabolic", "generators": [_ID]}, cli.EXIT_PARSE),
+    (["census", "--max-radius", "5"],
+     {"kind": "cyclic_parabolic", "generators": [_A]}, cli.EXIT_PARSE),
+    (["census", "--max-radius", "5"],
+     {"kind": "nested_subgroup", "generators": [_A, _B], "depth": 2.5}, cli.EXIT_PARSE),
+    # With a parabolic alpha the nested letters never overflow; their number
+    # alone exceeds the enumeration budget.
+    (["census", "--max-radius", "5"],
+     {"kind": "nested_subgroup", "generators": [_P, _B], "depth": 10 ** 8}, cli.EXIT_BUDGET),
+    *[(_bad_flag_argv(case), None, cli.EXIT_PARSE) for case in _BAD_FLAGS],
 ], ids=["radius-nan", "radius-inf", "radius-negative", "word-length-negative",
         "no-limit", "top-level-array", "nested-negative-depth",
         "schottky-parabolic-generator", "schottky-uncertifiable", "nested-uncertifiable",
@@ -307,14 +350,17 @@ _R_PI = [["0", "-1"], ["1", "0"]]
         "separation-witness-not-2x2", "cyclic-without-generator",
         "schottky-without-generators", "cyclic-elliptic-radius",
         "cyclic-elliptic-word-length", "parabolic-identity",
-        "parabolic-on-hyperbolic-generator", "nested-fractional-depth", *_BAD_FLAGS])
-def test_invalid_input_exit_code(tmp_path, capsys, argv, config):
+        "parabolic-on-hyperbolic-generator", "nested-fractional-depth",
+        "nested-letters-beyond-budget", *_BAD_FLAGS])
+def test_invalid_input_exit_code(tmp_path, capsys, argv, config, code):
     if config is not None:
         path = tmp_path / "group.json"
         path.write_text(json.dumps(config))
         argv = argv + ["--config", str(path)]
+    t0 = time.perf_counter()
     rc = run(argv + ["--out", str(tmp_path)])
-    assert rc == cli.EXIT_PARSE
+    assert time.perf_counter() - t0 < 5.0
+    assert rc == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err

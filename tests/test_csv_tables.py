@@ -1,10 +1,11 @@
 """The shared CSV table writer against per-row f-string writers.
 
 The reference writers below format one row at a time, the way the census,
-report, measure and histogram tables were first written; the shared writer
-must give the same bytes.
+report, measure and histogram tables were first written; the shared writer,
+which formats a chunk of rows with one ``%``, must give the same bytes.
 """
 
+import dataclasses
 import functools
 import io
 import math
@@ -12,15 +13,18 @@ import math
 import numpy as np
 import pytest
 
+from kleinian import groups
 from kleinian.counting import make_report
 from kleinian.groups import (
+    _filled_chunks,
+    _table_chunks,
     conjugate,
     enumerate_orbit,
     modular_lattice_spec,
     schottky_spec,
 )
 from kleinian.hyperbolic import Isometry, Point
-from kleinian.patterson import boundary_histogram, orbital_measure
+from kleinian.patterson import CensusAtoms, boundary_histogram, orbital_measure
 
 A = Isometry(3.0, 0.0, 0.0, 1.0 / 3.0)
 B = Isometry(5.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0, 5.0 / 3.0)
@@ -111,3 +115,88 @@ def test_shared_writer_matches_per_row_reference(case):
         table.write_csv(got, header_lines=header)
         reference(table, want, header_lines=header)
         assert got.getvalue() == want.getvalue()
+
+
+def _first_rows(table, n):
+    """The table cut to its first n rows."""
+    return dataclasses.replace(table, **{
+        f.name: getattr(table, f.name)[:n] for f in dataclasses.fields(table)
+        if isinstance(getattr(table, f.name), np.ndarray)})
+
+
+# A small chunk puts every chunk boundary within a few rows; the cases above
+# cover the real chunk size.
+CHUNK = 4
+SIZES = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("n", SIZES)
+def test_shared_writer_at_chunk_boundaries(monkeypatch, case, n):
+    monkeypatch.setattr(groups, "_TABLE_CHUNK", CHUNK)
+    make, reference = CASES[case]
+    table = _first_rows(make(), n)
+    got, want = io.StringIO(), io.StringIO()
+    table.write_csv(got, header_lines=HEADER)
+    reference(table, want, header_lines=HEADER)
+    assert got.getvalue() == want.getvalue()
+    assert got.getvalue().count("\n") == len(HEADER) + 1 + n
+
+
+# Values whose %.12g takes every form: signed zero, infinities, nan, a
+# subnormal, a large exponent, and 1e16, which needs the exponent form.
+SPECIAL = np.array([-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 1e16,
+                    0.1, -2.5, 123456789012345.0])
+
+
+@pytest.mark.parametrize("n", (*SIZES, len(SPECIAL)))
+def test_special_floats_in_every_column(monkeypatch, n):
+    monkeypatch.setattr(groups, "_TABLE_CHUNK", CHUNK)
+    values = np.resize(SPECIAL, n)
+    hist = boundary_histogram(orbital_measure(_schottky(3), 0.7), bins=max(n, 1))
+    hist = dataclasses.replace(_first_rows(hist, n), bin_lo=values,
+                               bin_hi=values[::-1].copy(), mass=np.roll(values, 1))
+    got, want = io.StringIO(), io.StringIO()
+    hist.write_csv(got)
+    histogram_rows(hist, want)
+    assert got.getvalue() == want.getvalue()
+    # The same values rendered into chunk templates, and then filled in.
+    wl = np.arange(n) % 7
+    templates = list(_table_chunks("%.12g,%.12g,%%.12g,%d", (values, values[::-1], wl)))
+    filled = "".join(_filled_chunks(templates, np.roll(values, 1)))
+    assert filled == "".join(
+        f"{a:.12g},{b:.12g},{w:.12g},{k}\n"
+        for a, b, w, k in zip(values, values[::-1], np.roll(values, 1), wl))
+
+
+@pytest.mark.parametrize("x", [None, Point(0.3, 1.7)], ids=["basepoint", "moved"])
+@pytest.mark.parametrize("n", SIZES[1:])
+def test_measures_of_one_census_share_their_atom_text(monkeypatch, x, n):
+    # An empty census has no measure, so sizes start at one row.
+    monkeypatch.setattr(groups, "_TABLE_CHUNK", CHUNK)
+    census = _first_rows(_schottky(8), n)
+    atoms = CensusAtoms(census)
+    for s in (0.78, 0.73, 0.7):
+        mu = orbital_measure(census, s, x=x, atoms=atoms)
+        assert mu.atoms() is atoms
+        got, want = io.StringIO(), io.StringIO()
+        mu.write_csv(got, header_lines=HEADER)
+        measure_rows(mu, want, header_lines=HEADER)
+        assert got.getvalue() == want.getvalue()
+    assert len(atoms.csv_templates) == -(-n // CHUNK)
+
+
+def test_measure_family_at_the_real_chunk_size():
+    census = _first_rows(_schottky(10), 2 * groups._TABLE_CHUNK + 1)
+    atoms = CensusAtoms(census)
+    mu = orbital_measure(census, 0.7, atoms=atoms)
+    got, want = io.StringIO(), io.StringIO()
+    mu.write_csv(got)
+    measure_rows(mu, want)
+    assert got.getvalue() == want.getvalue()
+    assert len(atoms.csv_templates) == 3
+
+
+def test_measure_atoms_must_be_of_its_census():
+    with pytest.raises(ValueError, match="another census"):
+        orbital_measure(_schottky(3), 0.7, atoms=CensusAtoms(_schottky(4)))
