@@ -61,7 +61,6 @@ from .patterson import (
     conformal_ratio_audit,
     equivariance_audit,
     orbital_measure,
-    radial_limit_points,
     render_ppm,
     shadow_lemma_audit,
     shadow_mass,

@@ -589,22 +589,24 @@ def _halfplane_clearance(hp, zre, zim):
 
 
 def _certified_halfplanes(spec: GroupSpec, y: Point):
-    """Half-plane system for rigorous subtree pruning, or None when y lies
-    in one of the half-planes.  Raises unless the letters are certified.
+    """(planes, shift): the half-planes D_m of the certified letter arcs, and
+    shift = d(y, y0) for the nearest point y0 to y outside every open D_m
+    (exactly 0.0 when y clears them all).  Raises unless the letters are
+    certified.
 
-    Soundness: with certified disjoint letter arcs, each letter maps the
-    convex hull of every other letter's arc (and of its own) into the
-    convex hull of its own arc, so every reduced word starting with letter
-    m sends y into D_m provided y itself clears all half-planes.  All
-    descendants of a word w whose continuations start with m therefore lie
-    in w.D_m, and d(x, w.D_m) = d(w^-1.x, D_m) bounds them from below.
+    Soundness: the certificate's positive margin makes the closed D_m
+    disjoint, and each letter maps the closed complement of its inverse's
+    half-plane strictly into its own, so every reduced word starting with
+    letter m sends y0 into D_m.  All descendants w v of a word w whose
+    continuations v start with m thus send y0 into w.D_m, and
+    d(x, w v.y) >= d(x, w.D_m) - shift = d(w^-1.x, D_m) - shift.
     """
-    planes = [_halfplane_of_arc(arc) for arc in ping_pong_certificate(spec).intervals]
+    arcs = ping_pong_certificate(spec).intervals
     yre, yim = np.array([y.re]), np.array([y.im])
-    for hp in planes:
-        if float(_halfplane_clearance(hp, yre, yim)[0]) <= 0.0:
-            return None
-    return planes
+    # y lies in at most one D_m, and its distance to the complement is d(y, y0).
+    shift = max(float(_halfplane_clearance(_halfplane_of_arc(arc.complement()), yre, yim)[0])
+                for arc in arcs)
+    return [_halfplane_of_arc(arc) for arc in arcs], shift
 
 
 def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
@@ -614,7 +616,8 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
     letter in turn extends, in order, the frontier words of level k - 1 that
     it does not cancel; its children within ``max_radius`` join the census,
     and those whose subtree bound is within ``max_radius`` join the next
-    frontier.  So only one letter's children are alive at a time.
+    frontier.  So only one letter's children are alive at a time.  The
+    subtree bound (see :func:`_certified_halfplanes`) holds wherever y lies.
     """
     if spec.kind == "nested_subgroup" and 2 * (spec.depth + 1) > budget:
         # Building the letters, one composition each, would itself outrun
@@ -625,11 +628,7 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
     lmats = np.stack([np.array([[l.a, l.b], [l.c, l.d]]) for l in letters])
     n_letters = len(lmats)
     codes = signed_letter(np.arange(n_letters)).astype(np.min_scalar_type(-n_letters))
-    halfplanes = _certified_halfplanes(spec, y)
-    if halfplanes is None and max_word_length is None:
-        raise InsufficientLimits(
-            "free enumeration needs max_word_length when the basepoint y "
-            "lies in a letter half-plane (no subtree bound)")
+    halfplanes, shift = _certified_halfplanes(spec, y)
     radius = math.inf if max_radius is None else max_radius
 
     def subtree_bound(mats, last):
@@ -639,7 +638,8 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
         adj = np.stack([mats[:, 1, 1], -mats[:, 0, 1], -mats[:, 1, 0], mats[:, 0, 0]], axis=1)
         zre, zim = apply_many(adj.reshape(-1, 2, 2), x)
         return functools.reduce(np.minimum, (_halfplane_clearance(hp, zre, zim)
-                                             for m, hp in enumerate(halfplanes) if m != last ^ 1))
+                                             for m, hp in enumerate(halfplanes)
+                                             if m != last ^ 1)) - shift
 
     pieces = [], [], [], []  # census columns: mats, distances, word lengths, words
     size, bound_floor = 0, math.inf  # bound_floor: least bound of a subtree left out
@@ -663,8 +663,7 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
         mats = mats @ lmats[li]
         words = np.column_stack([words, np.full(len(words), codes[li])])
         dist = distances_many(x, *apply_many(mats, y))
-        bound = np.zeros(len(mats)) if halfplanes is None else subtree_bound(mats, li)
-        return visit(level, mats, words, np.full(len(mats), li), dist, bound)
+        return visit(level, mats, words, np.full(len(mats), li), dist, subtree_bound(mats, li))
 
     frontier = visit(0, np.eye(2)[None], np.zeros((1, 0), codes.dtype), np.array([-1]),
                      np.array([distance(x, y)]), np.zeros(1))
@@ -834,9 +833,10 @@ def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,
     """Census of all distinct group elements within the given limits.
 
     The census is sorted by distance; ``completeness_radius`` is the radius
-    up to which it is complete: proved by the ping-pong half-planes (free
-    constructions), by convexity of n -> cosh d(x, g^n y) (cyclic groups) or
-    by exact lattice-point enumeration (the modular lattice, which needs
+    up to which it is complete: proved by the ping-pong half-planes at every
+    basepoint (free constructions; negative if a census is too shallow to
+    prove any radius), by convexity of n -> cosh d(x, g^n y) (cyclic groups)
+    or by exact lattice-point enumeration (the modular lattice, which needs
     ``max_radius``).  Limits that cannot bound the census raise
     :class:`InsufficientLimits`; free generators without a certificate raise
     :class:`MarginViolation` or :class:`NonHyperbolicGenerator`.

@@ -1,6 +1,6 @@
 """Finite-truncation orbital measures: atomic measures on orbit points,
-exact conformality and equivariance audits, shadow-mass statistics, radial
-limit-point sampling for free groups, and boundary renders.
+exact conformality and equivariance audits, shadow-mass statistics, and
+boundary renders.
 
 Atoms live at interior orbit points gamma.y; boundary pushforwards use the
 direction-from-basepoint map with a horizon cutoff.  All mass bookkeeping
@@ -19,10 +19,8 @@ import numpy as np
 from .hyperbolic import (
     _TWO_PI,
     BoundaryInterval,
-    BoundaryPoint,
     Point,
     apply_many,
-    boundary_angle,
     boundary_angles_at,
     direction_angles_many,
     direction_from,
@@ -32,8 +30,7 @@ from .hyperbolic import (
     busemann,
     shadow,
 )
-from .groups import (GroupSpec, OrbitCensus, _filled_chunks, _table_chunks, _write_table,
-                     ping_pong_certificate, signed_letter, word_matrix)
+from .groups import OrbitCensus, _filled_chunks, _table_chunks, _write_table, word_matrix
 
 _LOG_FLOOR = -690.0  # below exp() underflow in linear scale
 _COVER_GRID = 4096  # directions at which shadow_cover_bound counts the cover
@@ -441,41 +438,6 @@ def shadow_cover_bound(census: OrbitCensus, mu: AtomicMeasure, radius: float,
         radius=radius, delta=delta, count=len(sel),
         min_mass=min(masses), multiplicity=int(mult.max()),
         covered_mass=covered)
-
-
-# ---------------------------------------------------------------------------
-# Radial limit points of free groups.
-
-
-def _reduced_words(n_letters: int, depth: int):
-    words = [(i,) for i in range(n_letters)]
-    for _ in range(depth - 1):
-        words = [w + (j,) for w in words for j in range(n_letters)
-                 if j != w[-1] ^ 1]
-    return words
-
-
-@dataclass(frozen=True)
-class RadialLimitPoint:
-    word: tuple  # signed generator indices
-    point: BoundaryPoint
-    angle: float
-
-
-def radial_limit_points(spec: GroupSpec, depth: int) -> list[RadialLimitPoint]:
-    """One boundary point per reduced word of the given length: the word's
-    prefix applied to the midpoint of the last letter's certified arc.
-    Distinct codings give distinct points (nested disjoint arcs)."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    cert = ping_pong_certificate(spec)
-    out = []
-    for w in _reduced_words(len(cert.intervals), depth):
-        prefix = word_matrix(spec, tuple(map(signed_letter, w[:-1])))
-        xi = prefix.apply_boundary(cert.intervals[w[-1]].midpoint())
-        out.append(RadialLimitPoint(word=tuple(map(signed_letter, w)), point=xi,
-                                    angle=boundary_angle(xi)))
-    return out
 
 
 # ---------------------------------------------------------------------------

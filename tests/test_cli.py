@@ -7,6 +7,7 @@ import pytest
 
 from kleinian import cli
 from kleinian import groups, patterson
+from kleinian.hyperbolic import ORIGIN
 
 
 def run(argv):
@@ -118,6 +119,30 @@ def test_patterson_equivariance_on_conjugated_free_group(tmp_path, capsys):
     key = "equivariance_max_discrepancy="
     disc = [float(l[len(key):]) for l in out.splitlines() if l.startswith(key)]
     assert len(disc) == 1 and disc[0] <= 1e-12
+
+
+def test_conjugator_moving_the_basepoint_into_a_letter_half_plane(tmp_path, capsys):
+    # diag(0.1, 10) sends i to 0.01i, inside the half-plane of a^-1's arc,
+    # so the inner census is the Schottky one at x = y = 0.01i.
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(groups.spec_to_json_dict(groups.conjugate(
+        groups.schottky_spec(cli._A, cli._B), cli.Isometry(0.1, 0.0, 0.0, 10.0)))))
+    rc = run(["census", "--config", str(path), "--max-radius", "8", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = (tmp_path / "census.csv").read_text().splitlines()[4:]
+    spec = groups.spec_from_json(path.read_text())  # the floats the CLI reads
+    c = spec.conjugator
+    p = c.apply(ORIGIN)
+    inner = groups.enumerate_orbit(spec.inner, p, p, max_radius=8.0)
+    assert len(rows) == len(inner) > 1
+    c_inv, c_mat = (np.reshape(g.matrix(), (2, 2)) for g in (c.inverse(), c))
+    for row, d, n, m in zip(rows, inner.distances, inner.word_lengths, inner.mats):
+        g = (c_inv @ m @ c_mat).ravel()
+        assert row == "%.12g,%d,%.12g,%.12g,%.12g,%.12g" % (d, n, *g)
+    rc = run(["exponent", "--config", str(path), "--max-radius", "14", "--out", str(tmp_path)])
+    assert rc == 0
+    estimate = json.loads((tmp_path / "estimate.json").read_text())
+    assert abs(estimate["point_estimate"] - 0.657) < 0.01
 
 
 def test_patterson_writes_each_measure_once_and_frees_the_shared_text(

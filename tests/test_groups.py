@@ -8,14 +8,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kleinian.hyperbolic import (
     Isometry, ORIGIN, Point, apply_many, distance, distances_many)
 from kleinian import groups
+from kleinian.counting import estimate_exponent, make_report
 from kleinian.groups import (
     BudgetExceeded,
     GroupSpec,
-    InsufficientLimits,
     MarginViolation,
     NonHyperbolicGenerator,
     conjugate,
@@ -82,12 +83,6 @@ def test_nested_subgroup_without_certificate_is_refused():
     R_pi = Isometry(0.0, -1.0, 1.0, 0.0)
     with pytest.raises(MarginViolation):
         enumerate_orbit(nested_subgroup_spec(R_pi, B, 2), max_word_length=3)
-
-
-def test_basepoint_in_a_letter_half_plane_needs_a_word_length():
-    # y = 0.01i lies in the half-plane of a^-1's arc, so no subtree bound holds.
-    with pytest.raises(InsufficientLimits, match="letter half-plane"):
-        enumerate_orbit(schottky_spec(A, B), y=Point(0.0, 0.01), max_radius=5.0)
 
 
 def test_random_reduced_words_are_not_identity():
@@ -317,21 +312,56 @@ def test_budget_exceeded():
         enumerate_orbit(schottky_spec(A, B), max_word_length=10, budget=100)
 
 
-def _brute_force_words(spec, x, y, depth):
-    """{word: d(x, w.y)} over the reduced words of length <= depth, by a
-    plain recursion over the letters +-1, +-2."""
-    letters = {s: word_matrix(spec, (s,)) for s in (1, -1, 2, -2)}
-    out = {}
-
-    def visit(word, m):
-        out[word] = distance(x, m.apply(y))
-        if len(word) < depth:
-            for s, g in letters.items():
-                if not word or s != -word[-1]:
-                    visit(word + (s,), m @ g)
-
-    visit((), Isometry.identity())
+def _brute_force_words(spec, x, y, depth, within=math.inf):
+    """{word: d(x, w.y)} over the reduced words of length <= depth in the
+    letters +-1, +-2 with d <= within: every product, one level at a time,
+    with no pruning and no half-planes."""
+    signs = np.array([1, -1, 2, -2])
+    lmats = np.array([np.reshape(word_matrix(spec, (s,)).matrix(), (2, 2)) for s in signs])
+    words, mats, out = np.zeros((1, 0), int), np.eye(2)[None], {}
+    for level in range(depth + 1):
+        if level:
+            last = words[:, -1] if level > 1 else np.zeros(len(words), int)
+            parent, li = np.nonzero(last[:, None] != -signs)
+            words = np.column_stack([words[parent], signs[li]])
+            mats = mats[parent] @ lmats[li]
+        dist = distances_many(x, *apply_many(mats, y))
+        near = dist <= within
+        out.update(zip(map(tuple, words[near].tolist()), dist[near].tolist()))
     return out
+
+
+def _assert_free_census_matches_brute_force(spec, x, y, max_word_length, max_radius,
+                                            depth=8):
+    """The census at these limits holds exactly the brute-force words within
+    them; a radius-only census is checked against words of length <= depth."""
+    census = enumerate_orbit(spec, x, y, max_word_length=max_word_length,
+                             max_radius=max_radius)
+    words = _brute_force_words(spec, x, y, depth if max_word_length is None
+                               else max_word_length + 3,
+                               math.inf if max_radius is None else max_radius)
+    inside = {w: d for w, d in words.items()
+              if (max_word_length is None or len(w) <= max_word_length)
+              and (max_radius is None or d <= max_radius)}
+    if max_word_length is None:
+        # The brute force is deep enough: no word of its last level is inside.
+        assert max(map(len, inside), default=0) < depth
+    got = [census.word(i) for i in range(len(census))]
+    assert set(got) == set(inside) and len(got) == len(inside)
+    assert np.allclose(census.distances, [inside[w] for w in got], atol=1e-9)
+    assert np.array_equal(census.word_lengths, [len(w) for w in got])
+    if max_radius is not None:
+        assert census.completeness_radius <= max_radius
+    else:
+        # No word, of any length up to three past the cap, is nearer than the
+        # completeness radius yet missing from the census.
+        assert {w for w, d in words.items() if d <= census.completeness_radius} <= set(got)
+
+
+# y = 0.01i, 0.3 + 0.05i and -2 + 0.2i lie in letter half-planes, where the
+# subtree bound is taken from the nearest point outside them.
+_IN_HALF_PLANES = [Point(0.0, 0.01), Point(0.3, 0.05), Point(-2.0, 0.2)]
+_IN_HALF_PLANE_IDS = ["0.01i", "0.3+0.05i", "-2+0.2i"]
 
 
 @pytest.mark.parametrize("x, y, max_word_length, max_radius", [
@@ -340,24 +370,42 @@ def _brute_force_words(spec, x, y, depth):
     (Point(0.3, 1.7), Point(-0.4, 0.8), 3, 5.0),
     # d(x, y) = ln 50 > 1: the identity is outside the ball, a^-2 is inside.
     (ORIGIN, Point(0.0, 50.0), 2, 1.0),
-], ids=["radius", "word-length", "combined", "identity-outside"])
+    *[(ORIGIN, y, None, 5.0) for y in _IN_HALF_PLANES],
+    *[(ORIGIN, y, 6, None) for y in _IN_HALF_PLANES],
+], ids=["radius", "word-length", "combined", "identity-outside",
+        *[f"half-plane-{i}-radius" for i in _IN_HALF_PLANE_IDS],
+        *[f"half-plane-{i}-word-length" for i in _IN_HALF_PLANE_IDS]])
 def test_free_census_matches_brute_force(x, y, max_word_length, max_radius):
+    _assert_free_census_matches_brute_force(schottky_spec(A, B), x, y,
+                                            max_word_length, max_radius)
+
+
+def test_basepoint_in_a_letter_half_plane_proves_a_radius():
     spec = schottky_spec(A, B)
-    census = enumerate_orbit(spec, x, y, max_word_length=max_word_length,
-                             max_radius=max_radius)
-    depth = 8 if max_word_length is None else max_word_length
-    words = _brute_force_words(spec, x, y, depth)
-    inside = {w: d for w, d in words.items()
-              if max_radius is None or d <= max_radius}
-    if max_word_length is None:
-        # The recursion is deep enough: no word of its last level is inside.
-        assert max(len(w) for w in inside) < depth
-    got = [census.word(i) for i in range(len(census))]
-    assert set(got) == set(inside) and len(got) == len(inside)
-    assert np.allclose(census.distances, [inside[w] for w in got], atol=1e-9)
-    assert np.array_equal(census.word_lengths, [len(w) for w in got])
-    if max_radius is not None:
-        assert census.completeness_radius <= max_radius
+    for y in _IN_HALF_PLANES:
+        assert enumerate_orbit(spec, y=y, max_word_length=8).completeness_radius > 6.0
+    # Enough of one for an exponent estimate near the group's 0.657.
+    census = enumerate_orbit(spec, y=_IN_HALF_PLANES[0], max_word_length=10)
+    assert abs(estimate_exponent(make_report(census)).point_estimate - 0.66) < 0.05
+    # Deep in a half-plane, a shallow census proves no radius at all, and
+    # says so with a negative one.
+    shallow = enumerate_orbit(spec, y=Point(0.0, 1e-6), max_word_length=1)
+    assert shallow.completeness_radius < -10.0
+
+
+@settings(max_examples=50, deadline=1000)
+@given(x=st.builds(Point, st.floats(-0.25, 0.25), st.floats(0.8, 1.25)),
+       y=st.builds(Point, st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-5.0, 5.0)),
+                   st.floats(-3.0, 1.0).map(lambda t: 10.0 ** t)),
+       radius=st.floats(0.0, 4.5))
+# Deep inside the half-planes of a^-1 (near 0), b and b^-1 (near +-1) and a
+# (towards infinity).
+@example(x=ORIGIN, y=Point(0.0, 1e-3), radius=4.5)
+@example(x=ORIGIN, y=Point(1.0, 1e-3), radius=4.5)
+@example(x=ORIGIN, y=Point(-1.0, 1e-3), radius=4.5)
+@example(x=ORIGIN, y=Point(5.0, 10.0), radius=4.5)
+def test_radius_census_matches_brute_force_at_any_basepoint(x, y, radius):
+    _assert_free_census_matches_brute_force(schottky_spec(A, B), x, y, None, radius, depth=9)
 
 
 def _reference_free_census(spec, x, y, max_word_length, max_radius):
@@ -379,7 +427,7 @@ def _reference_free_census(spec, x, y, max_word_length, max_radius):
     n_letters = len(lmats)
     codes = groups.signed_letter(np.arange(n_letters)).astype(
         np.min_scalar_type(-n_letters))
-    halfplanes = groups._certified_halfplanes(spec, y)
+    halfplanes, shift = groups._certified_halfplanes(spec, y)
     radius = math.inf if max_radius is None else max_radius
 
     def subtree_bound(mats, last):
@@ -387,7 +435,7 @@ def _reference_free_census(spec, x, y, max_word_length, max_radius):
         zre, zim = apply_many(adj.reshape(-1, 2, 2), x)
         clearance = np.stack([groups._halfplane_clearance(hp, zre, zim) for hp in halfplanes])
         clearance[last ^ 1, np.arange(len(last))] = np.inf
-        return clearance.min(axis=0)
+        return clearance.min(axis=0) - shift
 
     mats, last, words = np.eye(2)[None], np.array([-1]), np.zeros((1, 0), codes.dtype)
     dist, bound = np.array([distance(x, y)]), np.zeros(1)
@@ -408,7 +456,7 @@ def _reference_free_census(spec, x, y, max_word_length, max_radius):
         mats, last = mats[p] @ lmats[li], li
         words = np.concatenate([words[p], codes[li, None]], axis=1)
         dist = distances_many(x, *apply_many(mats, y))
-        bound = np.zeros(len(li)) if halfplanes is None else subtree_bound(mats, li)
+        bound = subtree_bound(mats, li)
     mats, dists, wls, words = zip(*levels)
     width = words[-1].shape[1]
     words = np.concatenate([np.pad(w, ((0, 0), (0, width - w.shape[1]))) for w in words])
@@ -432,8 +480,10 @@ _C = Isometry(1.0, 0.5, 0.0, 1.0)
     (schottky_spec(A, B), Point(0.0, 30.0), ORIGIN, None, 2.0),
     (nested_subgroup_spec(A, B, 4), ORIGIN, ORIGIN, None, 16.0),
     (conjugate(schottky_spec(A, B), _C), ORIGIN, ORIGIN, 6, None),
+    # y in a letter half-plane: the bounds are shifted by d(y, y0).
+    (schottky_spec(A, B), ORIGIN, Point(0.3, 0.05), None, 6.0),
 ], ids=["schottky-L8-ties", "radius", "combined", "identity-outside",
-        "one-letter-frontier", "nested-R16", "conjugated-L6"])
+        "one-letter-frontier", "nested-R16", "conjugated-L6", "half-plane-R6"])
 def test_free_census_rows_match_level_at_a_time_reference(spec, x, y, max_word_length,
                                                           max_radius):
     # Row order sets the bytes of every artifact, so compare arrays, not sets.

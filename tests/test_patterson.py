@@ -37,7 +37,6 @@ from kleinian.patterson import (
     default_horizon,
     equivariance_audit,
     orbital_measure,
-    radial_limit_points,
     render_ppm,
     shadow_cover_bound,
     shadow_lemma_audit,
@@ -472,32 +471,7 @@ def test_shadow_cover_bound_masses_are_shadow_masses(census8, x):
 
 
 # ---------------------------------------------------------------------------
-# Radial limit points.
-
-
-def test_depth_one_limit_points_are_arc_midpoints(spec):
-    cert = ping_pong_certificate(spec)
-    points = radial_limit_points(spec, depth=1)
-    assert len(points) == 4
-    for rlp, arc in zip(points, cert.intervals):
-        assert rlp.angle == pytest.approx(arc.midpoint_angle(), abs=1e-12)
-
-
-def test_limit_points_have_distinct_codings(spec):
-    points = radial_limit_points(spec, depth=3)
-    assert len(points) == 4 * 3 * 3
-    angles = sorted(p.angle for p in points)
-    gaps = np.diff(angles)
-    assert gaps.min() > 1e-6
-
-
-def test_limit_points_lie_in_their_first_letter_arc(spec):
-    cert = ping_pong_certificate(spec)
-    for rlp in radial_limit_points(spec, depth=3):
-        first = rlp.word[0]
-        # Signed letter k maps to certificate slot 2(|k|-1) + (k < 0).
-        slot = 2 * (abs(first) - 1) + (1 if first < 0 else 0)
-        assert cert.intervals[slot].contains_angle(rlp.angle)
+# Coding intervals.
 
 
 def word_interval(spec, word_indices):
