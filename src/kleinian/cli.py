@@ -95,6 +95,8 @@ def load_config(arg: str) -> tuple[dict, str]:
             raise ConfigError(
                 f"malformed JSON in {arg}: {exc.msg} at line {exc.lineno} "
                 f"column {exc.colno}") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"JSON in {arg} nests too deep to decode") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config {arg} must be a JSON object")
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -148,6 +150,8 @@ def _parse_window(text: str) -> tuple[float, float]:
         lo, hi = (float(p) for p in text.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad window {text!r}, expected lo:hi") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigError(f"bad window {text!r}: need finite lo < hi")
     return lo, hi
 
 
@@ -241,6 +245,8 @@ def _conformal_worst(census, mu, rng) -> float:
 
 def cmd_patterson(args) -> int:
     s_list = [float(s) for s in _parse_grid(args.s_grid)] if args.s_grid else None
+    if s_list and len({f"{s:.4f}" for s in s_list}) < len(s_list):  # the file tags
+        raise ConfigError(f"--s-grid {args.s_grid!r} gives two files one 4-decimal tag")
     if not 0.0 < args.r < math.inf:
         raise ConfigError(f"--r must be finite and > 0: {args.r}")
     census, _, digest = _load_census(args)

@@ -19,13 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperbolic import (
+    _TWO_PI,
     ORIGIN,
     BoundaryInterval,
-    BoundaryPoint,
     Isometry,
     Point,
+    _fold_angle,
+    apply_boundary_many,
     apply_many,
     boundary_angle,
+    boundary_angles,
+    boundary_values,
     distance,
     distances_many,
 )
@@ -45,6 +49,7 @@ KINDS = (
 _LATTICE_ENTRY_MAX = (1 << 15) - 1
 _LATTICE_CHUNK = 1 << 18  # bottom rows per batch of the lattice enumeration
 _TABLE_CHUNK = 1 << 14  # rows formatted per write of a CSV table
+_MAX_NESTING = 64  # conjugations around a spec; each is a level of recursion
 
 
 class NonHyperbolicGenerator(ValueError):
@@ -93,6 +98,11 @@ class GroupSpec:
                              f"depth >= 0, got {len(gens)} and {self.depth!r}")
         if kind == "conjugated" and (self.inner is None or self.conjugator is None):
             raise ValueError("a conjugated group needs 'inner' and 'conjugator'")
+        nesting, inner = 0, self.inner
+        while inner is not None:
+            nesting, inner = nesting + 1, inner.inner
+        if nesting > _MAX_NESTING:
+            raise ValueError(f"a group nests {nesting} specs deep, more than {_MAX_NESTING}")
 
 
 def schottky_spec(g1: Isometry, g2: Isometry) -> GroupSpec:
@@ -203,17 +213,54 @@ def _write_table(fh, header_lines, columns: str, chunks) -> None:
 
 @dataclass(frozen=True)
 class PingPongCertificate:
-    """Disjoint boundary arcs, one per generator letter, with the letter
-    mapping condition verified: each letter sends the complement of its
-    inverse's arc strictly into its own arc."""
+    """Disjoint boundary arcs, one per letter g1, g1^-1, g2, g2^-1, ..., each
+    letter sending the complement of its inverse's arc strictly into its own."""
 
     intervals: tuple[BoundaryInterval, ...]
     margin: float
+    letters: tuple[Isometry, ...]
 
 
-def _letters(generators) -> list[Isometry]:
-    """The letters g1, g1^-1, g2, g2^-1, ..."""
-    return [h for g in generators for h in (g, g.inverse())]
+def _letters(generators) -> tuple[Isometry, ...]:
+    """The letters g1, g1^-1, g2, g2^-1, ... of hyperbolic generators."""
+    for g in generators:
+        if g.classify() != "hyperbolic":
+            raise NonHyperbolicGenerator(f"generator is {g.classify()}")
+    return tuple(h for g in generators for h in (g, g.inverse()))
+
+
+def _matrices(isometries) -> np.ndarray:
+    """The (n, 2, 2) stack of the matrices of the isometries."""
+    return np.array([[[g.a, g.b], [g.c, g.d]] for g in isometries]).reshape(-1, 2, 2)
+
+
+def _ping_pong_margin(lmats, lo, hi):
+    """(margin, letters) of the letter arcs from the angles ``lo``
+    counterclockwise to ``hi`` in [0, 2*pi), one per letter of ``lmats`` in
+    the order of :func:`_letters`: the least gap between two arcs and between
+    a letter's image of its inverse's complement and its own arc, and None;
+    or, where a gap is not positive, its value and the letters at fault."""
+    width = np.where(hi == lo, _TWO_PI, (hi - lo) % _TWO_PI)
+    # Disjoint iff, in the order of lo, no arc reaches the start of the next.
+    order = np.argsort(lo, kind="stable")
+    nxt = np.roll(order, -1)
+    reach = (lo[nxt] - lo[order]) % _TWO_PI - width[order]
+    k = int(np.argmin(reach > 0.0))  # the first failure, if any; NaN fails
+    if not reach[k] > 0.0:
+        return float(reach[k]), tuple(sorted((int(order[k]), int(nxt[k]))))
+    gap = float(((lo[nxt] - hi[order]) % _TWO_PI).min())
+    # Letter i maps the complement (hi[i^1], lo[i^1]) of its inverse's arc.
+    inv = np.arange(len(lo)) ^ 1
+    img_lo, img_hi = boundary_angles(apply_boundary_many(
+        lmats, boundary_values(np.stack([hi[inv], lo[inv]]))))
+    img_width = np.where(img_hi == img_lo, _TWO_PI, (img_hi - img_lo) % _TWO_PI)
+    start, end = (img_lo - lo) % _TWO_PI, width - (img_hi - lo) % _TWO_PI
+    inside = np.where(start + img_width > width, -np.minimum(np.abs(start), np.abs(end)),
+                      np.minimum(start, end))
+    k = int(np.argmin(inside > 0.0))
+    if not inside[k] > 0.0:
+        return float(inside[k]), (k, k ^ 1)
+    return min(gap, float(inside.min())), None
 
 
 def verify_ping_pong(generators, candidate_intervals) -> PingPongCertificate:
@@ -224,87 +271,47 @@ def verify_ping_pong(generators, candidate_intervals) -> PingPongCertificate:
     overlap or a letter image escapes, :class:`NonHyperbolicGenerator` for a
     non-hyperbolic generator.
     """
-    for g in generators:
-        if g.classify() != "hyperbolic":
-            raise NonHyperbolicGenerator(f"generator is {g.classify()}")
     letters = _letters(generators)
     intervals = tuple(candidate_intervals)
     if len(intervals) != len(letters):
         raise ValueError("need one candidate interval per generator letter")
-
-    margin = math.inf
-    for i in range(len(intervals)):
-        for j in range(i + 1, len(intervals)):
-            gap = intervals[i].gap_to(intervals[j])
-            if gap <= 0.0:
-                raise MarginViolation(
-                    f"letter arcs {i} and {j} are not disjoint", letters=(i, j))
-            margin = min(margin, gap)
-
-    for i, ell in enumerate(letters):
-        inv = i ^ 1
-        image = intervals[inv].complement().apply(ell)
-        inside = intervals[i].contains_interval(image)
-        if inside <= 0.0:
-            raise MarginViolation(
-                f"image of letter {i} escapes its arc by {-inside:.3g}",
-                letters=(i, inv))
-        margin = min(margin, inside)
-    return PingPongCertificate(intervals, margin)
+    lo, hi = np.array([(arc.lo_angle, arc.hi_angle) for arc in intervals]).T
+    margin, bad = _ping_pong_margin(_matrices(letters), lo, hi)
+    if bad is not None:
+        raise MarginViolation(f"letter arcs {bad} fail ping-pong by {-margin:.3g}", letters=bad)
+    return PingPongCertificate(intervals, margin, letters)
 
 
 def propose_intervals(generators) -> tuple[BoundaryInterval, ...]:
-    """Auto-propose letter arcs centered at the attracting fixed points,
-    scanning the common half-width for the best certified margin."""
+    """Auto-propose letter arcs: centered at the attracting fixed points with a
+    common half-width, else about the isometric circles.  The first family
+    with a certified candidate wins, and in it the first of the best margin."""
     letters = _letters(generators)
-    centers = []
-    for ell in letters:
-        if ell.classify() != "hyperbolic":
-            raise NonHyperbolicGenerator(f"letter is {ell.classify()}")
-        centers.append(ell.fixed_points()[0])
+    centers = np.array([boundary_angle(ell.fixed_points()[0]) for ell in letters])
+    lmats = _matrices(letters)
     # Half-width limited by half the smallest gap between arc centers.
-    angles = sorted(boundary_angle(c) for c in centers)
-    gaps = [(angles[(k + 1) % len(angles)] - angles[k]) % (2 * math.pi)
-            for k in range(len(angles))]
-    max_half = 0.5 * min(gaps)
-    best = None
-    best_margin = 0.0
-    for frac in np.linspace(0.05, 0.98, 80):
-        half = max_half * frac
-        cand = tuple(BoundaryInterval.centered(c, half) for c in centers)
-        try:
-            cert = verify_ping_pong(generators, cand)
-        except MarginViolation:
-            continue
-        if cert.margin > best_margin:
-            best_margin = cert.margin
-            best = cand
-    if best is not None:
-        return best
-    # Fallback for letter systems whose arcs have very different sizes
-    # (e.g. conjugate families clustering at a point): the letter
-    # [[a, b], [c, d]] with c != 0 maps the exterior of |c xi + d| = 1 onto
-    # the interior of |c xi - a| = 1, so (a/c - 1/|c|, a/c + 1/|c|) is a
-    # natural per-letter arc.  verify_ping_pong keeps this rigorous.
-    if all(ell.c != 0.0 for ell in letters):
-        # The bare isometric intervals map exactly onto each other (zero
-        # margin); expanding them by 1 + eps shrinks the images strictly
-        # inside, as long as the expanded arcs stay disjoint.
-        for eps in np.geomspace(1e-6, 0.5, 30):
-            cand = tuple(
-                BoundaryInterval.from_points(
-                    BoundaryPoint(ell.a / ell.c - (1.0 + eps) / abs(ell.c)),
-                    BoundaryPoint(ell.a / ell.c + (1.0 + eps) / abs(ell.c)))
-                for ell in letters)
-            try:
-                cert = verify_ping_pong(generators, cand)
-            except MarginViolation:
-                continue
-            if cert.margin > best_margin:
-                best_margin = cert.margin
-                best = cand
-        if best is not None:
-            return best
+    angles = np.sort(centers)
+    max_half = 0.5 * float(((np.roll(angles, -1) - angles) % _TWO_PI).min())
+    centered = ((_fold_angle(centers - half), _fold_angle(centers + half))
+                for half in max_half * np.linspace(0.05, 0.98, 80))
+    # Fallback for letter systems whose arcs differ much in size (e.g. conjugate
+    # families clustering at a point): a letter [[a, b], [c, d]] with c != 0 maps
+    # the exterior of |c xi + d| = 1 onto the interior of |c xi - a| = 1.  These
+    # arcs a/c -+ 1/|c| map exactly onto each other (zero margin); widened by
+    # 1 + eps, their images fall strictly inside while they stay disjoint.
+    a, c = lmats[:, 0, 0], lmats[:, 1, 0]
+    isometric = ((boundary_angles(a / c - (1.0 + eps) / np.abs(c)),
+                  boundary_angles(a / c + (1.0 + eps) / np.abs(c)))
+                 for eps in (np.geomspace(1e-6, 0.5, 30) if (c != 0.0).all() else ()))
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN arcs fail
+        for family in (centered, isometric):
+            best, best_margin = None, 0.0
+            for lo, hi in family:
+                margin, bad = _ping_pong_margin(lmats, lo, hi)
+                if bad is None and margin > best_margin:
+                    best, best_margin = (lo, hi), margin
+            if best is not None:
+                return tuple(map(BoundaryInterval, best[0].tolist(), best[1].tolist()))
     raise MarginViolation("no certified interval system found for the generators")
 
 
@@ -447,7 +454,7 @@ def _free_generators(spec: GroupSpec) -> tuple[Isometry, ...]:
 
 def word_matrix(spec: GroupSpec, word) -> Isometry:
     """Evaluate a reduced word (signed 1-based generator indices)."""
-    letters = _letters(_free_generators(spec))
+    letters = [h for g in _free_generators(spec) for h in (g, g.inverse())]
     m = Isometry.identity()
     for s in word:
         if not 1 <= abs(s) <= len(letters) // 2:
@@ -624,8 +631,7 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
         # the budget: a parabolic alpha never overflows to stop it.
         raise BudgetExceeded(f"the {2 * (spec.depth + 1)} letters of depth "
                              f"{spec.depth} exceed budget {budget}")
-    letters = _letters(_free_generators(spec))
-    lmats = np.stack([np.array([[l.a, l.b], [l.c, l.d]]) for l in letters])
+    lmats = _matrices(ping_pong_certificate(spec).letters)
     n_letters = len(lmats)
     codes = signed_letter(np.arange(n_letters)).astype(np.min_scalar_type(-n_letters))
     halfplanes, shift = _certified_halfplanes(spec, y)

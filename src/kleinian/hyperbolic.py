@@ -251,11 +251,6 @@ class BoundaryInterval:
     def from_points(lo: BoundaryPoint, hi: BoundaryPoint) -> "BoundaryInterval":
         return BoundaryInterval(boundary_angle(lo), boundary_angle(hi))
 
-    @staticmethod
-    def centered(center: BoundaryPoint, half_width: float) -> "BoundaryInterval":
-        theta = boundary_angle(center)
-        return BoundaryInterval(theta - half_width, theta + half_width)
-
     @property
     def lo(self) -> BoundaryPoint:
         return boundary_from_angle(self.lo_angle)
@@ -288,39 +283,6 @@ class BoundaryInterval:
         if self.full:
             raise ValueError("full circle has empty complement")
         return BoundaryInterval(self.hi_angle, self.lo_angle)
-
-    def contains_interval(self, other: "BoundaryInterval") -> float:
-        """Containment margin: min(gap at both ends); > 0 means other is
-        strictly inside self.  Full circles contain everything."""
-        if self.full:
-            return math.inf
-        if other.full:
-            return -math.inf
-        start_gap = (other.lo_angle - self.lo_angle) % _TWO_PI
-        end_gap = self.width() - ((other.hi_angle - self.lo_angle) % _TWO_PI)
-        if start_gap + other.width() > self.width():
-            return -min(abs(start_gap), abs(end_gap))
-        return min(start_gap, end_gap)
-
-    def gap_to(self, other: "BoundaryInterval") -> float:
-        """Minimal angular gap between two disjoint arcs (negative if they
-        overlap)."""
-        if self.full or other.full:
-            return -math.inf
-        # Overlap iff one contains an endpoint of the other.
-        if (self.contains_angle(other.lo_angle) or self.contains_angle(other.hi_angle)
-                or other.contains_angle(self.lo_angle)):
-            return -1.0
-        g1 = (other.lo_angle - self.hi_angle) % _TWO_PI
-        g2 = (self.lo_angle - other.hi_angle) % _TWO_PI
-        return min(g1, g2)
-
-    def apply(self, g: Isometry) -> "BoundaryInterval":
-        """Image arc; Mobius maps preserve the circular orientation."""
-        if self.full:
-            return self
-        return BoundaryInterval.from_points(g.apply_boundary(self.lo),
-                                            g.apply_boundary(self.hi))
 
 
 def _to_center(x: Point) -> Isometry:
@@ -401,17 +363,41 @@ def disk_points_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return (q - 1j) / (q + 1j)
 
 
-def boundary_angles_at(x: Point, theta: np.ndarray) -> np.ndarray:
-    """Global boundary-circle angles, as :func:`boundary_angle` gives them,
-    of the boundary points at disk angles theta of the disk model centred
-    at x: :func:`boundary_at_angle` over an array."""
+def boundary_values(theta: np.ndarray) -> np.ndarray:
+    """:func:`boundary_from_angle` over an array: -cot(theta / 2), inf for oo."""
     s = np.sin(theta / 2.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        xi = x.im * (-np.cos(theta / 2.0) / s) + x.re
+    with np.errstate(all="ignore"):
+        xi = -np.cos(theta / 2.0) / s
+    return np.where(s == 0.0, np.inf, xi)
+
+
+def boundary_angles(xi: np.ndarray) -> np.ndarray:
+    """:func:`boundary_angle` over an array of coordinates xi, +-inf for oo."""
+    with np.errstate(over="ignore", invalid="ignore"):
         xi2 = xi * xi
         angles = _fold_angle(np.arctan2(-2.0 * xi, xi2 - 1.0))
     # Past |xi| = 1e154 xi^2 overflows; the angle is 0 there, as at infinity.
-    return np.where((s == 0.0) | np.isinf(xi2), 0.0, angles)
+    return np.where(np.isinf(xi2), 0.0, angles)
+
+
+def apply_boundary_many(mats, xi: np.ndarray) -> np.ndarray:
+    """:meth:`Isometry.apply_boundary` over arrays: images of the coordinates
+    xi (+-inf for oo) under a stack of (n, 2, 2) matrices, inf for oo."""
+    mats = np.asarray(mats, dtype=np.float64)
+    a, b, c, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
+    with np.errstate(all="ignore"):
+        num, denom = a * xi + b, c * xi + d
+        finite = np.where(np.abs(denom) < _TOL * np.maximum(1.0, np.abs(num)),
+                          np.inf, num / denom)
+        at_inf = np.where(np.abs(c) < _TOL, np.inf, a / c)
+    return np.where(np.isinf(xi), at_inf, finite)
+
+
+def boundary_angles_at(x: Point, theta: np.ndarray) -> np.ndarray:
+    """Global circle angles of the boundary points at the angles theta of the
+    disk model centred at x: :func:`boundary_at_angle` over an array."""
+    with np.errstate(over="ignore"):
+        return boundary_angles(x.im * boundary_values(theta) + x.re)
 
 
 def direction_angles_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:

@@ -297,6 +297,10 @@ _BAD_FLAGS = {
     "shadow-r-negative": ["patterson", "--audit", "shadow", "--r", "-1"],
     "shadow-r-nan": ["patterson", "--audit", "shadow", "--r", "nan"],
     "shadow-r-inf": ["patterson", "--audit", "shadow", "--r", "inf"],
+    # Five values that all write measure_s0.7000.csv.
+    "patterson-s-grid-shared-tag": ["patterson", "--s-grid", "0.70:0.70004:0.00001"],
+    "exponent-window-reversed": ["exponent", "--window", "12:6"],
+    "exponent-window-nan": ["exponent", "--window", "nan:5"],
 }
 
 
@@ -315,6 +319,14 @@ _P = [["1", "1"], ["0", "1"]]
 _ROT = [[str(np.cos(0.25)), str(np.sin(0.25))], [str(-np.sin(0.25)), str(np.cos(0.25))]]
 # The rotation about i by pi, of order 2.
 _R_PI = [["0", "-1"], ["1", "0"]]
+
+
+def _conjugation_chain(n):
+    """The builtin Schottky pair conjugated n times by the identity."""
+    doc = {"kind": "schottky", "generators": [_A, _B]}
+    for _ in range(n):
+        doc = {"kind": "conjugated", "conjugator": _ID, "inner": doc}
+    return doc
 
 
 @pytest.mark.parametrize("argv, config, code", [
@@ -365,6 +377,10 @@ _R_PI = [["0", "-1"], ["1", "0"]]
     # alone exceeds the enumeration budget.
     (["census", "--max-radius", "5"],
      {"kind": "nested_subgroup", "generators": [_P, _B], "depth": 10 ** 8}, cli.EXIT_BUDGET),
+    (["census", "--max-word-length", "2"], _conjugation_chain(600), cli.EXIT_PARSE),
+    # Raw text: a kind nested deeper than the JSON decoder recurses.
+    (["census", "--max-word-length", "2"],
+     '{"kind": ' + "[" * 100_000 + "]" * 100_000 + "}", cli.EXIT_PARSE),
     *[(_bad_flag_argv(case), None, cli.EXIT_PARSE) for case in _BAD_FLAGS],
 ], ids=["radius-nan", "radius-inf", "radius-negative", "word-length-negative",
         "no-limit", "top-level-array", "nested-negative-depth",
@@ -376,11 +392,12 @@ _R_PI = [["0", "-1"], ["1", "0"]]
         "schottky-without-generators", "cyclic-elliptic-radius",
         "cyclic-elliptic-word-length", "parabolic-identity",
         "parabolic-on-hyperbolic-generator", "nested-fractional-depth",
-        "nested-letters-beyond-budget", *_BAD_FLAGS])
+        "nested-letters-beyond-budget", "conjugation-chain-600", "kind-nested-100000",
+        *_BAD_FLAGS])
 def test_invalid_input_exit_code(tmp_path, capsys, argv, config, code):
     if config is not None:
         path = tmp_path / "group.json"
-        path.write_text(json.dumps(config))
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv = argv + ["--config", str(path)]
     t0 = time.perf_counter()
     rc = run(argv + ["--out", str(tmp_path)])

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import math
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kleinian.hyperbolic import (
-    Isometry, ORIGIN, Point, apply_many, distance, distances_many)
+    BoundaryInterval, BoundaryPoint, Isometry, ORIGIN, Point, apply_many, boundary_angle,
+    boundary_from_angle, distance, distances_many)
 from kleinian import groups
 from kleinian.counting import estimate_exponent, make_report
 from kleinian.groups import (
@@ -83,6 +85,200 @@ def test_nested_subgroup_without_certificate_is_refused():
     R_pi = Isometry(0.0, -1.0, 1.0, 0.0)
     with pytest.raises(MarginViolation):
         enumerate_orbit(nested_subgroup_spec(R_pi, B, 2), max_word_length=3)
+
+
+def test_parabolic_nested_certificate_search_ends_in_bounded_time():
+    # 20,002 letters clustering at infinity: every candidate arc system
+    # fails, and the search still ends within seconds.
+    spec = nested_subgroup_spec(PARABOLIC, B, 10_000)
+    t0 = time.perf_counter()
+    with pytest.raises(MarginViolation):
+        enumerate_orbit(spec, max_radius=5.0)
+    assert time.perf_counter() - t0 < 5.0
+
+
+# All-pairs reference of the ping-pong conditions on (lo, hi) angle pairs,
+# by the scalar boundary primitives.
+_TWO_PI = 2.0 * math.pi
+
+
+def _ref_width(arc):
+    w = (arc[1] - arc[0]) % _TWO_PI
+    return w if w > 0.0 else _TWO_PI
+
+
+def _ref_holds(arc, theta):
+    return (theta - arc[0]) % _TWO_PI <= _ref_width(arc)
+
+
+def _ref_gap(a, b):
+    """Least gap between two arcs, -1 if they overlap."""
+    if _ref_holds(a, b[0]) or _ref_holds(a, b[1]) or _ref_holds(b, a[0]):
+        return -1.0
+    return min((b[0] - a[1]) % _TWO_PI, (a[0] - b[1]) % _TWO_PI)
+
+
+def _ref_inside(outer, inner):
+    """Least gap between the ends of inner and of outer, <= 0 unless inner
+    lies strictly inside outer."""
+    start = (inner[0] - outer[0]) % _TWO_PI
+    end = _ref_width(outer) - (inner[1] - outer[0]) % _TWO_PI
+    if start + _ref_width(inner) > _ref_width(outer):
+        return -min(abs(start), abs(end))
+    return min(start, end)
+
+
+def _ref_image(g, arc):
+    """The image arc of arc under g, which keeps the circular orientation."""
+    return tuple(boundary_angle(g.apply_boundary(boundary_from_angle(t))) for t in arc)
+
+
+def _ref_margin(letters, arcs):
+    """Ping-pong margin of the letter arcs by all pairs, None if it fails."""
+    margin = math.inf
+    for a, b in itertools.combinations(arcs, 2):
+        gap = _ref_gap(a, b)
+        if gap <= 0.0:
+            return None
+        margin = min(margin, gap)
+    for i, ell in enumerate(letters):
+        inside = _ref_inside(arcs[i], _ref_image(ell, arcs[i ^ 1][::-1]))
+        if not inside > 0.0:
+            return None
+        margin = min(margin, inside)
+    return margin
+
+
+def _folded(lo, hi):
+    arc = BoundaryInterval(lo, hi)
+    return arc.lo_angle, arc.hi_angle
+
+
+def _ref_candidates(letters):
+    """The centred and the isometric-circle candidate families of
+    :func:`propose_intervals`, one list of letter arcs per candidate."""
+    centers = [boundary_angle(ell.fixed_points()[0]) for ell in letters]
+    angles = sorted(centers)
+    max_half = 0.5 * min((angles[(k + 1) % len(angles)] - angles[k]) % _TWO_PI
+                         for k in range(len(angles)))
+    centred = [[_folded(c - max_half * frac, c + max_half * frac) for c in centers]
+               for frac in np.linspace(0.05, 0.98, 80)]
+    if any(l.c == 0.0 for l in letters):
+        return centred, []
+    isometric = [[(_ref_angle(l.a / l.c - (1.0 + eps) / abs(l.c)),
+                   _ref_angle(l.a / l.c + (1.0 + eps) / abs(l.c)))
+                  for l in letters] for eps in map(float, np.geomspace(1e-6, 0.5, 30))]
+    return centred, isometric
+
+
+def _ref_angle(xi):
+    """boundary_angle of xi; NaN, which fails every arc test, for NaN."""
+    return math.nan if math.isnan(xi) else boundary_angle(BoundaryPoint(xi))
+
+
+def _ref_propose(letters):
+    """(family index, arcs) of the first best candidate of the first family
+    with a certified one, or None."""
+    for index, family in enumerate(_ref_candidates(letters)):
+        best, best_margin = None, 0.0
+        for arcs in family:
+            margin = _ref_margin(letters, arcs)
+            if margin is not None and margin > best_margin:
+                best, best_margin = arcs, margin
+        if best is not None:
+            return index, best
+    return None
+
+
+def _hyperbolic(t, g):
+    return g.inverse() @ Isometry(math.exp(t), 0.0, 0.0, math.exp(-t)) @ g
+
+
+_any_isometry = st.builds(lambda x, t, theta: Isometry(1.0, x, 0.0, 1.0)
+                          @ Isometry(math.exp(t), 0.0, 0.0, math.exp(-t)) @ _rotation(theta),
+                          st.floats(-3.0, 3.0), st.floats(-1.5, 1.5), st.floats(-math.pi, math.pi))
+_letter_systems = st.one_of(
+    st.lists(st.builds(_hyperbolic, st.floats(0.1, 3.0), _any_isometry), min_size=1, max_size=3),
+    st.builds(lambda t: [_rotation(t).inverse() @ g @ _rotation(t) for g in (A, B)],
+              st.floats(-math.pi, math.pi)),
+    st.builds(lambda t, depth: list(groups._free_generators(
+        conjugate(nested_subgroup_spec(A, B, depth), _rotation(t)))),
+        st.floats(-math.pi, math.pi), st.integers(0, 6)),
+)
+
+
+@st.composite
+def _arc_systems(draw):
+    """(generators, letter arcs): disjoint arcs centred at the attracting
+    fixed points with a drawn half-width, arbitrary arcs, or such centred
+    arcs with the first letter's arc also put in the second letter's place."""
+    gens = draw(_letter_systems)
+    letters = groups._letters(gens)
+    kind = draw(st.sampled_from(["centred", "arbitrary", "duplicated"]))
+    if kind == "arbitrary":
+        ends = st.tuples(st.floats(0.0, 7.0), st.floats(0.0, 7.0))
+        arcs = draw(st.lists(ends, min_size=len(letters), max_size=len(letters)))
+        return gens, [_folded(*arc) for arc in arcs]
+    centred, _ = _ref_candidates(letters)
+    arcs = centred[draw(st.integers(0, len(centred) - 1))]
+    if kind == "duplicated":
+        arcs = [arcs[0], arcs[0], *arcs[2:]]
+    return gens, arcs
+
+
+# The library takes image angles from the batch kernel, atan2(-2 xi, xi^2 - 1),
+# the reference from 2 atan2(1, -xi): they may round an angle (< 2 pi) an ulp
+# apart, which a margin near 1e-7 sees as more than 1e-9 relative.
+_MARGIN_ULPS = 16 * math.ulp(_TWO_PI)
+# The examples: a certified pair of arcs for A, and the arcs and the isometry
+# of the former BoundaryInterval margin, gap and image tests.
+_G = Isometry(2.0, 1.0, 1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=2000)
+@given(_arc_systems())
+@example(([A], [(2.0 * math.pi - 1.0, 1.0), (math.pi - 1.0, math.pi + 1.0)]))
+@example(([A], [(1.0, 3.0), (1.5, 2.5)]))
+@example(([A], [(0.0, 1.0), (2.0, 3.0)]))
+@example(([A], [(0.0, 1.0), (0.5, 2.0)]))
+@example(([_G], [(4.5, 5.8), (1.0, 2.0)]))
+@example(([_G], [(1.0, 2.0), (1.0, 2.0)]))
+def test_ping_pong_margin_matches_all_pairs_reference(system):
+    gens, arcs = system
+    ref = _ref_margin(groups._letters(gens), arcs)
+    overlaps = [(i, j) for i, j in itertools.combinations(range(len(arcs)), 2)
+                if _ref_gap(arcs[i], arcs[j]) <= 0.0]
+    try:
+        cert = verify_ping_pong(gens, [BoundaryInterval(*arc) for arc in arcs])
+    except MarginViolation as err:
+        assert ref is None
+        if len(overlaps) == 1:  # such as a letter's arc put in its inverse's place
+            assert err.letters == overlaps[0]
+    else:
+        assert ref is not None
+        assert cert.margin == pytest.approx(ref, rel=1e-9, abs=_MARGIN_ULPS)
+
+
+@settings(max_examples=30, deadline=5000)
+@given(_letter_systems)
+@example([A, B])
+@example(list(groups._free_generators(nested_subgroup_spec(A, B, 4))))
+def test_proposed_arcs_match_the_all_pairs_reference(gens):
+    letters = groups._letters(gens)
+    ref = _ref_propose(letters)
+    try:
+        arcs = [(arc.lo_angle, arc.hi_angle) for arc in propose_intervals(gens)]
+    except MarginViolation:
+        assert ref is None
+        return
+    assert ref is not None
+    family, ref_arcs = ref
+    if family == 0:
+        assert arcs == ref_arcs
+    else:  # the batch angle kernel may round the other way
+        assert np.allclose(arcs, ref_arcs, rtol=0.0, atol=1e-14)
+    cert = verify_ping_pong(gens, [BoundaryInterval(*arc) for arc in arcs])
+    assert cert.margin == pytest.approx(_ref_margin(letters, arcs), rel=1e-9, abs=_MARGIN_ULPS)
 
 
 def test_random_reduced_words_are_not_identity():
@@ -808,12 +1004,27 @@ def test_spec_json_round_trip(spec):
     (lambda: nested_subgroup_spec(A, B, 2.0), ValueError),
     (lambda: nested_subgroup_spec(A, B, True), ValueError),
     (lambda: spec_from_json('{"kind": "nested_subgroup", "depth": 1}'), ValueError),
+    (lambda: _conjugation_chain(65), ValueError),
 ], ids=["schottky-parabolic", "schottky-empty", "cyclic-elliptic", "cyclic-identity",
         "parabolic-on-hyperbolic", "cyclic-two-generators", "nested-negative-depth",
-        "nested-float-depth", "nested-bool-depth", "nested-json-without-generators"])
+        "nested-float-depth", "nested-bool-depth", "nested-json-without-generators",
+        "conjugated-65-deep"])
 def test_every_constructor_meets_the_spec_rules(build, error):
     with pytest.raises(error):
         build()
+
+
+def _conjugation_chain(n):
+    """The Schottky pair conjugated n times by the identity."""
+    spec = schottky_spec(A, B)
+    for _ in range(n):
+        spec = conjugate(spec, Isometry.identity())
+    return spec
+
+
+def test_a_64_deep_conjugation_chain_is_a_group():
+    census = enumerate_orbit(_conjugation_chain(64), max_word_length=2)
+    assert len(census) == 17
 
 
 def test_spec_json_numbers_are_decimal_strings():

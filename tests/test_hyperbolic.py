@@ -11,11 +11,14 @@ from kleinian.hyperbolic import (
     Isometry,
     ORIGIN,
     Point,
+    apply_boundary_many,
     apply_many,
     boundary_angle,
+    boundary_angles,
     boundary_angles_at,
     boundary_at_angle,
     boundary_from_angle,
+    boundary_values,
     busemann,
     direction_angle_from,
     direction_angles_many,
@@ -262,29 +265,6 @@ def test_interval_complement_partitions_circle():
         assert arc.contains_angle(theta) or comp.contains_angle(theta)
 
 
-def test_interval_containment_margin():
-    outer = BoundaryInterval(1.0, 3.0)
-    inner = BoundaryInterval(1.5, 2.5)
-    assert outer.contains_interval(inner) == pytest.approx(0.5)
-    assert outer.contains_interval(BoundaryInterval(0.5, 2.0)) < 0.0
-
-
-def test_interval_gap():
-    a = BoundaryInterval(0.0, 1.0)
-    b = BoundaryInterval(2.0, 3.0)
-    assert a.gap_to(b) == pytest.approx(1.0)
-    assert a.gap_to(BoundaryInterval(0.5, 2.0)) < 0.0
-
-
-def test_interval_image_under_isometry_tracks_points():
-    arc = BoundaryInterval(1.0, 2.0)
-    g = Isometry(2.0, 1.0, 1.0, 1.0)
-    image = arc.apply(g)
-    for theta in np.linspace(1.05, 1.95, 7):
-        xi = g.apply_boundary(boundary_from_angle(theta))
-        assert image.contains(xi)
-
-
 # ---------------------------------------------------------------------------
 # Directions, shadows, geodesics.
 
@@ -443,6 +423,28 @@ def test_boundary_angles_at_matches_scalar_boundary_at_angle(x, thetas):
     for got, theta in zip(angles, thetas):
         assert 0.0 <= got < 2.0 * math.pi
         expected = boundary_angle(boundary_at_angle(x, theta))
+        gap = (got - expected + math.pi) % (2.0 * math.pi) - math.pi
+        assert abs(gap) <= 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(isometries, st.floats(0.0, 2.0 * math.pi, exclude_max=True)),
+                min_size=1, max_size=20))
+# z -> -1/z sends 0 (angle pi, up to rounding) to oo and oo (angle 0) to 0;
+# a translation fixes oo.
+@example([(Isometry(0.0, -1.0, 1.0, 0.0), math.pi), (Isometry(0.0, -1.0, 1.0, 0.0), 0.0),
+          (Isometry(1.0, 1.0, 0.0, 1.0), 0.0)])
+def test_boundary_action_on_arrays_matches_scalar_calls(items):
+    gs, thetas = zip(*items)
+    xi = boundary_values(np.array(thetas))
+    points = [boundary_from_angle(theta) for theta in thetas]
+    assert [math.isinf(v) for v in xi] == [p.is_infinity for p in points]
+    assert xi[np.isfinite(xi)] == pytest.approx(
+        [p.value for p in points if not p.is_infinity], rel=1e-12)
+    images = apply_boundary_many(np.array([[[g.a, g.b], [g.c, g.d]] for g in gs]), xi)
+    for got, g, p in zip(boundary_angles(images), gs, points):
+        assert 0.0 <= got < 2.0 * math.pi
+        expected = boundary_angle(g.apply_boundary(p))
         gap = (got - expected + math.pi) % (2.0 * math.pi) - math.pi
         assert abs(gap) <= 1e-8
 

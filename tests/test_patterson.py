@@ -476,16 +476,22 @@ def test_shadow_cover_bound_masses_are_shadow_masses(census8, x):
 
 def word_interval(spec, word_indices):
     """Nested coding interval of a reduced word: the image of the last
-    letter's ping-pong arc under the preceding prefix."""
+    letter's ping-pong arc under the preceding prefix, which keeps the
+    circular orientation of its ends."""
     arc = ping_pong_certificate(spec).intervals[word_indices[-1]]
-    return arc.apply(word_matrix(spec, tuple(map(signed_letter, word_indices[:-1]))))
+    g = word_matrix(spec, tuple(map(signed_letter, word_indices[:-1])))
+    return BoundaryInterval.from_points(g.apply_boundary(arc.lo), g.apply_boundary(arc.hi))
 
 
 def test_word_intervals_nest(spec):
     for w in ((0, 3), (2, 0), (1, 2)):
         outer = word_interval(spec, w[:1])
         inner = word_interval(spec, w)
-        assert outer.contains_interval(inner) > 0.0
+        # outer holds both ends of inner, and inner does not run round the
+        # circle through the start of outer: inner lies inside outer.
+        assert outer.contains_angle(inner.lo_angle) and outer.contains_angle(inner.hi_angle)
+        assert not inner.contains_angle(outer.lo_angle)
+        assert inner.width() < outer.width()
 
 
 def test_attracting_fixed_points_sit_in_generator_arcs(spec):
