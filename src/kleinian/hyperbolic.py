@@ -155,10 +155,14 @@ class Isometry:
             if abs(self.c) < _TOL:
                 return INFINITY
             return BoundaryPoint(self.a / self.c)
-        denom = self.c * xi.value + self.d
-        if abs(denom) < _TOL * max(1.0, abs(self.a * xi.value + self.b)):
+        x = xi.value
+        num, denom, scale = self.a * x + self.b, self.c * x + self.d, 1.0
+        if not (math.isfinite(num) and math.isfinite(denom)):
+            # A product overflowed; dividing through by x keeps the image.
+            num, denom, scale = self.a + self.b / x, self.c + self.d / x, 1.0 / abs(x)
+        if abs(denom) < _TOL * max(scale, abs(num)):
             return INFINITY
-        return BoundaryPoint((self.a * xi.value + self.b) / denom)
+        return BoundaryPoint(num / denom)
 
     def classify(self) -> str:
         """One of 'identity', 'elliptic', 'parabolic', 'hyperbolic'."""
@@ -387,7 +391,12 @@ def apply_boundary_many(mats, xi: np.ndarray) -> np.ndarray:
     a, b, c, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
     with np.errstate(all="ignore"):
         num, denom = a * xi + b, c * xi + d
-        finite = np.where(np.abs(denom) < _TOL * np.maximum(1.0, np.abs(num)),
+        # Where a product overflowed, divide through by xi, as the scalar does.
+        big = ~(np.isfinite(num) & np.isfinite(denom))
+        scale = np.where(big, 1.0 / np.abs(xi), 1.0)
+        num = np.where(big, a + b / xi, num)
+        denom = np.where(big, c + d / xi, denom)
+        finite = np.where(np.abs(denom) < _TOL * np.maximum(scale, np.abs(num)),
                           np.inf, num / denom)
         at_inf = np.where(np.abs(c) < _TOL, np.inf, a / c)
     return np.where(np.isinf(xi), at_inf, finite)

@@ -434,6 +434,8 @@ def test_boundary_angles_at_matches_scalar_boundary_at_angle(x, thetas):
 # a translation fixes oo.
 @example([(Isometry(0.0, -1.0, 1.0, 0.0), math.pi), (Isometry(0.0, -1.0, 1.0, 0.0), 0.0),
           (Isometry(1.0, 1.0, 0.0, 1.0), 0.0)])
+# The smallest normal angle sits at xi = -9e307, where a * xi + b overflows.
+@example([(_iwasawa(1.0, -1.0, 1.0), 2.2250738585072014e-308)])
 def test_boundary_action_on_arrays_matches_scalar_calls(items):
     gs, thetas = zip(*items)
     xi = boundary_values(np.array(thetas))
