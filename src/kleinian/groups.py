@@ -8,7 +8,6 @@ orbit distances that every counting routine consumes.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import json
@@ -391,6 +390,9 @@ class _FreeWords(Sequence):
         return _lookup(keys[0, :, 0], keys[1, :, 0])
 
 
+_ROW_COLUMNS = ("word_lengths", "mats", "words")
+
+
 @dataclass(frozen=True)
 class OrbitCensus:
     """Sorted multiset of orbit distances d(x, gamma.y) with word metadata.
@@ -403,6 +405,11 @@ class OrbitCensus:
     signed exponents; a tuple is built only when an item is read.  Both
     give ``words.shifted_index(letter)``, the index of the reduced word
     letter^-1 w for every word w (-1 where it is not in the census).
+
+    A census from :func:`enumerate_orbit` holds its sorted distances and
+    its completeness radius at once, and puts ``word_lengths``, ``mats``
+    and ``words`` into distance order on the first read of any of them, so
+    counting, which reads only the distances, never orders the rows.
     """
 
     distances: np.ndarray
@@ -413,6 +420,23 @@ class OrbitCensus:
     basepoint_y: Point
     completeness_radius: float
     spec: GroupSpec | None = None
+
+    @classmethod
+    def _pending(cls, rows, **fields):
+        """A census of the other ``fields`` whose row columns are the dict
+        ``rows()``, called on the first read of any of them."""
+        census = object.__new__(cls)
+        census.__dict__.update(fields, _rows=rows)
+        return census
+
+    def __getattr__(self, name):
+        # Reached only for an attribute not set: a pending census's rows.
+        rows = self.__dict__.get("_rows") if name in _ROW_COLUMNS else None
+        if rows is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__.update(rows())
+        del self.__dict__["_rows"]
+        return self.__dict__[name]
 
     def __len__(self):
         return len(self.distances)
@@ -484,20 +508,25 @@ def _stack(pieces):
 def _census(mats, dists, wls, words, x, y, completeness, spec):
     """Census sorted by distance, ties in the given order.  Each column is a
     list of pieces, and ``words`` is None or a pair of the word class and its
-    pieces; the columns are stacked, reordered and released one at a time."""
-    dists = _stack(dists)
-    order = np.argsort(dists, kind="stable")
-    dists = dists[order]
-    return OrbitCensus(  # keyword arguments are evaluated in this order
-        distances=dists,
-        word_lengths=_stack(wls)[order],
-        words=None if words is None else words[0](_stack(words[1])[order]),
-        mats=_stack(mats)[order],
-        basepoint_x=x,
-        basepoint_y=y,
-        completeness_radius=completeness,
-        spec=spec,
-    )
+    pieces.  The distances are sorted now, the rows by
+    :func:`_rows_by_distance` when they are first read."""
+    dists = [_stack(dists)]  # one piece, released once the rows are ordered
+    return OrbitCensus._pending(
+        functools.partial(_rows_by_distance, dists, mats, wls, words),
+        # Equal to dists[argsort(dists, kind="stable")]: no distance is NaN
+        # or -0.0 (distances_many gives arccosh(max(1 + t, 1)) >= +0.0, and a
+        # NaN fails the radius test).
+        distances=np.sort(dists[0]), basepoint_x=x, basepoint_y=y,
+        completeness_radius=completeness, spec=spec)
+
+
+def _rows_by_distance(dists, mats, wls, words):
+    """The row columns of :func:`_census` in the order of a stable sort of
+    the distances, each stacked, reordered and released in turn."""
+    order = np.argsort(_stack(dists), kind="stable")
+    return {"word_lengths": _stack(wls)[order],  # evaluated in this order
+            "words": None if words is None else words[0](_stack(words[1])[order]),
+            "mats": _stack(mats)[order]}
 
 
 def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
@@ -806,30 +835,48 @@ def _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget):
         inside = dists <= max_radius
         rows, dists = rows[inside], dists[inside]
         total += len(rows)
-        wls = _st_word_lengths(rows)
+        wls = None
         if max_word_length is not None:
+            wls = _st_word_lengths(rows)
             long = wls > max_word_length
             if long.any():
                 completeness = min(completeness, float(dists[long].min()))
             rows, dists, wls = rows[~long], dists[~long], wls[~long]
         out.append((rows, dists, wls))
-    rows, dists, wls = (np.concatenate(col) for col in zip(*out))
-    # Distance ties keep the order of a word-length BFS over sorted rows.
+    rows, dists, wls = zip(*out)
+    rows, dists = np.concatenate(rows), np.concatenate(dists)
+    wls = None if max_word_length is None else np.concatenate(wls)
+    return OrbitCensus._pending(functools.partial(_lattice_rows, rows, dists, wls),
+                                distances=np.sort(dists), basepoint_x=x, basepoint_y=y,
+                                completeness_radius=completeness, spec=spec)
+
+
+def _lattice_rows(rows, dists, wls):
+    """The row columns of a lattice census of the (n, 4) integer ``rows`` at
+    distances ``dists``, with word lengths ``wls`` (None: not computed yet),
+    in distance order; ties keep the order of a word-length BFS over sorted
+    rows."""
+    if wls is None:
+        wls = _st_word_lengths(rows)
     order = np.lexsort((rows[:, 3], rows[:, 2], rows[:, 1], rows[:, 0], wls, dists))
-    return _census([rows[order].reshape(-1, 2, 2)], [dists[order]], [wls[order]], None,
-                   x, y, completeness, spec)
+    return {"word_lengths": wls[order], "words": None, "mats": rows[order].reshape(-1, 2, 2)}
 
 
 def _enumerate_conjugated(spec, x, y, max_word_length, max_radius, budget):
     c = spec.conjugator
-    cx, cy = c.apply(x), c.apply(y)
-    inner = enumerate_orbit(spec.inner, cx, cy, max_word_length=max_word_length,
+    inner = enumerate_orbit(spec.inner, c.apply(x), c.apply(y), max_word_length=max_word_length,
                             max_radius=max_radius, budget=budget)
+    return OrbitCensus._pending(functools.partial(_conjugated_rows, inner, c),
+                                distances=inner.distances, basepoint_x=x, basepoint_y=y,
+                                completeness_radius=inner.completeness_radius, spec=spec)
+
+
+def _conjugated_rows(inner, c: Isometry):
+    """The row columns of the census c^-1 . inner . c."""
     cm = np.array([[c.a, c.b], [c.c, c.d]])
     cinv = np.array([[c.d, -c.b], [-c.c, c.a]])
-    mats = cinv[None, :, :] @ inner.mats.astype(np.float64) @ cm[None, :, :]
-    return dataclasses.replace(inner, mats=mats, basepoint_x=x, basepoint_y=y,
-                               spec=spec)
+    return {"word_lengths": inner.word_lengths, "words": inner.words,
+            "mats": cinv[None, :, :] @ inner.mats.astype(np.float64) @ cm[None, :, :]}
 
 
 def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,

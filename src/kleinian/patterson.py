@@ -34,6 +34,7 @@ from .groups import OrbitCensus, _filled_chunks, _table_chunks, _write_table, wo
 
 _LOG_FLOOR = -690.0  # below exp() underflow in linear scale
 _COVER_GRID = 4096  # directions at which shadow_cover_bound counts the cover
+_ANGLE_CHUNK = 1 << 16  # atoms per batch of direction angles
 
 
 class DegenerateNormalizer(ValueError):
@@ -89,7 +90,9 @@ _ATOM_ROW = "%.12g,%.12g,%%.12g,%d"
 class CensusAtoms:
     """What the measures of one census share, each computed on first use:
     the orbit points gamma.y, their distances from the census basepoint,
-    the word lengths, and the measure CSV's atom columns as text.
+    the word lengths, the measure CSV's atom columns as text, and the
+    direction angles of the far atoms per viewpoint and horizon
+    (``far_angles``, filled by :func:`_far_atoms`).
 
     The text is one template per chunk of rows, with every column rendered
     but the weight, so each measure's file formats only its weights.  The
@@ -99,6 +102,7 @@ class CensusAtoms:
 
     def __init__(self, census: OrbitCensus):
         self.census = census
+        self.far_angles: dict[tuple[Point, float], np.ndarray] = {}
 
     @functools.cached_property
     def positions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -205,10 +209,26 @@ def orbital_measure(census: OrbitCensus, s: float, x: Point | None = None,
 
 def _far_atoms(mu: AtomicMeasure, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """(direction angles from the basepoint, weights) of the atoms at
-    distance >= horizon, in atom order."""
+    distance >= horizon, in atom order.  The angles depend only on the
+    atoms, the basepoint and the horizon, so while the measure's atoms are
+    alive they are computed once for all of its measures."""
     far = mu.distances >= horizon
-    angles = direction_angles_many(mu.basepoint, mu.atom_re[far], mu.atom_im[far])
-    return angles, np.exp(mu.log_weights[far])
+    atoms = mu.atoms()
+    cache = {} if atoms is None else atoms.far_angles
+    key = (mu.basepoint, horizon)
+    if key not in cache:
+        # A chunk at a time keeps the complex temporaries of the kernel small.
+        angles = np.empty(int(far.sum()))
+        n = 0
+        for i in range(0, len(far), _ANGLE_CHUNK):
+            part = slice(i, i + _ANGLE_CHUNK)
+            chunk = direction_angles_many(mu.basepoint, mu.atom_re[part][far[part]],
+                                          mu.atom_im[part][far[part]])
+            angles[n:n + len(chunk)] = chunk
+            n += len(chunk)
+        angles.flags.writeable = False
+        cache[key] = angles
+    return cache[key], np.exp(mu.log_weights[far])
 
 
 # ---------------------------------------------------------------------------

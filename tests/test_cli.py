@@ -45,6 +45,29 @@ def test_exponent_parabolic(tmp_path, capsys):
     assert "point_estimate=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["--config", "lattice", "--max-radius", "9"],
+                                  ["--config", "schottky", "--max-word-length", "8"]],
+                         ids=["lattice-R9", "schottky-L8"])
+def test_exponent_never_orders_the_census_rows(tmp_path, monkeypatch, argv):
+    # Counting reads only the distances, so the rows of an exponent's census
+    # are never put in distance order, and lattice word lengths never computed.
+    assert run(["exponent", *argv, "--out", str(tmp_path / "plain")]) == 0
+
+    def refuse(*args):
+        raise AssertionError("the census rows were ordered")
+
+    for name in ("_st_word_lengths", "_rows_by_distance", "_lattice_rows",
+                 "_conjugated_rows"):
+        monkeypatch.setattr(groups, name, refuse)
+    for spec in (groups.modular_lattice_spec(), groups.cyclic_spec(cli._A)):
+        with pytest.raises(AssertionError, match="ordered"):
+            groups.enumerate_orbit(spec, max_radius=2.0).mats
+    assert run(["exponent", *argv, "--out", str(tmp_path / "guarded")]) == 0
+    for name in ("report.csv", "estimate.json"):
+        assert ((tmp_path / "guarded" / name).read_bytes()
+                == (tmp_path / "plain" / name).read_bytes())
+
+
 def test_exponent_window_flag(tmp_path):
     rc = run(["exponent", "--config", "lattice", "--max-radius", "12",
               "--window", "6:12", "--out", str(tmp_path)])

@@ -129,6 +129,29 @@ def _first_rows(table, n):
         if isinstance(getattr(table, f.name), np.ndarray)})
 
 
+@pytest.mark.parametrize("make", [
+    lambda: enumerate_orbit(schottky_spec(A, B), max_word_length=6),
+    lambda: enumerate_orbit(modular_lattice_spec(), max_radius=8.0),
+    _conjugated_lattice,
+], ids=["schottky", "lattice", "conjugated-lattice"])
+def test_first_rows_of_a_census_whose_rows_were_not_read(make):
+    # dataclasses.replace reads every field, so it gives an eager census.
+    pending, eager = make(), make()
+    assert "_rows" in vars(pending)
+    cut = _first_rows(pending, 7)
+    assert "_rows" not in vars(cut)
+    assert [f.name for f in dataclasses.fields(cut)] == [
+        f.name for f in dataclasses.fields(eager)]
+    for f in dataclasses.fields(cut):
+        got, want = getattr(cut, f.name), getattr(eager, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want[:7])
+        elif isinstance(want, groups._FreeWords):
+            assert np.array_equal(got.letters, want.letters)
+        else:
+            assert got == want
+
+
 # A small chunk puts every chunk boundary within a few rows; the cases above
 # cover the real chunk size.
 CHUNK = 4

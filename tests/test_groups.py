@@ -717,16 +717,137 @@ def _retained_bytes(census):
 ], ids=["schottky-L10", "nested-R18"])
 def test_free_search_peak_memory_is_a_small_multiple_of_the_census(
         spec, max_word_length, max_radius, ratio):
-    # The search holds one letter's children at a time, and the final sort
-    # one extra column at a time.
+    # The search holds one letter's children at a time, and the deferred
+    # sort, which reading the rows runs inside the window, one extra column
+    # at a time.
     tracemalloc.start()
     try:
         census = enumerate_orbit(spec, max_word_length=max_word_length,
                                  max_radius=max_radius)
+        retained = _retained_bytes(census)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= ratio * _retained_bytes(census)
+    assert peak <= ratio * retained
+
+
+# ---------------------------------------------------------------------------
+# Rows ordered on first read, against eager references.
+
+
+def _read_rows(census, first):
+    """Read the row column ``first`` of a census whose rows were not read
+    yet; that read fills all three."""
+    assert "_rows" in vars(census) and first not in vars(census)
+    getattr(census, first)
+    assert "_rows" not in vars(census)
+    assert all(name in vars(census) for name in ("word_lengths", "mats", "words"))
+
+
+def _reference_cyclic_census(g, x, y, exponents, max_word_length, max_radius):
+    """(mats, distances, exponents, completeness_radius) of the powers g^n
+    for the given n, each formed by the walk's scalar steps, listed in walk
+    order (n = 0, 1, 2, ..., then -1, -2, ...) and stably sorted by
+    distance.  The radius is R, or without R the distance of the nearer of
+    g^(L+1) and g^-(L+1), L the word length, for a walk that moves away."""
+    def power(n):
+        m, step = Isometry.identity(), g if n >= 0 else g.inverse()
+        for _ in range(abs(n)):
+            m = m @ step
+        return m, distance(x, m.apply(y)) if n else distance(x, y)
+
+    walk = sorted(n for n in exponents if n >= 0) + sorted(
+        (n for n in exponents if n < 0), reverse=True)
+    mats, dists = zip(*map(power, walk))
+    order = np.argsort(np.array(dists), kind="stable")
+    radius = max_radius
+    if max_radius is None:
+        radius = min(power(max_word_length + 1)[1], power(-max_word_length - 1)[1])
+    return (np.array([[[m.a, m.b], [m.c, m.d]] for m in mats])[order],
+            np.array(dists)[order], np.array(walk)[order], radius)
+
+
+def _reference_lattice_census(x, y, max_radius, max_word_length):
+    """(mats, distances, word_lengths, completeness_radius) of the lattice
+    ball, from its rows in a shuffled order: distances and word lengths
+    recomputed per row, then the 6-key sort by (distance, word length, a, b,
+    c, d), a total order on distinct rows."""
+    ball = enumerate_orbit(modular_lattice_spec(), x, y, max_radius=max_radius)
+    rows = ball.mats.reshape(-1, 4)[np.random.default_rng(5).permutation(len(ball))]
+    dists = distances_many(x, *apply_many(rows.reshape(-1, 2, 2), y))
+    wls = groups._st_word_lengths(rows)
+    radius = max_radius
+    if max_word_length is not None:
+        long = wls > max_word_length
+        radius = min([radius, *dists[long]])
+        rows, dists, wls = rows[~long], dists[~long], wls[~long]
+    order = np.lexsort((rows[:, 3], rows[:, 2], rows[:, 1], rows[:, 0], wls, dists))
+    return rows[order].reshape(-1, 2, 2), dists[order], wls[order], radius
+
+
+_MOVED = (Point(0.3, 1.7), Point(-0.4, 0.8))
+
+
+@pytest.mark.parametrize("spec, x, y, max_word_length, max_radius, first", [
+    (schottky_spec(A, B), ORIGIN, ORIGIN, 8, None, "mats"),
+    (schottky_spec(A, B), ORIGIN, ORIGIN, None, 9.0, "words"),
+    (schottky_spec(A, B), *_MOVED, 6, 7.0, "word_lengths"),
+    (nested_subgroup_spec(A, B, 4), ORIGIN, ORIGIN, None, 17.0, "mats"),
+    (conjugate(nested_subgroup_spec(A, B, 4), A), ORIGIN, ORIGIN, None, 16.0, "words"),
+], ids=["schottky-L8", "schottky-R9", "schottky-L6-R7-moved", "nested-R17",
+        "nested-conjugate-R16"])
+def test_free_census_rows_ordered_on_first_read_match_an_eager_sort(
+        spec, x, y, max_word_length, max_radius, first):
+    census = enumerate_orbit(spec, x, y, max_word_length=max_word_length,
+                             max_radius=max_radius)
+    _read_rows(census, first)
+    mats, dists, wls, letters, radius = _reference_free_census(
+        spec, x, y, max_word_length, max_radius)
+    assert np.array_equal(census.mats, mats)
+    assert np.array_equal(census.distances, dists)
+    assert np.array_equal(census.word_lengths, wls)
+    assert census.words.letters.dtype == letters.dtype
+    assert np.array_equal(census.words.letters, letters)
+    assert census.completeness_radius == radius
+
+
+@pytest.mark.parametrize("x, y, max_word_length, first", [
+    (ORIGIN, ORIGIN, None, "mats"),
+    (ORIGIN, ORIGIN, 10, "word_lengths"),
+    (*_MOVED, None, "words"),
+], ids=["R9", "R9-L10", "R9-moved"])
+def test_lattice_rows_ordered_on_first_read_match_the_six_key_sort(x, y, max_word_length,
+                                                                   first):
+    census = enumerate_orbit(modular_lattice_spec(), x, y, max_radius=9.0,
+                             max_word_length=max_word_length)
+    _read_rows(census, first)
+    mats, dists, wls, radius = _reference_lattice_census(x, y, 9.0, max_word_length)
+    assert census.mats.dtype == mats.dtype and np.array_equal(census.mats, mats)
+    assert np.array_equal(census.distances, dists)
+    assert census.word_lengths.dtype == wls.dtype
+    assert np.array_equal(census.word_lengths, wls)
+    assert census.words is None
+    assert census.completeness_radius == radius
+    if max_word_length is not None:
+        assert radius < 9.0
+
+
+@pytest.mark.parametrize("g, y, max_word_length, max_radius, first", [
+    (PARABOLIC, Point(0.3, 2.0), None, 12.0, "words"),
+    (HYPERBOLIC_CYCLIC, Point(-0.5, 0.7), 40, None, "mats"),
+], ids=["parabolic-R12", "hyperbolic-L40"])
+def test_cyclic_rows_ordered_on_first_read_match_an_eager_sort(g, y, max_word_length,
+                                                              max_radius, first):
+    census = enumerate_orbit(cyclic_spec(g), ORIGIN, y, max_word_length=max_word_length,
+                             max_radius=max_radius)
+    _read_rows(census, first)
+    mats, dists, exponents, radius = _reference_cyclic_census(
+        g, ORIGIN, y, census.words.exponents.tolist(), max_word_length, max_radius)
+    assert np.array_equal(census.mats, mats)
+    assert np.array_equal(census.distances, dists)
+    assert np.array_equal(census.words.exponents, exponents)
+    assert np.array_equal(census.word_lengths, np.abs(exponents))
+    assert census.completeness_radius == radius
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ from kleinian.groups import (
     signed_letter,
     word_matrix,
 )
+from kleinian import patterson
 from kleinian.patterson import (
+    CensusAtoms,
     DegenerateNormalizer,
     MismatchedConstruction,
     ModifierH,
@@ -512,6 +514,38 @@ def test_histogram_conserves_mass(census8):
     assert len(hist.mass) == 256
     assert hist.bin_lo[0] == 0.0
     assert hist.bin_hi[-1] == pytest.approx(2.0 * math.pi)
+
+
+@pytest.mark.parametrize("x", [None, Point(0.3, 1.7)], ids=["basepoint", "moved"])
+def test_far_atom_angles_are_computed_once_per_viewpoint_and_horizon(census8, monkeypatch, x):
+    # Ragged chunks must give the bytes of one call of the kernel.
+    monkeypatch.setattr(patterson, "_ANGLE_CHUNK", 1000)
+    calls = []
+
+    def kernel(*args):
+        calls.append(len(args[1]))
+        return direction_angles_many(*args)
+
+    monkeypatch.setattr(patterson, "direction_angles_many", kernel)
+    atoms = CensusAtoms(census8)
+    chunks = -(-len(census8) // 1000)
+    for horizon in (3.0, 0.0):
+        for s in (0.8, 0.7, 0.9):
+            mu = orbital_measure(census8, s, x=x, atoms=atoms)
+            far = mu.distances >= horizon
+            want = direction_angles_many(mu.basepoint, mu.atom_re[far], mu.atom_im[far])
+            hist = boundary_histogram(mu, bins=97, horizon=horizon)
+            mass, _ = np.histogram(want, bins=np.linspace(0.0, 2.0 * math.pi, 98),
+                                   weights=mu.weights[far])
+            assert hist.mass.tobytes() == mass.tobytes()
+            angles, _ = patterson._far_atoms(mu, horizon)
+            assert angles.tobytes() == want.tobytes()
+        assert len(calls) == chunks and sum(calls) == far.sum()
+        calls.clear()
+    # Once the atoms are freed, each call computes the angles again.
+    del atoms
+    angles, _ = patterson._far_atoms(mu, 0.0)
+    assert angles.tobytes() == want.tobytes() and len(calls) == chunks
 
 
 def test_histogram_csv_format(census8):
