@@ -604,6 +604,15 @@ def test_radius_census_matches_brute_force_at_any_basepoint(x, y, radius):
     _assert_free_census_matches_brute_force(schottky_spec(A, B), x, y, None, radius, depth=9)
 
 
+def _read_rows(census, first):
+    """Read the row column ``first`` of a census whose rows were not read
+    yet; that read fills all three."""
+    assert "_rows" in vars(census) and first not in vars(census)
+    getattr(census, first)
+    assert "_rows" not in vars(census)
+    assert all(name in vars(census) for name in ("word_lengths", "mats", "words"))
+
+
 def _reference_free_census(spec, x, y, max_word_length, max_radius):
     """(mats, distances, word_lengths, letters, completeness_radius) by a
     level-at-a-time search: one np.nonzero over a (letter, parent) mask
@@ -678,13 +687,19 @@ _C = Isometry(1.0, 0.5, 0.0, 1.0)
     (conjugate(schottky_spec(A, B), _C), ORIGIN, ORIGIN, 6, None),
     # y in a letter half-plane: the bounds are shifted by d(y, y0).
     (schottky_spec(A, B), ORIGIN, Point(0.3, 0.05), None, 6.0),
+    (schottky_spec(A, B), ORIGIN, ORIGIN, None, 9.0),
+    (schottky_spec(A, B), Point(0.3, 1.7), Point(-0.4, 0.8), 6, 7.0),
+    (nested_subgroup_spec(A, B, 4), ORIGIN, ORIGIN, None, 17.0),
+    (conjugate(nested_subgroup_spec(A, B, 4), A), ORIGIN, ORIGIN, None, 16.0),
 ], ids=["schottky-L8-ties", "radius", "combined", "identity-outside",
-        "one-letter-frontier", "nested-R16", "conjugated-L6", "half-plane-R6"])
+        "one-letter-frontier", "nested-R16", "conjugated-L6", "half-plane-R6",
+        "schottky-R9", "moved-L6-R7", "nested-R17", "nested-conjugate-R16"])
 def test_free_census_rows_match_level_at_a_time_reference(spec, x, y, max_word_length,
                                                           max_radius):
     # Row order sets the bytes of every artifact, so compare arrays, not sets.
     census = enumerate_orbit(spec, x, y, max_word_length=max_word_length,
                              max_radius=max_radius)
+    _read_rows(census, "words")
     mats, dists, wls, letters, radius = _reference_free_census(
         spec, x, y, max_word_length, max_radius)
     assert np.array_equal(census.mats, mats)
@@ -735,15 +750,6 @@ def test_free_search_peak_memory_is_a_small_multiple_of_the_census(
 # Rows ordered on first read, against eager references.
 
 
-def _read_rows(census, first):
-    """Read the row column ``first`` of a census whose rows were not read
-    yet; that read fills all three."""
-    assert "_rows" in vars(census) and first not in vars(census)
-    getattr(census, first)
-    assert "_rows" not in vars(census)
-    assert all(name in vars(census) for name in ("word_lengths", "mats", "words"))
-
-
 def _reference_cyclic_census(g, x, y, exponents, max_word_length, max_radius):
     """(mats, distances, exponents, completeness_radius) of the powers g^n
     for the given n, each formed by the walk's scalar steps, listed in walk
@@ -785,36 +791,10 @@ def _reference_lattice_census(x, y, max_radius, max_word_length):
     return rows[order].reshape(-1, 2, 2), dists[order], wls[order], radius
 
 
-_MOVED = (Point(0.3, 1.7), Point(-0.4, 0.8))
-
-
-@pytest.mark.parametrize("spec, x, y, max_word_length, max_radius, first", [
-    (schottky_spec(A, B), ORIGIN, ORIGIN, 8, None, "mats"),
-    (schottky_spec(A, B), ORIGIN, ORIGIN, None, 9.0, "words"),
-    (schottky_spec(A, B), *_MOVED, 6, 7.0, "word_lengths"),
-    (nested_subgroup_spec(A, B, 4), ORIGIN, ORIGIN, None, 17.0, "mats"),
-    (conjugate(nested_subgroup_spec(A, B, 4), A), ORIGIN, ORIGIN, None, 16.0, "words"),
-], ids=["schottky-L8", "schottky-R9", "schottky-L6-R7-moved", "nested-R17",
-        "nested-conjugate-R16"])
-def test_free_census_rows_ordered_on_first_read_match_an_eager_sort(
-        spec, x, y, max_word_length, max_radius, first):
-    census = enumerate_orbit(spec, x, y, max_word_length=max_word_length,
-                             max_radius=max_radius)
-    _read_rows(census, first)
-    mats, dists, wls, letters, radius = _reference_free_census(
-        spec, x, y, max_word_length, max_radius)
-    assert np.array_equal(census.mats, mats)
-    assert np.array_equal(census.distances, dists)
-    assert np.array_equal(census.word_lengths, wls)
-    assert census.words.letters.dtype == letters.dtype
-    assert np.array_equal(census.words.letters, letters)
-    assert census.completeness_radius == radius
-
-
 @pytest.mark.parametrize("x, y, max_word_length, first", [
     (ORIGIN, ORIGIN, None, "mats"),
     (ORIGIN, ORIGIN, 10, "word_lengths"),
-    (*_MOVED, None, "words"),
+    (Point(0.3, 1.7), Point(-0.4, 0.8), None, "words"),
 ], ids=["R9", "R9-L10", "R9-moved"])
 def test_lattice_rows_ordered_on_first_read_match_the_six_key_sort(x, y, max_word_length,
                                                                    first):
