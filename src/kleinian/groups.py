@@ -586,49 +586,34 @@ def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
                    [np.abs(exponents)], (_PowerWords, [exponents]), x, y, completeness, spec)
 
 
-def _halfplane_of_arc(arc: BoundaryInterval):
-    """Geodesic half-plane spanned by a boundary arc (its convex hull).
+def _halfplane_clearance(lo, hi, zre, zim):
+    """Least distance d(z, D) of the points z = zre + i zim to the geodesic
+    half-planes D spanned by the arcs from the angles ``lo`` counterclockwise
+    to ``hi``; zero for points inside one, and for points whose imaginary
+    part was lost to rounding (no bound).
 
-    Returned as ("line", xi, side) for a vertical boundary geodesic, or
-    ("circle", center, radius, outside) for a half-circle geodesic, where
-    ``side``/``outside`` picks the half-plane containing the arc.
-    """
-    lo, hi = arc.lo, arc.hi
-    mid = arc.midpoint()
-    if lo.is_infinity or hi.is_infinity:
-        xi = hi.value if lo.is_infinity else lo.value
-        side = 1.0 if (not mid.is_infinity and mid.value > xi) else -1.0
-        return ("line", xi, side)
-    c = 0.5 * (lo.value + hi.value)
-    r = 0.5 * abs(hi.value - lo.value)
-    outside = mid.is_infinity or abs(mid.value - c) > r
-    return ("circle", c, r, outside)
-
-
-def _halfplane_clearance(hp, zre, zim):
-    """Distance d(z, D) to a half-plane from :func:`_halfplane_of_arc`;
-    zero for points inside, and for points whose imaginary part was lost to
-    rounding (no bound).  Uses sinh d(z, geodesic) = |q| / (2 r Im z) with
-    q = |z - c|^2 - r^2 (and its vertical-line limit)."""
+    An arc end at angle t is xi = -c/s, c = cos(t/2), s = sin(t/2) (s = 0 at
+    oo).  With X = (z s_lo + c_lo)(conj(z) s_hi + c_hi), sinh d(z, dD) =
+    |Re X| / (Im z |sin((hi - lo)/2)|), and z is in D iff (Re X < 0) ==
+    (lo < hi).  The least ratio takes one arcsinh."""
+    least = np.full(len(zre), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if hp[0] == "line":
-            _, xi, side = hp
-            t = zre - xi
-            dist = np.arcsinh(np.abs(t) / zim)
-            inside = t * side >= 0.0
-        else:
-            _, c, r, outside = hp
-            q = (zre - c) ** 2 + zim ** 2 - r * r
-            dist = np.arcsinh(np.abs(q) / (2.0 * r * zim))
-            inside = (q > 0.0) if outside else (q < 0.0)
-    return np.where(inside | ~(zim > 0.0), 0.0, dist)
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            s_lo, c_lo = math.sin(a / 2), math.cos(a / 2)
+            s_hi, c_hi = math.sin(b / 2), math.cos(b / 2)
+            re_x = (zre * s_lo + c_lo) * (zre * s_hi + c_hi) + zim * zim * (s_lo * s_hi)
+            ratio = np.abs(re_x) / (zim * abs(math.sin((b - a) / 2)))
+            ratio[(re_x < 0.0) == (a < b)] = 0.0
+            np.minimum(least, ratio, out=least)
+    least[~(zim > 0.0)] = 0.0
+    return np.arcsinh(least)
 
 
 def _certified_halfplanes(spec: GroupSpec, y: Point):
-    """(planes, shift): the half-planes D_m of the certified letter arcs, and
-    shift = d(y, y0) for the nearest point y0 to y outside every open D_m
-    (exactly 0.0 when y clears them all).  Raises unless the letters are
-    certified.
+    """(lo, hi, shift): the angles of the certified letter arcs, whose
+    convex hulls are the half-planes D_m, and shift = d(y, y0) for the
+    nearest point y0 to y outside every open D_m (exactly 0.0 when y clears
+    them all).  Raises unless the letters are certified.
 
     Soundness: the certificate's positive margin makes the closed D_m
     disjoint, and each letter maps the closed complement of its inverse's
@@ -637,12 +622,14 @@ def _certified_halfplanes(spec: GroupSpec, y: Point):
     continuations v start with m thus send y0 into w.D_m, and
     d(x, w v.y) >= d(x, w.D_m) - shift = d(w^-1.x, D_m) - shift.
     """
-    arcs = ping_pong_certificate(spec).intervals
+    lo, hi = np.array([(arc.lo_angle, arc.hi_angle)
+                       for arc in ping_pong_certificate(spec).intervals]).T
     yre, yim = np.array([y.re]), np.array([y.im])
-    # y lies in at most one D_m, and its distance to the complement is d(y, y0).
-    shift = max(float(_halfplane_clearance(_halfplane_of_arc(arc.complement()), yre, yim)[0])
-                for arc in arcs)
-    return [_halfplane_of_arc(arc) for arc in arcs], shift
+    # y lies in at most one D_m, and its distance to the complement (the
+    # arc with its ends swapped) is d(y, y0).
+    shift = max(float(_halfplane_clearance(hi[m:m + 1], lo[m:m + 1], yre, yim)[0])
+                for m in range(len(lo)))
+    return lo, hi, shift
 
 
 def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
@@ -663,7 +650,7 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
     lmats = _matrices(ping_pong_certificate(spec).letters)
     n_letters = len(lmats)
     codes = signed_letter(np.arange(n_letters)).astype(np.min_scalar_type(-n_letters))
-    halfplanes, shift = _certified_halfplanes(spec, y)
+    lo, hi, shift = _certified_halfplanes(spec, y)
     radius = math.inf if max_radius is None else max_radius
 
     def subtree_bound(mats, last):
@@ -671,10 +658,9 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
         the words w ending in letter ``last`` (v does not start with last^-1)."""
         # The adjugate of a unimodular matrix is its inverse.
         adj = np.stack([mats[:, 1, 1], -mats[:, 0, 1], -mats[:, 1, 0], mats[:, 0, 0]], axis=1)
+        others = np.arange(n_letters) != last ^ 1
         zre, zim = apply_many(adj.reshape(-1, 2, 2), x)
-        return functools.reduce(np.minimum, (_halfplane_clearance(hp, zre, zim)
-                                             for m, hp in enumerate(halfplanes)
-                                             if m != last ^ 1)) - shift
+        return _halfplane_clearance(lo[others], hi[others], zre, zim) - shift
 
     pieces = [], [], [], []  # census columns: mats, distances, word lengths, words
     size, bound_floor = 0, math.inf  # bound_floor: least bound of a subtree left out

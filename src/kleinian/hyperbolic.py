@@ -269,12 +269,6 @@ class BoundaryInterval:
         w = (self.hi_angle - self.lo_angle) % _TWO_PI
         return w if w > 0.0 else _TWO_PI
 
-    def midpoint_angle(self) -> float:
-        return (self.lo_angle + self.width() / 2.0) % _TWO_PI
-
-    def midpoint(self) -> BoundaryPoint:
-        return boundary_from_angle(self.midpoint_angle())
-
     def contains_angle(self, theta: float) -> bool:
         if self.full:
             return np.ones_like(theta, dtype=bool) if np.ndim(theta) else True

@@ -34,7 +34,7 @@ from .groups import OrbitCensus, _filled_chunks, _table_chunks, _write_table, wo
 
 _LOG_FLOOR = -690.0  # below exp() underflow in linear scale
 _COVER_GRID = 4096  # directions at which shadow_cover_bound counts the cover
-_ANGLE_CHUNK = 1 << 16  # atoms per batch of direction angles
+_ANGLE_CHUNK = 1 << 16  # atoms per batch of direction angles and disk points
 
 
 class DegenerateNormalizer(ValueError):
@@ -489,11 +489,14 @@ def render_ppm(mu: AtomicMeasure, fh, size: int = 1024) -> None:
     """Binary PPM (P6) of the atom density in the disk model centered at
     the measure's basepoint: white background, grayscale by accumulated
     weight, deterministic for identical inputs."""
-    w = disk_points_many(mu.basepoint, mu.atom_re, mu.atom_im)
-    px = np.clip(((w.real + 1.0) / 2.0 * size).astype(np.int64), 0, size - 1)
-    py = np.clip(((1.0 - (w.imag + 1.0) / 2.0) * size).astype(np.int64), 0, size - 1)
     density = np.zeros((size, size), dtype=np.float64)
-    np.add.at(density, (py, px), mu.weights)
+    # A chunk at a time, in atom order, so the sums are those of one pass.
+    for i in range(0, len(mu), _ANGLE_CHUNK):
+        part = slice(i, i + _ANGLE_CHUNK)
+        w = disk_points_many(mu.basepoint, mu.atom_re[part], mu.atom_im[part])
+        px = np.clip(((w.real + 1.0) / 2.0 * size).astype(np.int64), 0, size - 1)
+        py = np.clip(((1.0 - (w.imag + 1.0) / 2.0) * size).astype(np.int64), 0, size - 1)
+        np.add.at(density, (py, px), np.exp(mu.log_weights[part]))
     peak = density.max()
     if peak > 0.0:
         gray = (255.0 * (1.0 - density / peak)).astype(np.uint8)

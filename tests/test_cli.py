@@ -201,6 +201,21 @@ def test_patterson_writes_each_measure_once_and_frees_the_shared_text(
     assert alive_at_render == [False]
 
 
+def test_conformal_sweep_maps_the_census_atoms_once(monkeypatch):
+    census = groups.enumerate_orbit(groups.schottky_spec(cli._A, cli._B), max_word_length=6)
+    mu = patterson.orbital_measure(census, 0.8)
+    calls = []
+    atom_positions = patterson.atom_positions
+
+    def spy(c):
+        calls.append(c)
+        return atom_positions(c)
+
+    monkeypatch.setattr(patterson, "atom_positions", spy)
+    worst = cli._conformal_worst(census, mu, np.random.default_rng(11))
+    assert calls == [census] and worst <= 1e-12
+
+
 def test_outputs_reproducible_across_runs(tmp_path):
     d1, d2 = tmp_path / "one", tmp_path / "two"
     for d in (d1, d2):

@@ -632,13 +632,14 @@ def _reference_free_census(spec, x, y, max_word_length, max_radius):
     n_letters = len(lmats)
     codes = groups.signed_letter(np.arange(n_letters)).astype(
         np.min_scalar_type(-n_letters))
-    halfplanes, shift = groups._certified_halfplanes(spec, y)
+    lo, hi, shift = groups._certified_halfplanes(spec, y)
     radius = math.inf if max_radius is None else max_radius
 
     def subtree_bound(mats, last):
         adj = np.stack([mats[:, 1, 1], -mats[:, 0, 1], -mats[:, 1, 0], mats[:, 0, 0]], axis=1)
         zre, zim = apply_many(adj.reshape(-1, 2, 2), x)
-        clearance = np.stack([groups._halfplane_clearance(hp, zre, zim) for hp in halfplanes])
+        clearance = np.stack([groups._halfplane_clearance(lo[m:m + 1], hi[m:m + 1], zre, zim)
+                              for m in range(n_letters)])
         clearance[last ^ 1, np.arange(len(last))] = np.inf
         return clearance.min(axis=0) - shift
 
@@ -719,6 +720,66 @@ def test_lost_imaginary_parts_do_not_poison_the_subtree_bound():
     assert len(census) == 1 + 18 * (1 + 17 + 17 ** 2)
     assert math.isfinite(census.completeness_radius)
     assert census.completeness_radius >= 0.0
+
+
+def _exact_clearance(lo, hi, u, v):
+    """d(z, D) for z = u + iv and the half-plane D spanned by the arc from lo
+    counterclockwise to hi, in exact rationals on the float arc ends p, q:
+    sinh d(z, dD) = |(u - p)(u - q) + v^2| / (v |p - q|), or |u - p| / v for
+    an end q at oo.  z is in D iff z lies under the half-circle exactly when
+    the arc is the bounded interval between p and q; iff u is in the arc
+    when dD is a vertical line."""
+    arc = BoundaryInterval(lo, hi)
+    p, q = arc.lo, arc.hi
+    if p.is_infinity or q.is_infinity:
+        xi = Fraction(q.value if p.is_infinity else p.value)
+        ratio = abs(Fraction(u) - xi) / Fraction(v)
+        inside = arc.contains(BoundaryPoint(u))
+    else:
+        p, q = Fraction(p.value), Fraction(q.value)
+        power = (Fraction(u) - p) * (Fraction(u) - q) + Fraction(v) ** 2
+        ratio = abs(power) / (Fraction(v) * abs(p - q))
+        inside = (power < 0) == arc.contains(BoundaryPoint(float((p + q) / 2)))
+    return 0.0 if inside else math.asinh(ratio)
+
+
+_POINTS = st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-3.0, 1.0).map(lambda t: 10.0 ** t)),
+                   min_size=1, max_size=20)
+
+
+@settings(max_examples=30, deadline=None)
+@given(theta=st.floats(-math.pi, math.pi), points=_POINTS, end=st.floats(0.01, 6.27))
+def test_halfplane_clearance_matches_exact_arithmetic(theta, points, end):
+    # The certified arcs of a rotated Schottky pair, and two arcs with an end
+    # at oo (angle 0 exactly), whose boundary geodesics are vertical lines.
+    cert = ping_pong_certificate(conjugate(schottky_spec(A, B), _rotation(theta)))
+    arcs = [(arc.lo_angle, arc.hi_angle) for arc in cert.intervals] + [(0.0, end), (end, 0.0)]
+    lo, hi = map(np.array, zip(*arcs))
+    u, v = map(np.array, zip(*points))
+    exact = [[_exact_clearance(a, b, *z) for z in points] for a, b in arcs]
+    for m in range(len(arcs)):
+        got = groups._halfplane_clearance(lo[m:m + 1], hi[m:m + 1], u, v)
+        assert np.allclose(got, exact[m], rtol=0.0, atol=1e-9)
+    least = groups._halfplane_clearance(lo, hi, u, v)
+    assert np.allclose(least, np.min(exact, axis=0), rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=10, deadline=None)
+@given(theta=st.floats(-math.pi, math.pi))
+def test_words_send_y_into_the_half_plane_of_their_first_letter(theta):
+    # Ping-pong: a reduced word starting with letter m maps y = i, which
+    # clears every half-plane, into D_m.
+    spec = conjugate(schottky_spec(A, B), _rotation(theta))
+    lo, hi, shift = groups._certified_halfplanes(spec, ORIGIN)
+    assert shift == 0.0
+    census = enumerate_orbit(spec, max_word_length=6)
+    first = census.words.letters[:, 0].astype(np.int64)
+    zre, zim = apply_many(census.mats, ORIGIN)
+    for m in range(len(lo)):
+        mine = first == groups.signed_letter(m)
+        assert mine.sum() == (3 ** 6 - 1) // 2  # 3^(k-1) words of each length k
+        assert not groups._halfplane_clearance(lo[m:m + 1], hi[m:m + 1],
+                                               zre[mine], zim[mine]).any()
 
 
 def _retained_bytes(census):

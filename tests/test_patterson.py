@@ -12,6 +12,7 @@ from kleinian.hyperbolic import (
     Point,
     boundary_angle,
     direction_angles_many,
+    disk_points_many,
     distance,
     distances_many,
     shadow,
@@ -546,6 +547,28 @@ def test_far_atom_angles_are_computed_once_per_viewpoint_and_horizon(census8, mo
     del atoms
     angles, _ = patterson._far_atoms(mu, 0.0)
     assert angles.tobytes() == want.tobytes() and len(calls) == chunks
+
+
+def _reference_render_ppm(mu, size):
+    """The render's pixel data with every atom mapped and added in one pass."""
+    w = disk_points_many(mu.basepoint, mu.atom_re, mu.atom_im)
+    px = np.clip(((w.real + 1.0) / 2.0 * size).astype(np.int64), 0, size - 1)
+    py = np.clip(((1.0 - (w.imag + 1.0) / 2.0) * size).astype(np.int64), 0, size - 1)
+    density = np.zeros((size, size))
+    np.add.at(density, (py, px), mu.weights)
+    gray = (255.0 * (1.0 - density / density.max())).astype(np.uint8)
+    return np.repeat(gray[:, :, None], 3, axis=2).tobytes()
+
+
+@pytest.mark.parametrize("x", [None, Point(0.3, 1.7)], ids=["basepoint", "moved"])
+def test_render_in_ragged_chunks_matches_one_pass(census8, monkeypatch, x):
+    # 32 pixels a side: many atoms share a pixel, so the order of the sums
+    # shows in the bytes.
+    monkeypatch.setattr(patterson, "_ANGLE_CHUNK", 1000)
+    mu = orbital_measure(census8, 0.8, x=x)
+    fh = io.BytesIO()
+    render_ppm(mu, fh, size=32)
+    assert fh.getvalue() == b"P6\n32 32\n255\n" + _reference_render_ppm(mu, 32)
 
 
 def test_histogram_csv_format(census8):

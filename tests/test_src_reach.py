@@ -49,3 +49,26 @@ def _unreached():
 def test_every_public_definition_is_used_or_exported():
     assert _unreached() == sorted(KEPT)
 
+
+
+def test_every_name_the_benchmark_patches_resolves():
+    # perfbench/spans.py replaces these attributes by name in traced runs;
+    # loading it (without installing anything) resolves its class lists.
+    import importlib.util
+    import inspect
+
+    from kleinian import cli, groups, patterson
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.SCALAR_BINDINGS and spans.PATTERSON_LAYER and spans.CSV_WRITERS
+    for owner, name in spans.SCALAR_BINDINGS:
+        assert callable(getattr(owner, name)), (owner, name)
+    for name in spans.PATTERSON_LAYER:
+        assert inspect.isfunction(getattr(patterson, name)), name
+    for cls in spans.CSV_WRITERS:
+        assert callable(cls.write_csv), cls
+    assert callable(cli.load_config) and callable(groups.enumerate_orbit)
+    assert set(spans.KIND_LAYER) == set(groups.KINDS)
