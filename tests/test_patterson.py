@@ -561,14 +561,15 @@ def _reference_render_ppm(mu, size):
 
 
 @pytest.mark.parametrize("x", [None, Point(0.3, 1.7)], ids=["basepoint", "moved"])
-def test_render_in_ragged_chunks_matches_one_pass(census8, monkeypatch, x):
-    # 32 pixels a side: many atoms share a pixel, so the order of the sums
-    # shows in the bytes.
-    monkeypatch.setattr(patterson, "_ANGLE_CHUNK", 1000)
-    mu = orbital_measure(census8, 0.8, x=x)
+def test_render_in_ragged_chunks_matches_one_pass(spec, monkeypatch, x):
+    # 161 atoms in chunks of 10, the last one ragged.  At s = 0.3 every
+    # atom weighs over 1/255 of the heaviest, so each one shows in the bytes.
+    monkeypatch.setattr(patterson, "_ANGLE_CHUNK", 10)
+    mu = orbital_measure(enumerate_orbit(spec, max_word_length=4), 0.3, x=x)
+    assert mu.weights.min() > mu.weights.max() / 255.0
     fh = io.BytesIO()
-    render_ppm(mu, fh, size=32)
-    assert fh.getvalue() == b"P6\n32 32\n255\n" + _reference_render_ppm(mu, 32)
+    render_ppm(mu, fh)
+    assert fh.getvalue() == b"P6\n1024 1024\n255\n" + _reference_render_ppm(mu, 1024)
 
 
 def test_histogram_csv_format(census8):

@@ -3,9 +3,12 @@ module-level function or class in `src/kleinian` is referenced by other
 library code or exported by the package."""
 
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
 
 import kleinian
+from kleinian import cli, groups, patterson
 
 SRC = Path(kleinian.__file__).resolve().parent
 
@@ -50,15 +53,9 @@ def test_every_public_definition_is_used_or_exported():
     assert _unreached() == sorted(KEPT)
 
 
-
 def test_every_name_the_benchmark_patches_resolves():
     # perfbench/spans.py replaces these attributes by name in traced runs;
     # loading it (without installing anything) resolves its class lists.
-    import importlib.util
-    import inspect
-
-    from kleinian import cli, groups, patterson
-
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
