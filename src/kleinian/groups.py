@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperbolic import (
+    _TOL,
     _TWO_PI,
     ORIGIN,
     BoundaryInterval,
@@ -49,6 +50,10 @@ _LATTICE_ENTRY_MAX = (1 << 15) - 1
 _LATTICE_CHUNK = 1 << 18  # bottom rows per batch of the lattice enumeration
 _TABLE_CHUNK = 1 << 14  # rows formatted per write of a CSV table
 _MAX_NESTING = 64  # conjugations around a spec; each is a level of recursion
+# Largest radius at which a parabolic ball is solved, below the R = 1419
+# where sqrt(2 cosh R) overflows; no parabolic census claims completeness
+# beyond it.
+_PARABOLIC_RADIUS_CAP = 1400.0
 
 
 class NonHyperbolicGenerator(ValueError):
@@ -450,8 +455,10 @@ class OrbitCensus:
 
     def write_csv(self, fh, header_lines=()) -> None:
         m = self.mats
+        # Integer entries (the lattice's, below 2^15) print the same with %d.
+        entry = "%d" if m.dtype.kind == "i" else "%.12g"
         _write_table(fh, header_lines, "distance,word_length,a,b,c,d", _table_chunks(
-            "%.12g,%d,%.12g,%.12g,%.12g,%.12g",
+            "%.12g,%d," + ",".join([entry] * 4),
             (self.distances, self.word_lengths,
              m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1])))
 
@@ -530,23 +537,11 @@ def _rows_by_distance(dists, mats, wls, words):
 
 
 def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
-    """Powers g^n, walked outwards from n = 0 in both directions.  Since
-    n -> cosh d(x, g^n y) is convex (g hyperbolic or parabolic), a direction
-    stops at the first excluded power no nearer than the one before it:
-    every later power is excluded and at least as far."""
+    """Powers g^n of a hyperbolic g, walked outwards from n = 0 in both
+    directions.  Since n -> cosh d(x, g^n y) is convex, a direction stops at
+    the first excluded power no nearer than the one before it: every later
+    power is excluded and at least as far."""
     g = spec.generators[0]
-    if spec.kind == "cyclic_parabolic" and max_radius is not None:
-        # The ball holds every power with d(y, g^n y) <= R - d(x, y), and a
-        # parabolic g has sinh(d(p, g^n p) / 2) = |n| sinh(d(p, g p) / 2).  The
-        # entries of g^n, at most sqrt(2 cosh d(i, g^n i)), stay below the walk's
-        # 1e70 for |n| sinh(d(i, g i) / 2) <= 4e69.  If the powers n = -k..k,
-        # more than the budget, pass both tests, the walk would exceed it.
-        half = [math.sinh(0.5 * distance(p, g.apply(p))) for p in (y, ORIGIN)]
-        r = min(max_radius - distance(x, y), 1400.0)  # keeps sinh(r / 2) finite
-        k = budget // 2 + 1
-        if (r > 0.0 and math.sinh(0.5 * r) * (1.0 - 1e-9) > k * half[0]
-                and 4e69 >= k * half[1] and (max_word_length is None or max_word_length >= k)):
-            raise BudgetExceeded(f"census exceeds budget {budget}")
     mats, dists, exponents, excluded = [], [], [], []
     for sign, step in ((1, g), (-1, g.inverse())):
         m, n, prev, d = Isometry.identity(), 0, math.inf, distance(x, y)
@@ -570,10 +565,9 @@ def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
                 lost = True
             if lost:
                 # The next power is beyond double precision.  A power g^k moves
-                # y at least |k| times the translation length (a parabolic g
-                # gives no bound), so none from n + 1 on is nearer than this.
-                ell = g.translation_length() if spec.kind == "cyclic_hyperbolic" else 0.0
-                excluded.append((n + 1) * ell - distance(x, y))
+                # y at least |k| times the translation length, so none from
+                # n + 1 on is nearer than this.
+                excluded.append((n + 1) * g.translation_length() - distance(x, y))
                 break
             if n >= budget:
                 raise BudgetExceeded(f"cyclic walk exceeds budget {budget}")
@@ -584,6 +578,86 @@ def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
     exponents = np.array(exponents, dtype=np.int64)
     return _census([np.array(mats).reshape(-1, 2, 2)], [np.array(dists, dtype=np.float64)],
                    [np.abs(exponents)], (_PowerWords, [exponents]), x, y, completeness, spec)
+
+
+def _enumerate_parabolic(spec, x, y, max_word_length, max_radius, budget):
+    """Powers g^n of a parabolic g in closed form, in one array pass.
+
+    With g scaled to trace 2, g^n = I + n (g - I) (Cayley-Hamilton).  With
+    K_p: z -> (z - Re p) / Im p, which sends p to i, 2 cosh d(x, g^n y) =
+    ||P + n Q||_F^2 for P = K_x K_y^-1 and Q = K_x (g - I) K_y^-1: convex in
+    n, least at a vertex v.  Its roots at R bound the ball, whose size is
+    checked against the budget before any power is formed.  That window,
+    widened by 2 for rounding, is evaluated: matrices in the sign convention
+    of :class:`Isometry`, distances by :func:`distance` of the images of y
+    (by the quadratic where an image leaves double precision), rows listed
+    as n = 0, 1, ..., then -1, -2, ....  By convexity the nearest power
+    beyond the window on either side is the one nearest v there.  No
+    distance past _PARABOLIC_RADIUS_CAP is resolved, so the completeness
+    radius is at most that."""
+    g = spec.generators[0]
+    h = np.array([[g.a, g.b], [g.c, g.d]]) * math.copysign(1.0, g.trace())
+    step = h - np.eye(2)
+    sx, sy = math.sqrt(x.im), math.sqrt(y.im)
+    kx = np.array([[1.0 / sx, -x.re / sx], [0.0, sx]])
+    ky_inv = np.array([[sy, y.re / sy], [0.0, 1.0 / sy]])
+    with np.errstate(all="ignore"):  # checked below
+        p, q = kx @ ky_inv, kx @ step @ ky_inv
+        scale = np.abs(q).max()
+        unit = q / scale
+        vertex = -float((p * unit).sum() / ((unit * unit).sum() * scale))
+        least = float(np.hypot.reduce((p + vertex * q).ravel()))  # sqrt(2 cosh d) at v
+    if not (np.isfinite(p).all() and 0.0 < scale < math.inf and math.isfinite(vertex)):
+        raise OverflowError("the powers of g at these basepoints leave double precision")
+
+    def powers(n):
+        """Matrices of the powers g^n and their distances d(x, g^n y)."""
+        with np.errstate(all="ignore"):
+            mats = np.eye(2) + n[:, None, None] * step
+            re, im = apply_many(mats, y)
+        a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0]
+        lead = np.select([np.abs(a) > _TOL, np.abs(b) > _TOL, np.abs(c) > _TOL], [a, b, c])
+        mats[lead < 0.0] *= -1.0
+        ok = (im > 0.0) & np.isfinite(re) & np.isfinite(im)
+        dists = np.full(len(n), math.inf)
+        dists[ok] = [distance(x, Point(u, v)) for u, v in zip(re[ok].tolist(), im[ok].tolist())]
+        lost = np.isinf(dists)
+        with np.errstate(all="ignore"):  # 2 cosh d = ||f||^2, so cosh(d / 2) = |(f, sqrt 2)| / 2
+            f = (p + n[lost, None, None] * q).reshape(-1, 4)
+            norm = np.hypot(np.hypot(f[:, 0], f[:, 1]), np.hypot(f[:, 2], f[:, 3]))
+            dists[lost] = 2.0 * np.arccosh(np.hypot(norm, math.sqrt(2.0)) / 2.0)
+        return mats, dists
+
+    r = min(math.inf if max_radius is None else max_radius, _PARABOLIC_RADIUS_CAP)
+    lo, hi = -math.inf, math.inf
+    if max_radius is not None:
+        rho = math.exp(0.5 * r) * math.sqrt(1.0 + math.exp(-2.0 * r))  # sqrt(2 cosh r)
+        qnorm = scale * math.sqrt((unit * unit).sum())
+        half = 0.0 if least >= rho else math.sqrt(rho - least) * math.sqrt(rho + least) / qnorm
+        lo, hi = vertex - half, vertex + half
+    if max_word_length is not None:
+        lo, hi = max(lo, -max_word_length), min(hi, max_word_length)
+    if not hi - lo < budget + 2 or math.floor(hi) - math.ceil(lo) >= budget:
+        raise BudgetExceeded(f"census exceeds budget {budget}")
+    lo, hi = math.ceil(lo), math.floor(hi)
+    if max_radius is not None:
+        lo, hi = lo - 2, hi + 2
+        if max_word_length is not None:
+            lo, hi = max(lo, -max_word_length), min(hi, max_word_length)
+    if max(-lo, hi) >= 2 ** 53:
+        raise OverflowError("the exponents of the ball are beyond exact double precision")
+    exponents = np.concatenate([np.arange(max(lo, 0), hi + 1, dtype=np.int64),
+                                np.arange(min(hi, -1), lo - 1, -1, dtype=np.int64)])
+    mats, dists = powers(exponents.astype(np.float64))
+    keep = dists < math.inf if max_radius is None else dists <= max_radius
+    if np.count_nonzero(keep) > budget:
+        raise BudgetExceeded(f"census exceeds budget {budget}")
+    near = (math.floor(vertex), math.ceil(vertex))
+    beyond = [max(hi + 1, k) for k in near] + [min(lo - 1, k) for k in near]
+    completeness = min(r, *powers(np.array(beyond, dtype=np.float64))[1].tolist())
+    exponents = exponents[keep]
+    return _census([mats[keep]], [dists[keep]], [np.abs(exponents)],
+                   (_PowerWords, [exponents]), x, y, completeness, spec)
 
 
 def _halfplane_clearance(lo, hi, zre, zim):
@@ -874,16 +948,22 @@ def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,
     The census is sorted by distance; ``completeness_radius`` is the radius
     up to which it is complete: proved by the ping-pong half-planes at every
     basepoint (free constructions; negative if a census is too shallow to
-    prove any radius), by convexity of n -> cosh d(x, g^n y) (cyclic groups)
-    or by exact lattice-point enumeration (the modular lattice, which needs
-    ``max_radius``).  Limits that cannot bound the census raise
-    :class:`InsufficientLimits`; free generators without a certificate raise
-    :class:`MarginViolation` or :class:`NonHyperbolicGenerator`.
+    prove any radius), by convexity of n -> cosh d(x, g^n y) (cyclic groups:
+    a closed form in n for a parabolic g, a walk over the powers for a
+    hyperbolic one) or by exact lattice-point enumeration (the modular
+    lattice, which needs ``max_radius``).  Limits that cannot bound the
+    census raise :class:`InsufficientLimits`; free generators without a
+    certificate raise :class:`MarginViolation` or
+    :class:`NonHyperbolicGenerator`.  A census of more than ``budget``
+    elements raises :class:`BudgetExceeded`; a parabolic one raises it
+    before any power is formed.
     """
     if max_word_length is None and max_radius is None:
         raise InsufficientLimits(
             "at least one of max_word_length, max_radius is required")
-    if spec.kind in ("cyclic_hyperbolic", "cyclic_parabolic"):
+    if spec.kind == "cyclic_parabolic":
+        return _enumerate_parabolic(spec, x, y, max_word_length, max_radius, budget)
+    if spec.kind == "cyclic_hyperbolic":
         return _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget)
     if spec.kind in ("schottky", "nested_subgroup"):
         return _enumerate_free(spec, x, y, max_word_length, max_radius, budget)

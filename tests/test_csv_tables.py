@@ -122,6 +122,33 @@ def test_shared_writer_matches_per_row_reference(case):
         assert got.getvalue() == want.getvalue()
 
 
+def _extreme_lattice_entries():
+    m = groups._LATTICE_ENTRY_MAX
+    mats = np.array([[[m, -m], [0, 1]], [[-m, 0], [m, -1]], [[0, 0], [0, 0]]])
+    return groups.OrbitCensus(distances=np.array([0.0, 1.5, 2.25]),
+                              word_lengths=np.array([0, 3, 7]), mats=mats, words=None,
+                              basepoint_x=Point(0.0, 1.0), basepoint_y=Point(0.0, 1.0),
+                              completeness_radius=3.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: enumerate_orbit(modular_lattice_spec(), max_radius=10.0),
+    lambda: enumerate_orbit(modular_lattice_spec(), Point(0.3, 1.7), Point(-0.4, 0.8),
+                            max_radius=9.0),
+    _extreme_lattice_entries,
+], ids=["lattice-R10", "lattice-moved", "extreme-entries"])
+def test_integer_entries_print_as_their_float_rendering(make):
+    # Integer matrix columns print with %d, float ones with %.12g; below
+    # 1e12 both give the same bytes.
+    census = make()
+    assert census.mats.dtype.kind == "i"
+    as_float = dataclasses.replace(census, mats=census.mats.astype(np.float64))
+    got, want = io.StringIO(), io.StringIO()
+    census.write_csv(got, header_lines=HEADER)
+    as_float.write_csv(want, header_lines=HEADER)
+    assert got.getvalue() == want.getvalue()
+
+
 def _first_rows(table, n):
     """The table cut to its first n rows."""
     return dataclasses.replace(table, **{

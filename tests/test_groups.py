@@ -348,8 +348,14 @@ def _brute_force_powers(g, x, y, n_max):
     # Word-length cap while the orbit still approaches x: the excluded
     # power g^-10 lands on x, so the census is complete only up to 0.
     (HYPERBOLIC_CYCLIC, Point(0.0, math.exp(10.0)), 3, None, 40, 7),
+    (PARABOLIC, Point(-0.4, 0.8), 40, None, 60, 81),
+    # The word-length cap cuts the ball: g^31 is nearer than R.
+    (PARABOLIC, Point(0.3, 2.0), 30, 12.0, 60, 61),
+    # The nearest excluded power is the vertex g^-3000, which lands on x.
+    (PARABOLIC, Point(3000.0, 1.0), 3, None, 3100, 7),
 ], ids=["hyperbolic-far-basepoint", "parabolic-far-basepoint",
-        "word-length-cap-approaching"])
+        "word-length-cap-approaching", "parabolic-word-length-moved",
+        "parabolic-radius-and-word-length", "parabolic-word-length-cap-approaching"])
 def test_cyclic_census_matches_brute_force(g, y, max_word_length, max_radius,
                                            n_max, size):
     census = enumerate_orbit(cyclic_spec(g), ORIGIN, y,
@@ -367,6 +373,82 @@ def test_cyclic_census_matches_brute_force(g, y, max_word_length, max_radius,
     excluded = [d for n, d in powers.items() if n not in inside]
     expected = min(excluded + ([max_radius] if max_radius is not None else []))
     assert census.completeness_radius == expected
+
+
+def test_parabolic_census_at_a_far_basepoint_ends_at_once():
+    # The powers of g approach x only near n = -1e9; the census of word
+    # length 3 must not walk there to find its completeness radius.
+    t0 = time.perf_counter()
+    census = enumerate_orbit(cyclic_spec(PARABOLIC), ORIGIN, Point(1e9 + 0.5, 1.0),
+                             max_word_length=3)
+    assert time.perf_counter() - t0 < 1.0
+    assert sorted(census.words.exponents.tolist()) == list(range(-3, 4))
+    # g^-1e9 and g^-(1e9 + 1) send y to 0.5 + i and -0.5 + i.
+    assert census.completeness_radius == distance(ORIGIN, Point(0.5, 1.0))
+
+
+def test_parabolic_ball_at_the_budget_edge(monkeypatch):
+    spec = cyclic_spec(PARABOLIC)
+    assert len(enumerate_orbit(spec, max_radius=18.0, budget=16207)) == 16207
+
+    def no_powers(*args):
+        raise AssertionError("a power was formed")
+
+    # Every power's distance goes through groups.distance.
+    monkeypatch.setattr(groups, "distance", no_powers)
+    with pytest.raises(BudgetExceeded):
+        enumerate_orbit(spec, max_radius=18.0, budget=16206)
+
+
+def test_parabolic_powers_past_the_point_formula_keep_their_distances():
+    # d(i, g^n i) = 2 asinh(1e200 |n| / 2) is about 921 + 2 log |n|, but the
+    # point formula's |z - i|^2 overflows: these powers take their distance
+    # from 2 cosh d = ||g^n||_F^2 instead of being dropped.
+    g = Isometry(1.0, 1e200, 0.0, 1.0)
+    census = enumerate_orbit(cyclic_spec(g), max_radius=925.0)
+    exponents = census.words.exponents.tolist()
+    assert sorted(exponents) == list(range(-7, 8))
+    exact = [2.0 * math.asinh(1e200 * abs(n) / 2.0) for n in exponents]
+    assert np.allclose(census.distances, exact, rtol=1e-14, atol=0.0)
+    assert census.completeness_radius == 925.0
+
+
+def _exact_power_distance(g, n):
+    """d(i, g^n i) for the exact n-th power of the float matrix g, by
+    repeated squaring (the adjugate for n < 0).  The entries are the
+    Fractions of the floats over their common power-of-two denominator, so
+    the products are of integers; cosh d = ||M||_F^2 / (2 det M) for any M
+    with positive determinant, whatever its scale."""
+    entries = [Fraction(v) for v in g.matrix()]
+    den = max(v.denominator for v in entries)
+    a, b, c, d = (int(v * den) for v in entries)
+    base = (a, b, c, d) if n >= 0 else (d, -b, -c, a)
+    m = (1, 0, 0, 1)
+    for bit in bin(abs(n))[2:]:
+        p, q, r, s = m
+        m = (p * p + q * r, p * q + q * s, r * p + s * r, r * q + s * s)
+        if bit == "1":
+            p, q, r, s = m
+            m = (p * base[0] + q * base[2], p * base[1] + q * base[3],
+                 r * base[0] + s * base[2], r * base[1] + s * base[3])
+    p, q, r, s = m
+    return math.acosh((p * p + q * q + r * r + s * s) / (2 * (p * s - q * r)))
+
+
+@pytest.mark.parametrize("theta", [0.7, 2.3, -1.1])
+def test_rotated_parabolic_powers_keep_their_distances(theta):
+    # The rotation k fixes i, so k^-1 g k has the builtin ball at R18.
+    k = _rotation(theta)
+    census = enumerate_orbit(cyclic_spec(k.inverse() @ PARABOLIC @ k), max_radius=18.0)
+    builtin = enumerate_orbit(cyclic_spec(PARABOLIC), max_radius=18.0)
+    exponents = census.words.exponents.tolist()
+    assert sorted(exponents) == sorted(builtin.words.exponents.tolist())
+    assert len(exponents) == 16207
+    row = {n: i for i, n in enumerate(exponents)}
+    g = census.spec.generators[0]
+    for n in (100, 1000, 4000, 8000):
+        for m in (n, -n):
+            assert abs(census.distances[row[m]] - _exact_power_distance(g, m)) <= 1e-8
 
 
 def test_deep_cyclic_power_overflow_is_capped_gracefully():
@@ -811,12 +893,12 @@ def test_free_search_peak_memory_is_a_small_multiple_of_the_census(
 # Rows ordered on first read, against eager references.
 
 
-def _reference_cyclic_census(g, x, y, exponents, max_word_length, max_radius):
+def _reference_cyclic_census(g, x, y, exponents, max_radius, n_max):
     """(mats, distances, exponents, completeness_radius) of the powers g^n
     for the given n, each formed by the walk's scalar steps, listed in walk
     order (n = 0, 1, 2, ..., then -1, -2, ...) and stably sorted by
-    distance.  The radius is R, or without R the distance of the nearer of
-    g^(L+1) and g^-(L+1), L the word length, for a walk that moves away."""
+    distance.  The radius is the least of R and the distances of the powers
+    with |n| <= n_max that are not in the census."""
     def power(n):
         m, step = Isometry.identity(), g if n >= 0 else g.inverse()
         for _ in range(abs(n)):
@@ -827,9 +909,9 @@ def _reference_cyclic_census(g, x, y, exponents, max_word_length, max_radius):
         (n for n in exponents if n < 0), reverse=True)
     mats, dists = zip(*map(power, walk))
     order = np.argsort(np.array(dists), kind="stable")
-    radius = max_radius
-    if max_radius is None:
-        radius = min(power(max_word_length + 1)[1], power(-max_word_length - 1)[1])
+    radius = min([math.inf if max_radius is None else max_radius]
+                 + [d for n, d in _brute_force_powers(g, x, y, n_max).items()
+                    if n not in exponents])
     return (np.array([[[m.a, m.b], [m.c, m.d]] for m in mats])[order],
             np.array(dists)[order], np.array(walk)[order], radius)
 
@@ -873,17 +955,21 @@ def test_lattice_rows_ordered_on_first_read_match_the_six_key_sort(x, y, max_wor
         assert radius < 9.0
 
 
-@pytest.mark.parametrize("g, y, max_word_length, max_radius, first", [
-    (PARABOLIC, Point(0.3, 2.0), None, 12.0, "words"),
-    (HYPERBOLIC_CYCLIC, Point(-0.5, 0.7), 40, None, "mats"),
-], ids=["parabolic-R12", "hyperbolic-L40"])
+@pytest.mark.parametrize("g, y, max_word_length, max_radius, first, n_max", [
+    (PARABOLIC, Point(0.3, 2.0), None, 12.0, "words", 800),
+    (HYPERBOLIC_CYCLIC, Point(-0.5, 0.7), 40, None, "mats", 41),
+    (PARABOLIC, Point(-0.4, 0.8), 40, None, "word_lengths", 41),
+    (PARABOLIC, Point(0.3, 2.0), 30, 12.0, "mats", 31),
+    (PARABOLIC, Point(3000.0, 1.0), 3, None, "words", 3001),
+], ids=["parabolic-R12", "hyperbolic-L40", "parabolic-L40-moved", "parabolic-R12-L30",
+        "parabolic-L3-far"])
 def test_cyclic_rows_ordered_on_first_read_match_an_eager_sort(g, y, max_word_length,
-                                                              max_radius, first):
+                                                              max_radius, first, n_max):
     census = enumerate_orbit(cyclic_spec(g), ORIGIN, y, max_word_length=max_word_length,
                              max_radius=max_radius)
     _read_rows(census, first)
     mats, dists, exponents, radius = _reference_cyclic_census(
-        g, ORIGIN, y, census.words.exponents.tolist(), max_word_length, max_radius)
+        g, ORIGIN, y, census.words.exponents.tolist(), max_radius, n_max)
     assert np.array_equal(census.mats, mats)
     assert np.array_equal(census.distances, dists)
     assert np.array_equal(census.words.exponents, exponents)
