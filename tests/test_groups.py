@@ -909,9 +909,10 @@ def _reference_cyclic_census(g, x, y, exponents, max_radius, n_max):
         (n for n in exponents if n < 0), reverse=True)
     mats, dists = zip(*map(power, walk))
     order = np.argsort(np.array(dists), kind="stable")
+    inside = set(exponents)
     radius = min([math.inf if max_radius is None else max_radius]
                  + [d for n, d in _brute_force_powers(g, x, y, n_max).items()
-                    if n not in exponents])
+                    if n not in inside])
     return (np.array([[[m.a, m.b], [m.c, m.d]] for m in mats])[order],
             np.array(dists)[order], np.array(walk)[order], radius)
 
