@@ -32,6 +32,7 @@ from .hyperbolic import (
     boundary_values,
     distance,
     distances_many,
+    origin_distances_many,
 )
 
 KINDS = (
@@ -50,10 +51,10 @@ _LATTICE_ENTRY_MAX = (1 << 15) - 1
 _LATTICE_CHUNK = 1 << 18  # bottom rows per batch of the lattice enumeration
 _TABLE_CHUNK = 1 << 14  # rows formatted per write of a CSV table
 _MAX_NESTING = 64  # conjugations around a spec; each is a level of recursion
-# Largest radius at which a parabolic ball is solved, below the R = 1419
-# where sqrt(2 cosh R) overflows; no parabolic census claims completeness
-# beyond it.
-_PARABOLIC_RADIUS_CAP = 1400.0
+# Largest radius at which a cyclic ball is solved, below the R = 1419 where
+# 2 sinh(R / 2) overflows and the 1410 past which no power is formed; no
+# cyclic census claims completeness beyond it.
+_CYCLIC_RADIUS_CAP = 1400.0
 
 
 class NonHyperbolicGenerator(ValueError):
@@ -537,121 +538,100 @@ def _rows_by_distance(dists, mats, wls, words):
 
 
 def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
-    """Powers g^n of a hyperbolic g, walked outwards from n = 0 in both
-    directions.  Since n -> cosh d(x, g^n y) is convex, a direction stops at
-    the first excluded power no nearer than the one before it: every later
-    power is excluded and at least as far."""
-    g = spec.generators[0]
-    mats, dists, exponents, excluded = [], [], [], []
-    for sign, step in ((1, g), (-1, g.inverse())):
-        m, n, prev, d = Isometry.identity(), 0, math.inf, distance(x, y)
-        while True:
-            if ((max_word_length is not None and n > max_word_length)
-                    or (max_radius is not None and d > max_radius)):
-                excluded.append(d)
-                if d >= prev:
-                    break
-            elif n > 0 or sign > 0:  # the identity is visited twice
-                mats.append(np.array([[m.a, m.b], [m.c, m.d]]))
-                dists.append(d)
-                exponents.append(sign * n)
-                if len(mats) > budget:
-                    raise BudgetExceeded(f"census exceeds budget {budget}")
-            try:  # a lost determinant, or an image of y off the half-plane
-                nxt = m @ step
-                lost = max(abs(nxt.a), abs(nxt.b), abs(nxt.c), abs(nxt.d)) > 1e70
-                nxt_d = None if lost else distance(x, nxt.apply(y))
-            except ValueError:
-                lost = True
-            if lost:
-                # The next power is beyond double precision.  A power g^k moves
-                # y at least |k| times the translation length, so none from
-                # n + 1 on is nearer than this.
-                excluded.append((n + 1) * g.translation_length() - distance(x, y))
-                break
-            if n >= budget:
-                raise BudgetExceeded(f"cyclic walk exceeds budget {budget}")
-            m, n, prev, d = nxt, n + 1, d, nxt_d
-    completeness = min(excluded) if excluded else math.inf
-    if max_radius is not None:
-        completeness = min(completeness, max_radius)
-    exponents = np.array(exponents, dtype=np.int64)
-    return _census([np.array(mats).reshape(-1, 2, 2)], [np.array(dists, dtype=np.float64)],
-                   [np.abs(exponents)], (_PowerWords, [exponents]), x, y, completeness, spec)
+    """Powers g^n of a hyperbolic or parabolic g in closed form, in one array
+    pass.
 
-
-def _enumerate_parabolic(spec, x, y, max_word_length, max_radius, budget):
-    """Powers g^n of a parabolic g in closed form, in one array pass.
-
-    With g scaled to trace 2, g^n = I + n (g - I) (Cayley-Hamilton).  With
-    K_p: z -> (z - Re p) / Im p, which sends p to i, 2 cosh d(x, g^n y) =
-    ||P + n Q||_F^2 for P = K_x K_y^-1 and Q = K_x (g - I) K_y^-1: convex in
-    n, least at a vertex v.  Its roots at R bound the ball, whose size is
-    checked against the budget before any power is formed.  That window,
-    widened by 2 for rounding, is evaluated: matrices in the sign convention
-    of :class:`Isometry`, distances by :func:`distance` of the images of y
-    (by the quadratic where an image leaves double precision), rows listed
-    as n = 0, 1, ..., then -1, -2, ....  By convexity the nearest power
-    beyond the window on either side is the one nearest v there.  No
-    distance past _PARABOLIC_RADIUS_CAP is resolved, so the completeness
-    radius is at most that."""
+    With g scaled to trace >= 2, g^n = f U + e V: f = 1, e = n, U = I and
+    V = g - I for a parabolic g (Cayley-Hamilton); f = lam^n, e = lam^-n and
+    U, V the projections onto the eigenlines of the eigenvalues lam > mu of
+    a hyperbolic one.  With K_p: z -> (z - Re p) / Im p, which sends p to i,
+    the frame K_x g^n K_y^-1 = f P + e Q moves i by d(x, g^n y)
+    (:func:`origin_distances_many`).  With p, q the vectors (M11 - M22,
+    M12 + M21) of P and Q, 4 sinh^2(d / 2) = |f p + e q|^2 = least^2 +
+    (width phi(n - v))^2, where phi(s) = s or sinh(s log lam): convex in n,
+    least at the vertex v.  Inverted at R, it gives the ball's window, whose
+    size is checked against the budget before any power is formed.  That
+    window, widened by 2 for rounding, is evaluated, with rows listed as
+    n = 0, 1, ..., then -1, -2, ....  By convexity the nearest power beyond
+    the window on either side is the one nearest v there.  No distance past
+    _CYCLIC_RADIUS_CAP is resolved, so the completeness radius is at most
+    that, and no power is formed whose frame or coefficients leave double
+    precision."""
     g = spec.generators[0]
     h = np.array([[g.a, g.b], [g.c, g.d]]) * math.copysign(1.0, g.trace())
-    step = h - np.eye(2)
+    (a, b), (c, d) = h.tolist()
+    if spec.kind == "cyclic_parabolic":
+        lam, u, w = None, np.eye(2), h - np.eye(2)
+    else:
+        # Eigenvalues without cancellation: exactly a and d where b c = 0.
+        half = abs(a - d) / 2.0
+        s = b * c / (half + math.sqrt(half * half + b * c))
+        lam, mu = (a + s, d - s) if a >= d else (d + s, a - s)
+        u, w = (h - mu * np.eye(2)) / (lam - mu), (lam * np.eye(2) - h) / (lam - mu)
+
+    def coefficients(n):
+        return (np.ones_like(n), n) if lam is None else (lam ** n, lam ** -n)
+
     sx, sy = math.sqrt(x.im), math.sqrt(y.im)
     kx = np.array([[1.0 / sx, -x.re / sx], [0.0, sx]])
     ky_inv = np.array([[sy, y.re / sy], [0.0, 1.0 / sy]])
     with np.errstate(all="ignore"):  # checked below
-        p, q = kx @ ky_inv, kx @ step @ ky_inv
-        scale = np.abs(q).max()
-        unit = q / scale
-        vertex = -float((p * unit).sum() / ((unit * unit).sum() * scale))
-        least = float(np.hypot.reduce((p + vertex * q).ravel()))  # sqrt(2 cosh d) at v
-    if not (np.isfinite(p).all() and 0.0 < scale < math.inf and math.isfinite(vertex)):
+        pm, qm = kx @ u @ ky_inv, kx @ w @ ky_inv
+        p, q = (np.array([m[0, 0] - m[1, 1], m[0, 1] + m[1, 0]]) for m in (pm, qm))
+        pn, qn = np.hypot(*p), np.hypot(*q)
+        if lam is None:
+            vertex = -float(p @ (q / qn) / qn)
+        else:
+            vertex = float(np.log(qn) - np.log(pn)) / (2.0 * math.log(lam))
+        fv, ev = coefficients(np.float64(vertex))
+        least = float(np.hypot(*(fv * p + ev * q)))
+        width = float(qn if lam is None else 2.0 * fv * pn)
+    if not (np.isfinite([pm, qm]).all() and math.isfinite(vertex + least)
+            and 0.0 < width < math.inf):
         raise OverflowError("the powers of g at these basepoints leave double precision")
+
+    def reach(rho):
+        """Largest |n - v| at which 2 sinh(d / 2) <= rho."""
+        t = math.sqrt(max(rho - least, 0.0)) * math.sqrt(rho + least) / width
+        return t if lam is None else math.asinh(t) / math.log(lam)
+
+    r = min(math.inf if max_radius is None else max_radius, _CYCLIC_RADIUS_CAP)
+    span = math.inf if max_word_length is None else max_word_length
+    half = reach(2.0 * math.sinh(0.5 * r))
+    lo, hi = max(vertex - half, -span), min(vertex + half, span)
+    if not hi - lo < budget + 2 or math.floor(hi) - math.ceil(lo) >= budget:
+        raise BudgetExceeded(f"census exceeds budget {budget}")
+    # Where lam^n or the frame (past the cap) would overflow.
+    top = math.inf if lam is None else 709.0 / math.log(lam)
+    far = reach(math.exp(705.0))
+    clip_lo, clip_hi = max(vertex - far, -top), min(vertex + far, top)
+    if lo < clip_lo or hi > clip_hi:
+        raise OverflowError("the powers of g in this ball leave double precision")
+    lo = math.ceil(max(math.ceil(lo) - 2, -span, clip_lo))
+    hi = math.floor(min(math.floor(hi) + 2, span, clip_hi))
+    if max(-lo, hi) >= 2 ** 53:
+        raise OverflowError("the exponents of the ball are beyond exact double precision")
 
     def powers(n):
         """Matrices of the powers g^n and their distances d(x, g^n y)."""
         with np.errstate(all="ignore"):
-            mats = np.eye(2) + n[:, None, None] * step
-            re, im = apply_many(mats, y)
+            f, e = (k[:, None, None] for k in coefficients(n))
+            mats = f * u + e * w
+            dists = origin_distances_many(f * pm + e * qm)
+        dists[(n < clip_lo) | (n > clip_hi)] = math.inf  # farther than the cap
         a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0]
         lead = np.select([np.abs(a) > _TOL, np.abs(b) > _TOL, np.abs(c) > _TOL], [a, b, c])
         mats[lead < 0.0] *= -1.0
-        ok = (im > 0.0) & np.isfinite(re) & np.isfinite(im)
-        dists = np.full(len(n), math.inf)
-        dists[ok] = [distance(x, Point(u, v)) for u, v in zip(re[ok].tolist(), im[ok].tolist())]
-        lost = np.isinf(dists)
-        with np.errstate(all="ignore"):  # 2 cosh d = ||f||^2, so cosh(d / 2) = |(f, sqrt 2)| / 2
-            f = (p + n[lost, None, None] * q).reshape(-1, 4)
-            norm = np.hypot(np.hypot(f[:, 0], f[:, 1]), np.hypot(f[:, 2], f[:, 3]))
-            dists[lost] = 2.0 * np.arccosh(np.hypot(norm, math.sqrt(2.0)) / 2.0)
         return mats, dists
 
-    r = min(math.inf if max_radius is None else max_radius, _PARABOLIC_RADIUS_CAP)
-    lo, hi = -math.inf, math.inf
-    if max_radius is not None:
-        rho = math.exp(0.5 * r) * math.sqrt(1.0 + math.exp(-2.0 * r))  # sqrt(2 cosh r)
-        qnorm = scale * math.sqrt((unit * unit).sum())
-        half = 0.0 if least >= rho else math.sqrt(rho - least) * math.sqrt(rho + least) / qnorm
-        lo, hi = vertex - half, vertex + half
-    if max_word_length is not None:
-        lo, hi = max(lo, -max_word_length), min(hi, max_word_length)
-    if not hi - lo < budget + 2 or math.floor(hi) - math.ceil(lo) >= budget:
-        raise BudgetExceeded(f"census exceeds budget {budget}")
-    lo, hi = math.ceil(lo), math.floor(hi)
-    if max_radius is not None:
-        lo, hi = lo - 2, hi + 2
-        if max_word_length is not None:
-            lo, hi = max(lo, -max_word_length), min(hi, max_word_length)
-    if max(-lo, hi) >= 2 ** 53:
-        raise OverflowError("the exponents of the ball are beyond exact double precision")
     exponents = np.concatenate([np.arange(max(lo, 0), hi + 1, dtype=np.int64),
                                 np.arange(min(hi, -1), lo - 1, -1, dtype=np.int64)])
     mats, dists = powers(exponents.astype(np.float64))
-    keep = dists < math.inf if max_radius is None else dists <= max_radius
+    keep = dists <= r
     if np.count_nonzero(keep) > budget:
         raise BudgetExceeded(f"census exceeds budget {budget}")
+    if not np.isfinite(mats[keep]).all():
+        raise OverflowError("the powers of g in this ball leave double precision")
     near = (math.floor(vertex), math.ceil(vertex))
     beyond = [max(hi + 1, k) for k in near] + [min(lo - 1, k) for k in near]
     completeness = min(r, *powers(np.array(beyond, dtype=np.float64))[1].tolist())
@@ -948,22 +928,20 @@ def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,
     The census is sorted by distance; ``completeness_radius`` is the radius
     up to which it is complete: proved by the ping-pong half-planes at every
     basepoint (free constructions; negative if a census is too shallow to
-    prove any radius), by convexity of n -> cosh d(x, g^n y) (cyclic groups:
-    a closed form in n for a parabolic g, a walk over the powers for a
-    hyperbolic one) or by exact lattice-point enumeration (the modular
-    lattice, which needs ``max_radius``).  Limits that cannot bound the
-    census raise :class:`InsufficientLimits`; free generators without a
+    prove any radius), by convexity of n -> cosh d(x, g^n y) (cyclic groups,
+    parabolic or hyperbolic: one closed form in n, solved for the ball and
+    complete to at most 1400) or by exact lattice-point enumeration (the
+    modular lattice, which needs ``max_radius``).  Limits that cannot bound
+    the census raise :class:`InsufficientLimits`; free generators without a
     certificate raise :class:`MarginViolation` or
     :class:`NonHyperbolicGenerator`.  A census of more than ``budget``
-    elements raises :class:`BudgetExceeded`; a parabolic one raises it
-    before any power is formed.
+    elements raises :class:`BudgetExceeded`; a cyclic one raises it before
+    any power is formed.
     """
     if max_word_length is None and max_radius is None:
         raise InsufficientLimits(
             "at least one of max_word_length, max_radius is required")
-    if spec.kind == "cyclic_parabolic":
-        return _enumerate_parabolic(spec, x, y, max_word_length, max_radius, budget)
-    if spec.kind == "cyclic_hyperbolic":
+    if spec.kind in ("cyclic_hyperbolic", "cyclic_parabolic"):
         return _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget)
     if spec.kind in ("schottky", "nested_subgroup"):
         return _enumerate_free(spec, x, y, max_word_length, max_radius, budget)

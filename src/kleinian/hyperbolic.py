@@ -355,6 +355,15 @@ def distances_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return d
 
 
+def origin_distances_many(mats) -> np.ndarray:
+    """Distances d(i, m.i) for a stack of (n, 2, 2) unimodular matrices m,
+    from the matrix alone: 4 sinh^2(d / 2) = ||m||_F^2 - 2 = (a - d)^2 +
+    (b + c)^2, so no image point is formed and nothing cancels."""
+    mats = np.asarray(mats, dtype=np.float64)
+    return 2.0 * np.arcsinh(0.5 * np.hypot(mats[:, 0, 0] - mats[:, 1, 1],
+                                           mats[:, 0, 1] + mats[:, 1, 0]))
+
+
 def disk_points_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """The points (re, im) in the disk model centred at x, as complex numbers."""
     q = ((re - x.re) + 1j * im) / x.im

@@ -89,8 +89,8 @@ def test_separation_certificate(tmp_path, capsys):
 
 @pytest.mark.parametrize("theta", [0.7, -1.2])
 def test_separation_on_a_rotated_cyclic_subgroup(tmp_path, capsys, theta):
-    # The powers of the rotated generator lose their determinant, or map i
-    # below the real axis, before word length 200; the walk ends there.  The
+    # The entries of the rotated generator's powers pass 1e8 long before
+    # word length 200, and every power is still formed in closed form.  The
     # rotation about i keeps every orbit distance from i, so s0 is that of
     # the builtin subgroup.
     c, s = np.cos(theta / 2), np.sin(theta / 2)
@@ -104,6 +104,24 @@ def test_separation_on_a_rotated_cyclic_subgroup(tmp_path, capsys, theta):
               "--out", str(tmp_path)])
     assert rc == 0
     assert "s0=0.310000" in capsys.readouterr().out
+
+
+def test_rotated_cyclic_census_writes_every_power(tmp_path, capsys):
+    # A walk over the powers of the rotated generator lost them from
+    # |n| = 18 on (37 rows); the closed form writes all 401.
+    c, s = np.cos(0.35), np.sin(0.35)
+    k = cli.Isometry(c, s, -s, c)
+    path = tmp_path / "rotated.json"
+    path.write_text(json.dumps(groups.spec_to_json_dict(
+        groups.cyclic_spec(k.inverse() @ cli._A @ k))))
+    rc = run(["census", "--config", str(path), "--max-word-length", "200",
+              "--out", str(tmp_path)])
+    assert rc == 0
+    rows = [l for l in (tmp_path / "census.csv").read_text().splitlines()
+            if not l.startswith("#")]
+    assert rows[0] == "distance,word_length,a,b,c,d"
+    assert len(rows) - 1 == 401
+    assert "entries=401" in capsys.readouterr().out
 
 
 def test_patterson_artifacts_and_render(tmp_path, capsys):
@@ -282,6 +300,18 @@ def test_parabolic_ball_beyond_budget_exits_before_walking(tmp_path, capsys):
               "--out", str(tmp_path)])
     assert rc == cli.EXIT_BUDGET
     assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--config", "cyclic-hyperbolic", "--max-radius", "1e8"],
+    ["census", "--config", "cyclic-hyperbolic", "--max-word-length", "10000000"],
+    ["separation", "--config", "schottky-separation", "--max-word-length", "10000000"],
+], ids=["hyperbolic-R1e8", "hyperbolic-L1e7", "separation-L1e7"])
+def test_cyclic_limits_past_the_radius_cap_succeed(tmp_path, argv):
+    # The ball is solved up to the radius cap and its powers formed only
+    # while they stay in double precision, so neither overflow nor the
+    # budget ends these runs.
+    assert run([*argv, "--out", str(tmp_path)]) == 0
 
 
 def test_overflow_exit_code(tmp_path, capsys):
@@ -486,16 +516,16 @@ def test_check_unknown_filter(tmp_path, capsys):
 
 
 def test_check_detects_injected_distance_bug(tmp_path, capsys, monkeypatch):
-    # Inflate every computed distance by 20%: the measured parabolic
+    # Inflate every cyclic power's distance by 20%: the measured parabolic
     # exponent drops to ~0.42 and the counting suite must go red.  The
     # sparse cyclic-hyperbolic census then starves its estimator, which
     # must surface as a failed suite, not a crashed run.
-    true_distance = groups.distance
+    true_distances = groups.origin_distances_many
 
-    def warped(x, y):
-        return 1.2 * true_distance(x, y)
+    def warped(mats):
+        return 1.2 * true_distances(mats)
 
-    monkeypatch.setattr(cli.groups, "distance", warped)
+    monkeypatch.setattr(cli.groups, "origin_distances_many", warped)
     rc = run(["check", "--filter", "counting", "--out", str(tmp_path)])
     assert rc == cli.EXIT_CHECK_FAILED
     out = capsys.readouterr().out

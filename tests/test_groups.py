@@ -328,15 +328,54 @@ def test_cyclic_radius_cap_completeness():
     assert census.completeness_radius == pytest.approx(10.2)
 
 
-def _brute_force_powers(g, x, y, n_max):
-    """{n: d(x, g^n y)} for |n| <= n_max, powers by repeated products."""
-    out = {0: distance(x, y)}
-    for sign, step in ((1, g), (-1, g.inverse())):
-        m = Isometry.identity()
-        for n in range(1, n_max + 1):
-            m = m @ step
-            out[sign * n] = distance(x, m.apply(y))
+def _exact_powers(g, n_max):
+    """{n: (a, b, c, d)} for |n| <= n_max: the exact powers of the given
+    float matrix, scaled to integers, from its adjugate for n < 0."""
+    entries = [Fraction(v) for v in g.matrix()]
+    den = max(v.denominator for v in entries)
+    a, b, c, d = (int(v * den) for v in entries)
+    out = {}
+    for sign, (a0, b0, c0, d0) in ((1, (a, b, c, d)), (-1, (d, -b, -c, a))):
+        m = (1, 0, 0, 1)
+        for n in range(n_max + 1):
+            out[sign * n] = m
+            p, q, r, s = m
+            m = (p * a0 + q * c0, p * b0 + q * d0, r * a0 + s * c0, r * b0 + s * d0)
     return out
+
+
+def _exact_distances(g, x, y, n_max):
+    """d(x, g^n y) for |n| <= n_max, from the given floats in integer
+    arithmetic, so that no power loses precision.  With x = X / D and
+    y = Y / D, sinh^2(d / 2) = |X (c Y + d D) - D (a Y + b D)|^2 /
+    (4 Im X Im Y D^2 det) for the power (a, b, c, d), whatever its scale;
+    each side is cut to its leading 64 bits only for the final division."""
+    coords = [Fraction(v) for v in (x.re, x.im, y.re, y.im)]
+    den = max(v.denominator for v in coords)
+    xr, xi, yr, yi = (int(v * den) for v in coords)
+    powers = _exact_powers(g, n_max)
+    a, b, c, d = powers[1]
+    scales = [4 * xi * yi * den * den]  # times det g^n = (det g)^|n|
+    for _ in range(n_max):
+        scales.append(scales[-1] * (a * d - b * c))
+    out = {}
+    for n, (a, b, c, d) in powers.items():
+        ur, ui = c * yr + d * den, c * yi
+        vr, vi = a * yr + b * den, a * yi
+        zr, zi = xr * ur - xi * ui - den * vr, xr * ui + xi * ur - den * vi
+        cut = max(max(abs(zr), abs(zi)).bit_length() - 64, 0)
+        scale = scales[abs(n)]
+        low = max(scale.bit_length() - 64, 0)
+        sinh2 = math.ldexp(((zr >> cut) ** 2 + (zi >> cut) ** 2) / (scale >> low), 2 * cut - low)
+        out[n] = 2.0 * math.asinh(math.sqrt(sinh2))
+    return out
+
+
+def _close(a, b, rel):
+    """a and b agree elementwise to ``rel`` times max(|b|, 1): relative, but
+    absolute below 1, where a power that lands on x is a few ulps from it."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return bool(np.all(np.abs(a - b) <= rel * np.maximum(np.abs(b), 1.0)))
 
 
 @pytest.mark.parametrize("g, y, max_word_length, max_radius, n_max, size", [
@@ -361,18 +400,18 @@ def test_cyclic_census_matches_brute_force(g, y, max_word_length, max_radius,
     census = enumerate_orbit(cyclic_spec(g), ORIGIN, y,
                              max_word_length=max_word_length,
                              max_radius=max_radius)
-    powers = _brute_force_powers(g, ORIGIN, y, n_max)
+    powers = _exact_distances(g, ORIGIN, y, n_max)
     inside = {n for n, d in powers.items()
               if (max_word_length is None or abs(n) <= max_word_length)
               and (max_radius is None or d <= max_radius)}
     assert len(inside) == size
     exponents = [w[0] * len(w) if w else 0 for w in census.words]
     assert sorted(exponents) == sorted(inside)
-    assert list(census.distances) == sorted(powers[n] for n in inside)
+    assert _close(census.distances, sorted(powers[n] for n in inside), 1e-13)
     assert np.array_equal(census.word_lengths, np.abs(exponents))
     excluded = [d for n, d in powers.items() if n not in inside]
     expected = min(excluded + ([max_radius] if max_radius is not None else []))
-    assert census.completeness_radius == expected
+    assert _close(census.completeness_radius, expected, 1e-13)
 
 
 def test_parabolic_census_at_a_far_basepoint_ends_at_once():
@@ -394,8 +433,8 @@ def test_parabolic_ball_at_the_budget_edge(monkeypatch):
     def no_powers(*args):
         raise AssertionError("a power was formed")
 
-    # Every power's distance goes through groups.distance.
-    monkeypatch.setattr(groups, "distance", no_powers)
+    # Every power's distance goes through groups.origin_distances_many.
+    monkeypatch.setattr(groups, "origin_distances_many", no_powers)
     with pytest.raises(BudgetExceeded):
         enumerate_orbit(spec, max_radius=18.0, budget=16206)
 
@@ -435,20 +474,45 @@ def _exact_power_distance(g, n):
     return math.acosh((p * p + q * q + r * r + s * s) / (2 * (p * s - q * r)))
 
 
-@pytest.mark.parametrize("theta", [0.7, 2.3, -1.1])
-def test_rotated_parabolic_powers_keep_their_distances(theta):
-    # The rotation k fixes i, so k^-1 g k has the builtin ball at R18.
+@pytest.mark.parametrize("generator, radius, size, checked, theta", [
+    *[(PARABOLIC, 18.0, 16207, (100, 1000, 4000, 8000), t) for t in (0.7, 2.3, -1.1)],
+    # R30.5, not R30, where d(+-30) = 30 up to rounding.
+    *[(HYPERBOLIC_CYCLIC, 30.5, 61, (10, 20, 30), t) for t in (0.7, 2.3, -1.1)],
+], ids=["0.7", "2.3", "-1.1", "e-half-R30.5-0.7", "e-half-R30.5-2.3", "e-half-R30.5--1.1"])
+def test_rotated_parabolic_powers_keep_their_distances(generator, radius, size, checked, theta):
+    # The rotation k fixes i, so k^-1 g k has the builtin ball.
     k = _rotation(theta)
-    census = enumerate_orbit(cyclic_spec(k.inverse() @ PARABOLIC @ k), max_radius=18.0)
-    builtin = enumerate_orbit(cyclic_spec(PARABOLIC), max_radius=18.0)
+    census = enumerate_orbit(cyclic_spec(k.inverse() @ generator @ k), max_radius=radius)
+    builtin = enumerate_orbit(cyclic_spec(generator), max_radius=radius)
     exponents = census.words.exponents.tolist()
     assert sorted(exponents) == sorted(builtin.words.exponents.tolist())
-    assert len(exponents) == 16207
+    assert len(exponents) == size
     row = {n: i for i, n in enumerate(exponents)}
     g = census.spec.generators[0]
-    for n in (100, 1000, 4000, 8000):
+    for n in checked:
         for m in (n, -n):
             assert abs(census.distances[row[m]] - _exact_power_distance(g, m)) <= 1e-8
+
+
+@pytest.mark.parametrize("generator, word_length", [(A, 200), (HYPERBOLIC_CYCLIC, 300)],
+                         ids=["alpha-L200", "e-half-L300"])
+@pytest.mark.parametrize("theta", [0.0, 0.7, 1.4, 2.3, -1.1])
+def test_rotated_hyperbolic_powers_match_exact_arithmetic(generator, word_length, theta):
+    # Every power within the word length is present, at the distance of the
+    # exact power of the float matrix, for basepoints on and off its axis
+    # (k^-1(81 i) is g^2 i for alpha).  Farther along the axis, at
+    # k^-1(9^+-24 i), Im y is below the rounding of Re y, and no evaluation
+    # in double precision matches the exact powers.
+    k = _rotation(theta)
+    g = k.inverse() @ generator @ k
+    for y in (ORIGIN, Point(0.3, 2.0), Point(-0.4, 0.8), k.inverse().apply(Point(0.0, 81.0))):
+        census = enumerate_orbit(cyclic_spec(g), y=y, max_word_length=word_length)
+        exponents = census.words.exponents.tolist()
+        assert sorted(exponents) == list(range(-word_length, word_length + 1))
+        exact = _exact_distances(g, ORIGIN, y, word_length + 1)
+        assert _close(census.distances, [exact[n] for n in exponents], 1e-12)
+        beyond = word_length + 1
+        assert _close(census.completeness_radius, min(exact[beyond], exact[-beyond]), 1e-12)
 
 
 def test_deep_cyclic_power_overflow_is_capped_gracefully():
@@ -464,53 +528,31 @@ def _rotation(theta):
     return Isometry(c, s, -s, c)
 
 
-def test_cyclic_walk_ends_where_the_determinant_is_lost():
-    # The entries of the powers of a rotated hyperbolic element pass 1e8,
-    # and its determinant is lost, long before they reach 1e70; the walk
-    # ends there.
+def test_rotated_hyperbolic_census_holds_every_power():
+    # The entries of the powers of a rotated hyperbolic element pass 1e8
+    # long before word length 200; in closed form every power is present,
+    # at the distance of the exact power of the float matrix.
     k = _rotation(0.7)
     census = enumerate_orbit(cyclic_spec(k.inverse() @ A @ k), max_word_length=200)
-    assert 17 <= len(census) < 401
-    assert math.isfinite(census.completeness_radius)
-    # The rotation fixes i, so d(i, g^n i) = |n| log 9 while the powers are
-    # still accurate.
-    near = census.word_lengths <= 8
-    assert near.sum() == 17
-    assert np.allclose(census.distances[near],
-                       census.word_lengths[near] * math.log(9.0), atol=1e-6)
-
-
-def _exact_distances(g, x, y, n_max):
-    """d(x, g^n y) for |n| <= n_max, from the given floats in rational
-    arithmetic, so that no power loses precision."""
-    out = {}
-    xr, xi, yr, yi = (Fraction(v) for v in (x.re, x.im, y.re, y.im))
-    for sign, step in ((1, g), (-1, g.inverse())):
-        a0, b0, c0, d0 = (Fraction(v) for v in step.matrix())
-        a, b, c, d = 1, 0, 0, 1
-        for n in range(n_max + 1):
-            den = (c * yr + d) ** 2 + (c * yi) ** 2
-            wr = ((a * yr + b) * (c * yr + d) + a * c * yi * yi) / den
-            wi = (a * d - b * c) * yi / den
-            cosh = 1 + ((xr - wr) ** 2 + (xi - wi) ** 2) / (2 * xi * wi)
-            out[sign * n] = math.acosh(float(cosh))
-            a, b, c, d = a * a0 + b * c0, a * b0 + b * d0, c * a0 + d * c0, c * b0 + d * d0
-    return out
+    exponents = census.words.exponents.tolist()
+    assert sorted(exponents) == list(range(-200, 201))
+    g = census.spec.generators[0]
+    assert _close(census.distances, [_exact_power_distance(g, n) for n in exponents], 1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.7, 1.4])
 def test_cyclic_walk_claims_no_power_it_lost(theta):
-    # y = g^N i lies |N| log 9 from i (the rotation k fixes i).  The powers
-    # toward a far y lose their determinant before the walk passes its
-    # nearest one; every power nearer than the claimed radius, in exact
-    # arithmetic on the given floats, must still be in the census.
+    # y = g^N i lies |N| log 9 from i (the rotation k fixes i).  Every
+    # power within the word length is formed, however far y is, and every
+    # power nearer than the claimed radius, in exact arithmetic on the
+    # given floats, must be in the census.
     k = _rotation(theta)
     g = k.inverse() @ A @ k
     for n_target in range(-24, 25, 4):
         y = k.inverse().apply(Point(0.0, 9.0 ** n_target))
         census = enumerate_orbit(cyclic_spec(g), y=y, max_word_length=200)
         exact = _exact_distances(g, ORIGIN, y, 50)
-        assert min(exact[50], exact[-50]) > census.completeness_radius
+        assert sorted(census.words.exponents.tolist()) == list(range(-200, 201))
         # The bound is attained when x, y and the lost power lie in order on
         # the axis; a power that far is a rounding error from the radius.
         near = {n for n, d in exact.items() if d < census.completeness_radius - 1e-9}
@@ -895,26 +937,27 @@ def test_free_search_peak_memory_is_a_small_multiple_of_the_census(
 
 def _reference_cyclic_census(g, x, y, exponents, max_radius, n_max):
     """(mats, distances, exponents, completeness_radius) of the powers g^n
-    for the given n, each formed by the walk's scalar steps, listed in walk
-    order (n = 0, 1, 2, ..., then -1, -2, ...) and stably sorted by
-    distance.  The radius is the least of R and the distances of the powers
-    with |n| <= n_max that are not in the census."""
-    def power(n):
-        m, step = Isometry.identity(), g if n >= 0 else g.inverse()
-        for _ in range(abs(n)):
-            m = m @ step
-        return m, distance(x, m.apply(y)) if n else distance(x, y)
+    for the given n, from the exact powers of the float matrix g (scaled to
+    determinant 1, in the sign convention of :class:`Isometry`), listed as
+    n = 0, 1, 2, ..., then -1, -2, ... and stably sorted by exact distance.
+    The radius is the least of R and the exact distances of the powers with
+    |n| <= n_max that are not in the census."""
+    def unit(m):
+        det = m[0] * m[3] - m[1] * m[2]
+        a, b, c, d = Isometry(*(math.sqrt(v * v / det) * (1 if v >= 0 else -1)
+                                for v in m)).matrix()
+        return [[a, b], [c, d]]
 
+    powers, exact = _exact_powers(g, n_max), _exact_distances(g, x, y, n_max)
     walk = sorted(n for n in exponents if n >= 0) + sorted(
         (n for n in exponents if n < 0), reverse=True)
-    mats, dists = zip(*map(power, walk))
-    order = np.argsort(np.array(dists), kind="stable")
+    dists = np.array([exact[n] for n in walk])
+    order = np.argsort(dists, kind="stable")
     inside = set(exponents)
     radius = min([math.inf if max_radius is None else max_radius]
-                 + [d for n, d in _brute_force_powers(g, x, y, n_max).items()
-                    if n not in inside])
-    return (np.array([[[m.a, m.b], [m.c, m.d]] for m in mats])[order],
-            np.array(dists)[order], np.array(walk)[order], radius)
+                 + [d for n, d in exact.items() if n not in inside])
+    return (np.array([unit(powers[n]) for n in walk])[order], dists[order],
+            np.array(walk)[order], radius)
 
 
 def _reference_lattice_census(x, y, max_radius, max_word_length):
@@ -971,11 +1014,11 @@ def test_cyclic_rows_ordered_on_first_read_match_an_eager_sort(g, y, max_word_le
     _read_rows(census, first)
     mats, dists, exponents, radius = _reference_cyclic_census(
         g, ORIGIN, y, census.words.exponents.tolist(), max_radius, n_max)
-    assert np.array_equal(census.mats, mats)
-    assert np.array_equal(census.distances, dists)
+    assert _close(census.mats, mats, 1e-13)
+    assert _close(census.distances, dists, 1e-13)
     assert np.array_equal(census.words.exponents, exponents)
     assert np.array_equal(census.word_lengths, np.abs(exponents))
-    assert census.completeness_radius == radius
+    assert _close(census.completeness_radius, radius, 1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from kleinian.hyperbolic import (
     direction_from,
     distance,
     distances_many,
+    origin_distances_many,
     shadow,
 )
 
@@ -410,6 +412,22 @@ def test_batch_kernels_match_scalar_primitives(x, items):
         # Compare on the circle: 0 and 2 pi are the same direction.
         gap = (theta - expected + math.pi) % (2.0 * math.pi) - math.pi
         assert abs(gap) <= 1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(isometries, min_size=1, max_size=20))
+@example([Isometry(1.0, 1e-9, 0.0, 1.0), Isometry.identity()])
+def test_origin_distances_need_no_image_point(gs):
+    # 4 sinh^2(d / 2) = ||m||_F^2 - 2 det m = (a - d)^2 + (b + c)^2: the
+    # kernel is accurate relative to d, near 0 too, where the point formula's
+    # acosh(1 + t) is not.  Compared as exact rationals: (2 sinh(d / 2))^2
+    # from the kernel's d against ||m||_F^2 / det m - 2 of the float entries.
+    mats = np.array([[[g.a, g.b], [g.c, g.d]] for g in gs])
+    for g, dist in zip(gs, origin_distances_many(mats)):
+        a, b, c, d = (Fraction(v) for v in g.matrix())
+        exact = ((a - d) ** 2 + (b + c) ** 2) / (a * d - b * c)
+        got = Fraction(2.0 * math.sinh(dist / 2.0)) ** 2
+        assert got == exact == 0 or abs(got / exact - 1) <= 1e-14
 
 
 arc_angles = st.floats(-10.0, 10.0)
