@@ -30,8 +30,7 @@ from .hyperbolic import (
     boundary_angle,
     boundary_angles,
     boundary_values,
-    distance,
-    distances_many,
+    distance,  # unused here; perfbench/spans.py wraps groups.distance by name
     origin_distances_many,
 )
 
@@ -522,8 +521,8 @@ def _census(mats, dists, wls, words, x, y, completeness, spec):
     return OrbitCensus._pending(
         functools.partial(_rows_by_distance, dists, mats, wls, words),
         # Equal to dists[argsort(dists, kind="stable")]: no distance is NaN
-        # or -0.0 (distances_many gives arccosh(max(1 + t, 1)) >= +0.0, and a
-        # NaN fails the radius test).
+        # or -0.0 (origin_distances_many gives 2 arcsinh of a hypot >= +0.0,
+        # and a NaN fails the radius test).
         distances=np.sort(dists[0]), basepoint_x=x, basepoint_y=y,
         completeness_radius=completeness, spec=spec)
 
@@ -640,26 +639,42 @@ def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
                    (_PowerWords, [exponents]), x, y, completeness, spec)
 
 
-def _halfplane_clearance(lo, hi, zre, zim):
-    """Least distance d(z, D) of the points z = zre + i zim to the geodesic
-    half-planes D spanned by the arcs from the angles ``lo`` counterclockwise
-    to ``hi``; zero for points inside one, and for points whose imaginary
-    part was lost to rounding (no bound).
+def _gram(p, q, r, s):
+    """The Gram matrix G = m m^T, as (G11, G12, G22), of the matrices m with
+    rows (p, q) and (r, s).  For a unimodular m it depends only on z = m.i:
+    G = [[|z|^2, Re z], [Re z, 1]] / Im z."""
+    return p * p + q * q, p * r + q * s, r * r + s * s
+
+
+def _preimage_gram(mats, x: Point):
+    """The Gram matrices of the points w^-1.x for a stack of unimodular w:
+    w^-1 K_x^-1, with w^-1 the adjugate (d, -b; -c, a), sends i there."""
+    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    sx = math.sqrt(x.im)
+    return _gram(d * sx, (d * x.re - b) / sx, -c * sx, (a - c * x.re) / sx)
+
+
+def _halfplane_clearance(lo, hi, g11, g12, g22):
+    """Least distance d(z, D) of the points z, each given by its Gram matrix
+    (see :func:`_gram`), to the geodesic half-planes D spanned by the arcs
+    from the angles ``lo`` counterclockwise to ``hi``; zero for points
+    inside one, and where the matrix left double precision (no bound).
 
     An arc end at angle t is xi = -c/s, c = cos(t/2), s = sin(t/2) (s = 0 at
-    oo).  With X = (z s_lo + c_lo)(conj(z) s_hi + c_hi), sinh d(z, dD) =
-    |Re X| / (Im z |sin((hi - lo)/2)|), and z is in D iff (Re X < 0) ==
-    (lo < hi).  The least ratio takes one arcsinh."""
-    least = np.full(len(zre), np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    oo).  With u = (s, c) at each end, sinh d(z, dD) = |u_lo G u_hi^T| /
+    |sin((hi - lo)/2)|, and z is in D iff (u_lo G u_hi^T < 0) == (lo < hi);
+    so u_lo G u_hi^T / sin((hi - lo)/2) is sinh d(z, D) outside D and not
+    positive inside (fmax takes a NaN to 0).  The least takes one arcsinh."""
+    least = np.full(len(g11), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for a, b in zip(lo.tolist(), hi.tolist()):
             s_lo, c_lo = math.sin(a / 2), math.cos(a / 2)
             s_hi, c_hi = math.sin(b / 2), math.cos(b / 2)
-            re_x = (zre * s_lo + c_lo) * (zre * s_hi + c_hi) + zim * zim * (s_lo * s_hi)
-            ratio = np.abs(re_x) / (zim * abs(math.sin((b - a) / 2)))
-            ratio[(re_x < 0.0) == (a < b)] = 0.0
-            np.minimum(least, ratio, out=least)
-    least[~(zim > 0.0)] = 0.0
+            q = g11 * (s_lo * s_hi)
+            q += g12 * (s_lo * c_hi + c_lo * s_hi)
+            q += g22 * (c_lo * c_hi)
+            q /= math.sin((b - a) / 2)
+            np.minimum(least, np.fmax(q, 0.0, out=q), out=least)
     return np.arcsinh(least)
 
 
@@ -678,10 +693,11 @@ def _certified_halfplanes(spec: GroupSpec, y: Point):
     """
     lo, hi = np.array([(arc.lo_angle, arc.hi_angle)
                        for arc in ping_pong_certificate(spec).intervals]).T
-    yre, yim = np.array([y.re]), np.array([y.im])
-    # y lies in at most one D_m, and its distance to the complement (the
-    # arc with its ends swapped) is d(y, y0).
-    shift = max(float(_halfplane_clearance(hi[m:m + 1], lo[m:m + 1], yre, yim)[0])
+    sy = math.sqrt(y.im)
+    gy = [np.array([g]) for g in _gram(sy, y.re / sy, 0.0, 1.0 / sy)]
+    # y = K_y^-1.i lies in at most one D_m, and its distance to the
+    # complement (the arc with its ends swapped) is d(y, y0).
+    shift = max(float(_halfplane_clearance(hi[m:m + 1], lo[m:m + 1], *gy)[0])
                 for m in range(len(lo)))
     return lo, hi, shift
 
@@ -710,11 +726,8 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
     def subtree_bound(mats, last):
         """Lower bound on d(x, w v . y) over the proper continuations v of
         the words w ending in letter ``last`` (v does not start with last^-1)."""
-        # The adjugate of a unimodular matrix is its inverse.
-        adj = np.stack([mats[:, 1, 1], -mats[:, 0, 1], -mats[:, 1, 0], mats[:, 0, 0]], axis=1)
         others = np.arange(n_letters) != last ^ 1
-        zre, zim = apply_many(adj.reshape(-1, 2, 2), x)
-        return _halfplane_clearance(lo[others], hi[others], zre, zim) - shift
+        return _halfplane_clearance(lo[others], hi[others], *_preimage_gram(mats, x)) - shift
 
     pieces = [], [], [], []  # census columns: mats, distances, word lengths, words
     size, bound_floor = 0, math.inf  # bound_floor: least bound of a subtree left out
@@ -737,11 +750,12 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
         """Visit the children w.li of the words w, in order."""
         mats = mats @ lmats[li]
         words = np.column_stack([words, np.full(len(words), codes[li])])
-        dist = distances_many(x, *apply_many(mats, y))
+        dist = origin_distances_many(mats, x, y)
         return visit(level, mats, words, np.full(len(mats), li), dist, subtree_bound(mats, li))
 
-    frontier = visit(0, np.eye(2)[None], np.zeros((1, 0), codes.dtype), np.array([-1]),
-                     np.array([distance(x, y)]), np.zeros(1))
+    root = np.eye(2)[None]
+    frontier = visit(0, root, np.zeros((1, 0), codes.dtype), np.array([-1]),
+                     origin_distances_many(root, x, y), np.zeros(1))
     for level in itertools.count(1):
         mats, words, last = frontier  # in row order
         if not len(mats):
@@ -871,7 +885,7 @@ def _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget):
         i, t = _expand_ranges(t_lo.astype(np.int64), n_t.astype(np.int64))
         g0 = np.stack([a0[i] + t * c[i], b0[i] + t * d[i], c[i], d[i]], axis=1)
         rows = _canonical_int_rows((k @ g0.reshape(-1, 2, 2) @ h_inv).reshape(-1, 4))
-        dists = distances_many(x, *apply_many(rows.reshape(-1, 2, 2), y))
+        dists = origin_distances_many(rows.reshape(-1, 2, 2), x, y)
         inside = dists <= max_radius
         rows, dists = rows[inside], dists[inside]
         total += len(rows)
@@ -925,6 +939,9 @@ def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,
                     budget: int = 10 ** 7) -> OrbitCensus:
     """Census of all distinct group elements within the given limits.
 
+    Every distance d(x, g.y) is read off the matrix of g, through the frame
+    K_x g K_y^-1 of :func:`origin_distances_many`, with no image point g.y;
+    so are the pruning bounds of the free search (:func:`_preimage_gram`).
     The census is sorted by distance; ``completeness_radius`` is the radius
     up to which it is complete: proved by the ping-pong half-planes at every
     basepoint (free constructions; negative if a census is too shallow to

@@ -146,9 +146,12 @@ class Isometry:
         return abs(self.b) < tol and abs(self.c) < tol and abs(self.a - 1.0) < tol
 
     def apply(self, x: Point) -> Point:
-        z = x.as_complex()
-        w = (self.a * z + self.b) / (self.c * z + self.d)
-        return Point(w.real, w.imag)
+        """The image of x, by the operations of :func:`apply_many`."""
+        s = math.sqrt(x.im)
+        n11, n12 = self.a * s, (self.a * x.re + self.b) / s
+        n21, n22 = self.c * s, (self.c * x.re + self.d) / s
+        im = 1.0 / (n21 * n21 + n22 * n22)
+        return Point((n11 * n21 + n12 * n22) * im, im)
 
     def apply_boundary(self, xi: BoundaryPoint) -> BoundaryPoint:
         if xi.is_infinity:
@@ -208,13 +211,10 @@ class Isometry:
 
 
 def distance(x: Point, y: Point) -> float:
-    """Hyperbolic distance, arccosh(1 + t) with t = |x-y|^2 / (2 Im x Im y),
-    or sqrt(2t) where 1 + t rounds to 1, so distinct points stay apart."""
-    dre = x.re - y.re
-    dim = x.im - y.im
-    t = (dre * dre + dim * dim) / (2.0 * x.im * y.im)
-    d = math.acosh(1.0 + t)
-    return d if d > 0.0 else math.sqrt(2.0 * t)
+    """Hyperbolic distance, 2 arcsinh(|x - y| / (2 sqrt(Im x) sqrt(Im y))):
+    nothing cancels, near 0 included."""
+    return 2.0 * math.asinh(0.5 * math.hypot(x.re - y.re, x.im - y.im)
+                            / (math.sqrt(x.im) * math.sqrt(y.im)))
 
 
 def _to_infinity(xi: BoundaryPoint) -> Isometry:
@@ -334,11 +334,18 @@ def shadow(x: Point, y: Point, r: float) -> BoundaryInterval:
 
 def apply_many(mats, p: Point) -> tuple[np.ndarray, np.ndarray]:
     """(re, im) arrays of the images of p under a stack of (n, 2, 2)
-    unimodular matrices."""
+    unimodular matrices m: N = m K_p^-1 sends i to m.p, so Im = 1 / (N21^2 +
+    N22^2) and Re = (N11 N21 + N12 N22) Im, and neither cancels far from p.
+    :meth:`Isometry.apply` does the same operations."""
     mats = np.asarray(mats, dtype=np.float64)
-    z = complex(p.re, p.im)
-    w = (mats[:, 0, 0] * z + mats[:, 0, 1]) / (mats[:, 1, 0] * z + mats[:, 1, 1])
-    return w.real, w.imag
+    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    s = math.sqrt(p.im)
+    # Past double precision an image lies at Im 0: infinitely far.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        n11, n12 = a * s, (a * p.re + b) / s
+        n21, n22 = c * s, (c * p.re + d) / s
+        im = 1.0 / (n21 * n21 + n22 * n22)
+        return (n11 * n21 + n12 * n22) * im, im
 
 
 def distances_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -346,22 +353,27 @@ def distances_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     of :func:`distance`."""
     # Overflow to inf is fine: such points are infinitely far.  So is a
     # point whose imaginary part underflowed to 0: it is dropped at inf.
-    # An image that fell below the real axis (t < 0) is at distance 0.
     with np.errstate(over="ignore", divide="ignore"):
-        t = ((re - x.re) ** 2 + (im - x.im) ** 2) / (2.0 * im * x.im)
-    d = np.arccosh(np.maximum(1.0 + t, 1.0))
-    small = (d == 0.0) & (t > 0.0)
-    d[small] = np.sqrt(2.0 * t[small])
-    return d
+        return 2.0 * np.arcsinh(0.5 * np.hypot(re - x.re, im - x.im)
+                                / (math.sqrt(x.im) * np.sqrt(im)))
 
 
-def origin_distances_many(mats) -> np.ndarray:
-    """Distances d(i, m.i) for a stack of (n, 2, 2) unimodular matrices m,
-    from the matrix alone: 4 sinh^2(d / 2) = ||m||_F^2 - 2 = (a - d)^2 +
-    (b + c)^2, so no image point is formed and nothing cancels."""
-    mats = np.asarray(mats, dtype=np.float64)
-    return 2.0 * np.arcsinh(0.5 * np.hypot(mats[:, 0, 0] - mats[:, 1, 1],
-                                           mats[:, 0, 1] + mats[:, 1, 0]))
+def origin_distances_many(mats, x: Point = ORIGIN, y: Point = ORIGIN) -> np.ndarray:
+    """Distances d(x, m.y) for a stack of (n, 2, 2) unimodular matrices m,
+    from the matrices alone: with K_p: z -> (z - Re p) / Im p, the frame
+    F = K_x m K_y^-1 moves i by d, and 4 sinh^2(d / 2) = (F11 - F22)^2 +
+    (F12 + F21)^2.  With u = a - c Re x, r = sqrt(Im y / Im x) and s =
+    sqrt(Im x Im y), F = (u r, (u Re y + b - d Re x) / s; c s, (c Re y + d)
+    / r): exactly 1 for m = 1 at x = y, and m itself at x = y = i."""
+    mats = np.asarray(mats)
+    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: outside every ball
+        if (x, y) != (ORIGIN, ORIGIN):
+            sx, sy = math.sqrt(x.im), math.sqrt(y.im)
+            r, s = sy / sx, sx * sy
+            u = a - x.re * c
+            a, b, c, d = u * r, (u * y.re + (b - x.re * d)) / s, c * s, (c * y.re + d) / r
+        return 2.0 * np.arcsinh(0.5 * np.hypot(a - d, b + c))
 
 
 def disk_points_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:

@@ -87,6 +87,28 @@ def test_separation_certificate(tmp_path, capsys):
     assert "s0=0.31" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("depth, theta, radius", [(8, 0.0, "20"), (4, -0.5, "22")],
+                         ids=["depth-8-R20", "rotated-depth-4-R22"])
+def test_nested_exponent_ends_with_the_builtin_depth_4_estimate(tmp_path, capsys,
+                                                                depth, theta, radius):
+    # Both groups have the orbit distances of the depth-4 subgroup of the
+    # builtin pair (the rotation k fixes i, and the deeper letters lie past
+    # R20).  Read from image points, these words lost the imaginary part
+    # that their subtree bound needs, and both runs exceeded the budget.
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    k = cli.Isometry(c, s, -s, c)
+    estimates = []
+    for name, d, g in (("nested", depth, k), ("builtin", 4, cli.Isometry.identity())):
+        spec = groups.nested_subgroup_spec(g.inverse() @ cli._A @ g,
+                                           g.inverse() @ cli._B @ g, d)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(groups.spec_to_json_dict(spec)))
+        assert run(["exponent", "--config", str(path), "--max-radius", radius,
+                    "--out", str(tmp_path / name)]) == 0
+        estimates.append(json.loads((tmp_path / name / "estimate.json").read_text()))
+    assert estimates[0]["point_estimate"] == estimates[1]["point_estimate"]
+
+
 @pytest.mark.parametrize("theta", [0.7, -1.2])
 def test_separation_on_a_rotated_cyclic_subgroup(tmp_path, capsys, theta):
     # The entries of the rotated generator's powers pass 1e8 long before
@@ -516,14 +538,14 @@ def test_check_unknown_filter(tmp_path, capsys):
 
 
 def test_check_detects_injected_distance_bug(tmp_path, capsys, monkeypatch):
-    # Inflate every cyclic power's distance by 20%: the measured parabolic
+    # Inflate every census distance by 20%: the measured parabolic
     # exponent drops to ~0.42 and the counting suite must go red.  The
     # sparse cyclic-hyperbolic census then starves its estimator, which
     # must surface as a failed suite, not a crashed run.
     true_distances = groups.origin_distances_many
 
-    def warped(mats):
-        return 1.2 * true_distances(mats)
+    def warped(mats, *basepoints):
+        return 1.2 * true_distances(mats, *basepoints)
 
     monkeypatch.setattr(cli.groups, "origin_distances_many", warped)
     rc = run(["check", "--filter", "counting", "--out", str(tmp_path)])

@@ -13,9 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from kleinian.hyperbolic import (
     BoundaryInterval, BoundaryPoint, Isometry, ORIGIN, Point, apply_many, boundary_angle,
-    boundary_from_angle, distance, distances_many)
+    boundary_from_angle, distance, distances_many, origin_distances_many)
 from kleinian import groups
 from kleinian.counting import estimate_exponent, make_report
+from kleinian.patterson import atom_positions
 from kleinian.groups import (
     BudgetExceeded,
     GroupSpec,
@@ -760,15 +761,14 @@ def _reference_free_census(spec, x, y, max_word_length, max_radius):
     radius = math.inf if max_radius is None else max_radius
 
     def subtree_bound(mats, last):
-        adj = np.stack([mats[:, 1, 1], -mats[:, 0, 1], -mats[:, 1, 0], mats[:, 0, 0]], axis=1)
-        zre, zim = apply_many(adj.reshape(-1, 2, 2), x)
-        clearance = np.stack([groups._halfplane_clearance(lo[m:m + 1], hi[m:m + 1], zre, zim)
+        gram = groups._preimage_gram(mats, x)
+        clearance = np.stack([groups._halfplane_clearance(lo[m:m + 1], hi[m:m + 1], *gram)
                               for m in range(n_letters)])
         clearance[last ^ 1, np.arange(len(last))] = np.inf
         return clearance.min(axis=0) - shift
 
     mats, last, words = np.eye(2)[None], np.array([-1]), np.zeros((1, 0), codes.dtype)
-    dist, bound = np.array([distance(x, y)]), np.zeros(1)
+    dist, bound = origin_distances_many(mats, x, y), np.zeros(1)
     levels = []
     bound_floor = math.inf
     for level in itertools.count():
@@ -785,7 +785,7 @@ def _reference_free_census(spec, x, y, max_word_length, max_radius):
         li, p = np.nonzero(last != (np.arange(n_letters)[:, None] ^ 1))
         mats, last = mats[p] @ lmats[li], li
         words = np.concatenate([words[p], codes[li, None]], axis=1)
-        dist = distances_many(x, *apply_many(mats, y))
+        dist = origin_distances_many(mats, x, y)
         bound = subtree_bound(mats, li)
     mats, dists, wls, words = zip(*levels)
     width = words[-1].shape[1]
@@ -835,15 +835,144 @@ def test_free_census_rows_match_level_at_a_time_reference(spec, x, y, max_word_l
     assert census.completeness_radius == radius
 
 
-def test_lost_imaginary_parts_do_not_poison_the_subtree_bound():
-    # At depth 8 some frontier words w send x so near the real axis that
-    # Im(w^-1 x) underflows; such a word's subtree is kept (no bound), not
-    # dropped on a NaN bound or given a -inf one.  The suite turns the
-    # divide-by-zero warning into an error.
-    census = enumerate_orbit(nested_subgroup_spec(A, B, 8), max_word_length=3)
-    assert len(census) == 1 + 18 * (1 + 17 + 17 ** 2)
-    assert math.isfinite(census.completeness_radius)
-    assert census.completeness_radius >= 0.0
+def _exact_word_matrices(spec, words):
+    """The exact products of the float letters of ``spec`` (the letters the
+    census multiplies) along each word, as integer matrices over a common
+    power-of-two scale, which the distances of :func:`_exact_distances_of`
+    do not see.  Shared prefixes are multiplied once."""
+    letters = ping_pong_certificate(spec).letters
+    den = max(Fraction(v).denominator for g in letters for v in g.matrix())
+    ints = {int(groups.signed_letter(i)): tuple(int(Fraction(v) * den) for v in g.matrix())
+            for i, g in enumerate(letters)}
+    memo = {(): (1, 0, 0, 1)}
+
+    def product(w):
+        if w not in memo:
+            p, q, r, s = product(w[:-1])
+            a, b, c, d = ints[w[-1]]
+            memo[w] = (p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d)
+        return memo[w]
+
+    return [product(tuple(w)) for w in words]
+
+
+def _exact_distances_of(mats, x, y):
+    """d(x, m.y) for integer matrices m = (a, b, c, d) of positive
+    determinant, whatever their scale, at the float basepoints as exact
+    rationals: with x = X / D and y = Y / D, sinh^2(d / 2) =
+    |X (c Y + d D) - D (a Y + b D)|^2 / (4 Im X Im Y D^2 det m), rounded once
+    by Python's exact integer division; past double precision, d = log(4
+    sinh^2(d / 2)) to far below an ulp."""
+    coords = [Fraction(v) for v in (x.re, x.im, y.re, y.im)]
+    den = max(v.denominator for v in coords)
+    xr, xi, yr, yi = (int(v * den) for v in coords)
+    out = []
+    for a, b, c, d in mats:
+        ur, ui = c * yr + d * den, c * yi
+        vr, vi = a * yr + b * den, a * yi
+        zr, zi = xr * ur - xi * ui - den * vr, xr * ui + xi * ur - den * vi
+        num, scale = zr * zr + zi * zi, 4 * xi * yi * den * den * (a * d - b * c)
+        if num.bit_length() - scale.bit_length() > 1000:
+            out.append(math.log(4 * num) - math.log(scale))
+        else:
+            out.append(2.0 * math.asinh(math.sqrt(num / scale)))
+    return out
+
+
+def _rotated(theta, *generators):
+    k = _rotation(theta)
+    return tuple(k.inverse() @ g @ k for g in generators)
+
+
+@pytest.mark.parametrize("spec, x, y, max_word_length", [
+    (schottky_spec(*_rotated(0.7, A, B)), ORIGIN, ORIGIN, 8),
+    (schottky_spec(A, B), ORIGIN, ORIGIN, 8),
+    (schottky_spec(A, B), Point(0.3, 1.7), Point(-0.4, 0.8), 8),
+    *[(nested_subgroup_spec(A, B, depth), ORIGIN, ORIGIN, 3) for depth in (4, 6, 8)],
+    (schottky_spec(A, B), Point(0.0, 1e-200), Point(0.0, 1e-200), 3),
+    (schottky_spec(A, B), ORIGIN, Point(0.3, 1e-200), 3),
+], ids=["schottky-L8-rotated-0.7", "schottky-L8", "schottky-L8-moved",
+        "nested-4-L3", "nested-6-L3", "nested-8-L3", "schottky-L3-at-1e-200i",
+        "schottky-L3-to-0.3+1e-200i"])
+def test_free_census_distances_match_exact_products(spec, x, y, max_word_length):
+    # Every row's distance is that of the exact product of the float letters
+    # along its word; formed from an image point, distances far from i lost
+    # up to whole units (nested depth 8 listed rows at 0 and inf), and
+    # basepoints at 1e-200 i raised ZeroDivisionError.
+    census = enumerate_orbit(spec, x, y, max_word_length=max_word_length)
+    exact = _exact_distances_of(_exact_word_matrices(spec, census.words), x, y)
+    assert _close(census.distances, exact, 1e-12)
+
+
+def test_schottky_l10_farthest_distances_match_exact_products():
+    census = enumerate_orbit(schottky_spec(A, B), max_word_length=10)
+    rows = range(len(census) - 3000, len(census))
+    words = [census.words[i] for i in rows]
+    exact = _exact_distances_of(_exact_word_matrices(census.spec, words), ORIGIN, ORIGIN)
+    assert _close(census.distances[rows.start:], exact, 1e-12)
+
+
+@pytest.mark.parametrize("x, y", [(ORIGIN, ORIGIN), (Point(0.3, 1.7), Point(-0.4, 0.8))],
+                         ids=["i", "moved"])
+def test_lattice_distances_are_exact(x, y):
+    # The rows are exact integers, so their exact distances are those of the
+    # group elements; at x = y = i the frame is the row itself, and ties in
+    # exact distance stay ties.
+    census = enumerate_orbit(modular_lattice_spec(), x, y, max_radius=9.0)
+    rows = census.mats.reshape(-1, 4).tolist()
+    assert _close(census.distances, _exact_distances_of(rows, x, y), 1e-12)
+    if x == y == ORIGIN:
+        # Rows with one (a - d)^2 + (b + c)^2 are at one distance, bit for bit.
+        m = census.mats
+        key = (m[:, 0, 0] - m[:, 1, 1]) ** 2 + (m[:, 0, 1] + m[:, 1, 0]) ** 2
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        assert np.array_equal(census.distances, census.distances[first][inverse])
+
+
+@pytest.mark.parametrize("spec, y, max_word_length", [
+    (schottky_spec(A, B), Point(-0.4, 0.8), 8),
+    (nested_subgroup_spec(A, B, 8), ORIGIN, 3),
+], ids=["schottky-L8-moved", "nested-8-L3"])
+def test_atom_positions_match_exact_products(spec, y, max_word_length):
+    # The measures' atoms w.y, against the exact images under the exact
+    # products: Im to 1e-12 relative (it was off by 340% at depth 8), Re to
+    # 1e-12 of |w.y|, the precision a float Re can hold near the axis.
+    census = enumerate_orbit(spec, y=y, max_word_length=max_word_length)
+    re, im = atom_positions(census)
+    coords = [Fraction(v) for v in (y.re, y.im)]
+    den = max(v.denominator for v in coords)
+    yr, yi = (int(v * den) for v in coords)
+    exact = []
+    for a, b, c, d in _exact_word_matrices(spec, census.words):
+        nr, ni, dr, di = a * yr + b * den, a * yi, c * yr + d * den, c * yi
+        n2 = dr * dr + di * di
+        exact.append(((nr * dr + ni * di) / n2, (ni * dr - nr * di) / n2))
+    exact_re, exact_im = np.array(exact).T
+    assert np.all(np.abs(im - exact_im) <= 1e-12 * exact_im)
+    assert np.all(np.abs(re - exact_re) <= 1e-12 * np.hypot(exact_re, exact_im))
+
+
+def test_nested_depths_state_one_completeness_radius():
+    # The subtree bound reads each word's Gram matrix, which keeps its
+    # precision where the imaginary part of the point w^-1.x was lost (depth
+    # 8 stated radius 0.0), so every depth proves the same radius at L3.
+    radii = {depth: enumerate_orbit(nested_subgroup_spec(A, B, depth),
+                                    max_word_length=3).completeness_radius
+             for depth in range(4, 9)}
+    assert len(set(radii.values())) == 1, radii
+    assert radii[8] > 7.0
+
+
+def test_rotated_nested_pair_has_the_builtin_distances():
+    # The rotation k fixes i, so the nested subgroup of the rotated pair has
+    # the builtin ball; at R21 its census listed one extra word at 0.0,
+    # which lies at 37.83.
+    builtin = enumerate_orbit(nested_subgroup_spec(A, B, 4), max_radius=22.0)
+    rotated = enumerate_orbit(nested_subgroup_spec(*_rotated(-0.5, A, B), 4), max_radius=22.0)
+    assert len(rotated) == len(builtin) == 53921
+    assert np.count_nonzero(rotated.distances <= 21.0) == 29895
+    assert np.allclose(rotated.distances, builtin.distances, rtol=0.0, atol=1e-9)
+    assert rotated.completeness_radius == builtin.completeness_radius == 22.0
 
 
 def _exact_clearance(lo, hi, u, v):
@@ -880,12 +1009,26 @@ def test_halfplane_clearance_matches_exact_arithmetic(theta, points, end):
     arcs = [(arc.lo_angle, arc.hi_angle) for arc in cert.intervals] + [(0.0, end), (end, 0.0)]
     lo, hi = map(np.array, zip(*arcs))
     u, v = map(np.array, zip(*points))
+    # Each point z = u + iv as its Gram matrix: K_z^-1 has rows (sqrt v, u / sqrt v), (0, 1 / sqrt v).
+    gram = groups._gram(np.sqrt(v), u / np.sqrt(v), np.zeros_like(v), 1.0 / np.sqrt(v))
     exact = [[_exact_clearance(a, b, *z) for z in points] for a, b in arcs]
     for m in range(len(arcs)):
-        got = groups._halfplane_clearance(lo[m:m + 1], hi[m:m + 1], u, v)
+        got = groups._halfplane_clearance(lo[m:m + 1], hi[m:m + 1], *gram)
         assert np.allclose(got, exact[m], rtol=0.0, atol=1e-9)
-    least = groups._halfplane_clearance(lo, hi, u, v)
+    least = groups._halfplane_clearance(lo, hi, *gram)
     assert np.allclose(least, np.min(exact, axis=0), rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(theta=st.floats(-math.pi, math.pi), points=_POINTS)
+def test_shift_is_the_exact_distance_out_of_the_half_planes(theta, points):
+    # d(y, y0): the distance from y to the complement of the half-plane it
+    # lies in (the arc with its ends swapped), 0 if it lies in none.
+    spec = conjugate(schottky_spec(A, B), _rotation(theta))
+    for u, v in points:
+        lo, hi, shift = groups._certified_halfplanes(spec, Point(u, v))
+        exact = max(_exact_clearance(b, a, u, v) for a, b in zip(lo, hi))
+        assert shift == pytest.approx(exact, rel=0.0, abs=1e-9)
 
 
 @settings(max_examples=10, deadline=None)
@@ -898,12 +1041,13 @@ def test_words_send_y_into_the_half_plane_of_their_first_letter(theta):
     assert shift == 0.0
     census = enumerate_orbit(spec, max_word_length=6)
     first = census.words.letters[:, 0].astype(np.int64)
-    zre, zim = apply_many(census.mats, ORIGIN)
+    mats = census.mats
+    gram = groups._gram(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
     for m in range(len(lo)):
         mine = first == groups.signed_letter(m)
         assert mine.sum() == (3 ** 6 - 1) // 2  # 3^(k-1) words of each length k
         assert not groups._halfplane_clearance(lo[m:m + 1], hi[m:m + 1],
-                                               zre[mine], zim[mine]).any()
+                                               *(g[mine] for g in gram)).any()
 
 
 def _retained_bytes(census):
@@ -967,7 +1111,7 @@ def _reference_lattice_census(x, y, max_radius, max_word_length):
     c, d), a total order on distinct rows."""
     ball = enumerate_orbit(modular_lattice_spec(), x, y, max_radius=max_radius)
     rows = ball.mats.reshape(-1, 4)[np.random.default_rng(5).permutation(len(ball))]
-    dists = distances_many(x, *apply_many(rows.reshape(-1, 2, 2), y))
+    dists = origin_distances_many(rows.reshape(-1, 2, 2), x, y)
     wls = groups._st_word_lengths(rows)
     radius = max_radius
     if max_word_length is not None:

@@ -376,6 +376,28 @@ def test_distance_resolves_points_closer_than_rounding(gap):
     assert distances_many(x, np.array([gap]), np.array([1.0]))[0] == distance(x, y)
 
 
+def test_distance_near_zero_does_not_cancel():
+    # y = e^t i lies at exactly log(Im y) from i.  Through arccosh(1 + t)
+    # the distance 2e-6 came out as 1.99998e-6.
+    y = Point(0.0, math.exp(2e-6))
+    exact = math.log1p(y.im - 1.0)  # y.im - 1 is exact
+    assert distance(ORIGIN, y) == pytest.approx(exact, rel=1e-14, abs=0.0)
+    assert distances_many(ORIGIN, np.array([0.0]), np.array([y.im]))[0] == pytest.approx(
+        exact, rel=1e-14, abs=0.0)
+
+
+def test_points_near_the_axis_keep_their_distances_and_images():
+    # 2 Im x Im y underflowed to 0 here, and distance raised ZeroDivisionError.
+    x, y = Point(0.0, 1e-200), Point(1.0, 1e-200)
+    want = 2.0 * math.asinh(0.5e200)
+    assert distance(x, y) == pytest.approx(want, rel=1e-15)
+    assert distances_many(x, np.array([y.re]), np.array([y.im]))[0] == pytest.approx(
+        want, rel=1e-15)
+    a = Isometry(3.0, 0.0, 0.0, 1.0 / 3.0)
+    image = a.apply(y)
+    assert (image.re, image.im) == pytest.approx((9.0, 9e-200), rel=1e-15)
+
+
 def _iwasawa(x, t, theta):
     """The isometry n(x) a(t) k(theta); every isometry is one of these."""
     c, s = math.cos(theta), math.sin(theta)
@@ -412,6 +434,15 @@ def test_batch_kernels_match_scalar_primitives(x, items):
         # Compare on the circle: 0 and 2 pi are the same direction.
         gap = (theta - expected + math.pi) % (2.0 * math.pi) - math.pi
         assert abs(gap) <= 1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_points, st.lists(isometries, min_size=1, max_size=20))
+def test_scalar_and_batch_mobius_actions_agree_bit_for_bit(p, gs):
+    # One formula, written twice with the same operations.
+    re, im = apply_many(np.array([[[g.a, g.b], [g.c, g.d]] for g in gs]), p)
+    images = [g.apply(p) for g in gs]
+    assert [(q.re, q.im) for q in images] == list(zip(re.tolist(), im.tolist()))
 
 
 @settings(max_examples=100, deadline=None)
