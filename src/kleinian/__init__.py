@@ -13,8 +13,11 @@ from .hyperbolic import (
     ORIGIN,
     Point,
     boundary_angle,
+    boundary_at_angle,
     boundary_from_angle,
     busemann,
+    direction_angle_from,
+    direction_from,
     distance,
     shadow,
 )

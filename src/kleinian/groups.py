@@ -27,7 +27,6 @@ from .hyperbolic import (
     _fold_angle,
     apply_boundary_many,
     apply_many,
-    boundary_angle,
     boundary_angles,
     boundary_values,
     distance,  # unused here; perfbench/spans.py wraps groups.distance by name
@@ -291,7 +290,7 @@ def propose_intervals(generators) -> tuple[BoundaryInterval, ...]:
     common half-width, else about the isometric circles.  The first family
     with a certified candidate wins, and in it the first of the best margin."""
     letters = _letters(generators)
-    centers = np.array([boundary_angle(ell.fixed_points()[0]) for ell in letters])
+    centers = boundary_angles(np.array([ell.fixed_points()[0].value for ell in letters]))
     lmats = _matrices(letters)
     # Half-width limited by half the smallest gap between arc centers.
     angles = np.sort(centers)
@@ -731,18 +730,20 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
 
     pieces = [], [], [], []  # census columns: mats, distances, word lengths, words
     size, bound_floor = 0, math.inf  # bound_floor: least bound of a subtree left out
+    alive = 0  # frontier words held, which a bound that stops pruning grows
 
     def visit(level, mats, words, last, dist, bound):
         """Census the words within the radius, and return the matrices, words
         and last letters of those whose subtree may reach it."""
-        nonlocal size, bound_floor
+        nonlocal size, bound_floor, alive
         take = dist <= radius
         for col, part in zip(pieces, (mats, dist, np.full(len(dist), level), words)):
             col.append(part[take])
         size += len(pieces[1][-1])
-        if size > budget:
-            raise BudgetExceeded(f"census exceeds budget {budget}")
         keep = (bound <= radius) & (max_word_length is None or level < max_word_length)
+        alive += int(keep.sum())
+        if size + alive > budget:
+            raise BudgetExceeded(f"census and frontier exceed budget {budget}")
         bound_floor = min(bound_floor, float(bound[~keep].min(initial=math.inf)))
         return mats[keep], words[keep], last[keep]
 
@@ -760,6 +761,7 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
         mats, words, last = frontier  # in row order
         if not len(mats):
             break
+        alive = len(mats)
         frontier = [], [], []  # the next frontier's pieces, one per letter
         for li in range(n_letters):
             sel = last != li ^ 1
@@ -951,9 +953,9 @@ def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,
     modular lattice, which needs ``max_radius``).  Limits that cannot bound
     the census raise :class:`InsufficientLimits`; free generators without a
     certificate raise :class:`MarginViolation` or
-    :class:`NonHyperbolicGenerator`.  A census of more than ``budget``
-    elements raises :class:`BudgetExceeded`; a cyclic one raises it before
-    any power is formed.
+    :class:`NonHyperbolicGenerator`.  A census of more than ``budget`` rows
+    (a free one counts its frontier too) raises :class:`BudgetExceeded`; a
+    cyclic one raises it before any power is formed.
     """
     if max_word_length is None and max_radius is None:
         raise InsufficientLimits(

@@ -5,7 +5,8 @@ acting by Mobius transformations, and the visual boundary is R u {oo}.
 Boundary arcs are parametrised by the angle on the unit circle obtained from
 the Cayley transform z -> (z - i)/(z + i), which maps the boundary
 counterclockwise (increasing real coordinate sweeps increasing angle, with
-oo at angle 0).
+oo at angle 0).  Each boundary formula (angles, directions, Busemann, shadows)
+is one batch kernel at the end; the scalar primitives are its one-row calls.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 _TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
+_HALF_ROUNDS = 2.0 ** -1021  # below it t / 2 rounds, and 2 asinh(t / 2) = t
 
 
 def _fold_angle(theta):
@@ -68,20 +70,13 @@ INFINITY = BoundaryPoint(math.inf)
 
 
 def boundary_angle(xi: BoundaryPoint) -> float:
-    """Circle angle in [0, 2*pi) of a boundary point (Cayley transform at i)."""
-    if xi.is_infinity:
-        return 0.0
-    # xi = -cot(theta/2), with theta/2 = atan2(1, -xi) in (0, pi).
-    return _fold_angle(2.0 * math.atan2(1.0, -xi.value))
+    """Circle angle in [0, 2*pi) of a boundary point: :func:`boundary_angles`."""
+    return float(boundary_angles(xi.value))
 
 
 def boundary_from_angle(theta: float) -> BoundaryPoint:
-    """Inverse of :func:`boundary_angle`."""
-    theta = theta % _TWO_PI
-    s = math.sin(theta / 2.0)
-    if s == 0.0:
-        return INFINITY
-    return BoundaryPoint(-math.cos(theta / 2.0) / s)
+    """Inverse of :func:`boundary_angle`: :func:`boundary_values` of theta."""
+    return BoundaryPoint(float(boundary_values(_fold_angle(theta))))
 
 
 class NonInvertibleMatrix(ValueError):
@@ -154,18 +149,9 @@ class Isometry:
         return Point((n11 * n21 + n12 * n22) * im, im)
 
     def apply_boundary(self, xi: BoundaryPoint) -> BoundaryPoint:
-        if xi.is_infinity:
-            if abs(self.c) < _TOL:
-                return INFINITY
-            return BoundaryPoint(self.a / self.c)
-        x = xi.value
-        num, denom, scale = self.a * x + self.b, self.c * x + self.d, 1.0
-        if not (math.isfinite(num) and math.isfinite(denom)):
-            # A product overflowed; dividing through by x keeps the image.
-            num, denom, scale = self.a + self.b / x, self.c + self.d / x, 1.0 / abs(x)
-        if abs(denom) < _TOL * max(scale, abs(num)):
-            return INFINITY
-        return BoundaryPoint(num / denom)
+        """The image of xi: :func:`apply_boundary_many` on one matrix."""
+        return BoundaryPoint(float(apply_boundary_many(
+            ((self.a, self.b), (self.c, self.d)), xi.value)))
 
     def classify(self) -> str:
         """One of 'identity', 'elliptic', 'parabolic', 'hyperbolic'."""
@@ -211,27 +197,19 @@ class Isometry:
 
 
 def distance(x: Point, y: Point) -> float:
-    """Hyperbolic distance, 2 arcsinh(|x - y| / (2 sqrt(Im x) sqrt(Im y))):
-    nothing cancels, near 0 included."""
-    return 2.0 * math.asinh(0.5 * math.hypot(x.re - y.re, x.im - y.im)
-                            / (math.sqrt(x.im) * math.sqrt(y.im)))
-
-
-def _to_infinity(xi: BoundaryPoint) -> Isometry:
-    """An isometry sending xi to oo."""
-    if xi.is_infinity:
-        return Isometry.identity()
-    return Isometry(0.0, -1.0, 1.0, -xi.value)
+    """Hyperbolic distance, 2 arcsinh(t / 2) with t = |x - y| / (sqrt(Im x)
+    sqrt(Im y)): nothing cancels, near 0 included."""
+    t = math.hypot(x.re - y.re, x.im - y.im) / (math.sqrt(x.im) * math.sqrt(y.im))
+    return t if t < _HALF_ROUNDS else 2.0 * math.asinh(0.5 * t)
 
 
 def busemann(xi: BoundaryPoint, x1: Point, x2: Point) -> float:
-    """Busemann cocycle: lim_{z -> xi} d(x1, z) - d(x2, z).
+    """Busemann cocycle: lim_{z -> xi} d(x1, z) - d(x2, z): :func:`busemann_many`.
 
     Sign convention pinned by the defining limit: moving x1 towards xi
     decreases the value.  For xi = oo this is ln(Im x2 / Im x1).
     """
-    g = _to_infinity(xi)
-    return math.log(g.apply(x2).im / g.apply(x1).im)
+    return float(busemann_many(xi.value, x1, x2))
 
 
 @dataclass(frozen=True)
@@ -250,10 +228,6 @@ class BoundaryInterval:
     @staticmethod
     def full_circle() -> "BoundaryInterval":
         return BoundaryInterval(0.0, _TWO_PI, full=True)
-
-    @staticmethod
-    def from_points(lo: BoundaryPoint, hi: BoundaryPoint) -> "BoundaryInterval":
-        return BoundaryInterval(boundary_angle(lo), boundary_angle(hi))
 
     @property
     def lo(self) -> BoundaryPoint:
@@ -283,49 +257,36 @@ class BoundaryInterval:
         return BoundaryInterval(self.hi_angle, self.lo_angle)
 
 
-def _to_center(x: Point) -> Isometry:
-    """The isometry z -> (z - Re x)/Im x sending x to i."""
-    s = math.sqrt(x.im)
-    return Isometry(1.0 / s, -x.re / s, 0.0, s)
-
-
 def boundary_at_angle(x: Point, theta: float) -> BoundaryPoint:
-    """Boundary point at the given angle of the disk model centered at x."""
-    return _to_center(x).inverse().apply_boundary(boundary_from_angle(theta))
+    """Boundary point at angle theta of the disk at x: :func:`boundary_values_at`."""
+    return BoundaryPoint(float(boundary_values_at(x, _fold_angle(theta))))
 
 
 def direction_from(x: Point, p: Point) -> BoundaryPoint:
-    """Endpoint of the geodesic ray from x through p."""
-    return boundary_at_angle(x, direction_angle_from(x, p))
+    """Endpoint of the geodesic ray from x through p: :func:`directions_many`."""
+    if p == x:
+        raise ValueError("direction undefined: p coincides with x")
+    return BoundaryPoint(float(directions_many(x, np.float64(p.re), np.float64(p.im))))
 
 
 def direction_angle_from(x: Point, p: Point) -> float:
-    """Like :func:`direction_from` but returns the angle in the disk at x."""
-    g = _to_center(x)
-    q = g.apply(p).as_complex()
-    w = (q - 1j) / (q + 1j)  # Cayley: disk centered at image i
-    if abs(w) == 0.0:
+    """The angle in [0, 2*pi) of p in the disk at x: :func:`disk_angles_many`."""
+    if p == x:
         raise ValueError("direction undefined: p coincides with x")
-    return _fold_angle(math.atan2(w.imag, w.real))
+    return float(_fold_angle(disk_angles_many(x, np.float64(p.re), np.float64(p.im))))
 
 
 def shadow(x: Point, y: Point, r: float) -> BoundaryInterval:
-    """Arc of directions xi such that the ray [x, xi) meets the ball B(y, r).
-
-    In the disk model centered at x the shadow is the arc around the
-    direction of y with half-width asin(sinh r / sinh d(x, y)).  Returns the
-    full boundary when d(x, y) <= r.
-    """
+    """Arc of directions xi such that the ray [x, xi) meets the ball B(y, r):
+    :func:`shadow_arcs`, or the full boundary when d(x, y) <= r."""
     if r <= 0.0:
         raise ValueError("shadow radius must be positive")
-    d = distance(x, y)
-    if d <= r:
+    re, im = np.array([y.re]), np.array([y.im])
+    d = distances_many(x, re, im)
+    if d[0] <= r:
         return BoundaryInterval.full_circle()
-    half = math.asin(math.sinh(r) / math.sinh(d))
-    phi = direction_angle_from(x, y)
-    lo = boundary_at_angle(x, phi - half)
-    hi = boundary_at_angle(x, phi + half)
-    return BoundaryInterval.from_points(lo, hi)
+    lo, hi = shadow_arcs(x, re, im, d, r)
+    return BoundaryInterval(float(lo[0]), float(hi[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +315,8 @@ def distances_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     # Overflow to inf is fine: such points are infinitely far.  So is a
     # point whose imaginary part underflowed to 0: it is dropped at inf.
     with np.errstate(over="ignore", divide="ignore"):
-        return 2.0 * np.arcsinh(0.5 * np.hypot(re - x.re, im - x.im)
-                                / (math.sqrt(x.im) * np.sqrt(im)))
+        return _twice_asinh_half(np.hypot(re - x.re, im - x.im)
+                                 / (math.sqrt(x.im) * np.sqrt(im)))
 
 
 def origin_distances_many(mats, x: Point = ORIGIN, y: Point = ORIGIN) -> np.ndarray:
@@ -373,7 +334,16 @@ def origin_distances_many(mats, x: Point = ORIGIN, y: Point = ORIGIN) -> np.ndar
             r, s = sy / sx, sx * sy
             u = a - x.re * c
             a, b, c, d = u * r, (u * y.re + (b - x.re * d)) / s, c * s, (c * y.re + d) / r
-        return 2.0 * np.arcsinh(0.5 * np.hypot(a - d, b + c))
+        return _twice_asinh_half(np.hypot(a - d, b + c))
+
+
+def _twice_asinh_half(t: np.ndarray) -> np.ndarray:
+    """2 asinh(t / 2), by the rule of :func:`distance` below _HALF_ROUNDS."""
+    d = 0.5 * t
+    np.arcsinh(d, out=d)
+    d *= 2.0
+    np.copyto(d, t, where=t < _HALF_ROUNDS)
+    return d
 
 
 def disk_points_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -382,8 +352,14 @@ def disk_points_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return (q - 1j) / (q + 1j)
 
 
+def disk_angles_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Angles in [-pi, pi] of the points (re, im) in the disk model centred at x."""
+    w = disk_points_many(x, re, im)
+    return np.arctan2(w.imag, w.real)
+
+
 def boundary_values(theta: np.ndarray) -> np.ndarray:
-    """:func:`boundary_from_angle` over an array: -cot(theta / 2), inf for oo."""
+    """Boundary coordinates -cot(theta / 2) at the circle angles theta, inf for oo."""
     s = np.sin(theta / 2.0)
     with np.errstate(all="ignore"):
         xi = -np.cos(theta / 2.0) / s
@@ -391,7 +367,9 @@ def boundary_values(theta: np.ndarray) -> np.ndarray:
 
 
 def boundary_angles(xi: np.ndarray) -> np.ndarray:
-    """:func:`boundary_angle` over an array of coordinates xi, +-inf for oo."""
+    """Circle angles in [0, 2*pi) of the boundary coordinates xi, +-inf for
+    oo: xi = -cot(theta / 2), so (cos theta, sin theta) is a positive
+    multiple of (xi^2 - 1, -2 xi)."""
     with np.errstate(over="ignore", invalid="ignore"):
         xi2 = xi * xi
         angles = _fold_angle(np.arctan2(-2.0 * xi, xi2 - 1.0))
@@ -400,13 +378,13 @@ def boundary_angles(xi: np.ndarray) -> np.ndarray:
 
 
 def apply_boundary_many(mats, xi: np.ndarray) -> np.ndarray:
-    """:meth:`Isometry.apply_boundary` over arrays: images of the coordinates
-    xi (+-inf for oo) under a stack of (n, 2, 2) matrices, inf for oo."""
+    """Images of the boundary coordinates xi (+-inf for oo) under a stack of
+    (..., 2, 2) matrices, inf for oo."""
     mats = np.asarray(mats, dtype=np.float64)
     a, b, c, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
     with np.errstate(all="ignore"):
         num, denom = a * xi + b, c * xi + d
-        # Where a product overflowed, divide through by xi, as the scalar does.
+        # Where a product overflowed, dividing through by xi keeps the image.
         big = ~(np.isfinite(num) & np.isfinite(denom))
         scale = np.where(big, 1.0 / np.abs(xi), 1.0)
         num = np.where(big, a + b / xi, num)
@@ -417,16 +395,42 @@ def apply_boundary_many(mats, xi: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(xi), at_inf, finite)
 
 
-def boundary_angles_at(x: Point, theta: np.ndarray) -> np.ndarray:
-    """Global circle angles of the boundary points at the angles theta of the
-    disk model centred at x: :func:`boundary_at_angle` over an array."""
+def boundary_values_at(x: Point, theta: np.ndarray) -> np.ndarray:
+    """Boundary coordinates (+-inf for oo) at the angles theta of the disk at x."""
     with np.errstate(over="ignore"):
-        return boundary_angles(x.im * boundary_values(theta) + x.re)
+        return x.im * boundary_values(theta) + x.re
+
+
+def boundary_angles_at(x: Point, theta: np.ndarray) -> np.ndarray:
+    """Circle angles of the boundary points at the angles theta of the disk at x."""
+    return boundary_angles(boundary_values_at(x, theta))
+
+
+def directions_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Boundary coordinates (+-inf for oo) of the rays from x through (re, im)."""
+    return boundary_values_at(x, disk_angles_many(x, re, im))
 
 
 def direction_angles_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Boundary-circle angles of the ray directions from x through the
-    points (re, im), in the global parametrisation of :func:`boundary_angle`;
+    points (re, im), in the global parametrisation of :func:`boundary_angles`;
     a point at x gets angle 0."""
-    w = disk_points_many(x, re, im)
-    return boundary_angles_at(x, np.arctan2(w.imag, w.real))
+    return boundary_angles(directions_many(x, re, im))
+
+
+def busemann_many(xi: np.ndarray, x1: Point, x2: Point) -> np.ndarray:
+    """Busemann cocycles toward the boundary coordinates xi (+-inf for oo):
+    ln(Im x2 |x1 - xi|^2 / (Im x1 |x2 - xi|^2)), and ln(Im x2 / Im x1) at oo."""
+    with np.errstate(invalid="ignore"):  # inf / inf at oo, replaced below
+        ratio = np.hypot(x1.re - xi, x1.im) / np.hypot(x2.re - xi, x2.im)
+    return np.log(x2.im / x1.im * np.where(np.isinf(xi), 1.0, ratio * ratio))
+
+
+def shadow_arcs(x: Point, re, im, d, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Global angles (lo, hi) of the shadows cast from x by the balls of
+    radius r about the points (re, im) at distances d > r: the arcs of
+    half-width asin(sinh r / sinh d) about their directions in the disk at x."""
+    phi = _fold_angle(disk_angles_many(x, re, im))
+    half = np.arcsin(np.sinh(r) / np.sinh(d))
+    return (boundary_angles_at(x, _fold_angle(phi - half)),
+            boundary_angles_at(x, _fold_angle(phi + half)))

@@ -21,15 +21,15 @@ from .hyperbolic import (
     BoundaryInterval,
     Point,
     apply_many,
-    boundary_angles_at,
+    busemann_many,
     direction_angles_many,
-    direction_from,
+    directions_many,
     disk_points_many,
-    distance,
     distances_many,
-    busemann,
-    shadow,
+    shadow_arcs,
 )
+# Unused here; perfbench/spans.py wraps these scalar primitives by name.
+from .hyperbolic import busemann, direction_from, distance, shadow
 from .groups import OrbitCensus, _filled_chunks, _table_chunks, _write_table, word_matrix
 
 _LOG_FLOOR = -690.0  # below exp() underflow in linear scale
@@ -270,19 +270,13 @@ def conformal_ratio_audit(mu: AtomicMeasure, mu_prime: AtomicMeasure,
     predicted = np.exp(-mu.s * (d_xp - d_x))
     max_dev = float(np.abs(ratio - predicted).max())
 
-    order = np.argsort(d_x)[::-1][:far_count]
-    gaps, dists = [], []
-    for i in order:
-        p = Point(float(mu.atom_re[i]), float(mu.atom_im[i]))
-        if distance(x, p) < 1e-9:
-            continue
-        xi = direction_from(x, p)
-        gaps.append(abs((d_xp[i] - d_x[i]) - busemann(xi, xp, x)))
-        dists.append(float(d_x[i]))
+    far = np.argsort(d_x)[::-1][:far_count]
+    far = far[d_x[far] >= 1e-9]  # an atom at x has no direction
+    xi = directions_many(x, mu.atom_re[far], mu.atom_im[far])
     return ConformalAudit(
         max_deviation=max_dev,
-        busemann_gaps=np.array(gaps),
-        busemann_distances=np.array(dists))
+        busemann_gaps=np.abs((d_xp[far] - d_x[far]) - busemann_many(xi, xp, x)),
+        busemann_distances=d_x[far])
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +378,6 @@ def shadow_lemma_audit(census: OrbitCensus, mu: AtomicMeasure, alpha: float,
         raise ValueError("shadow radius must be positive")
     if horizon is None:
         horizon = default_horizon(census)
-    base = mu.basepoint
     angles, weights = _far_atoms(mu, horizon)
     order = np.argsort(angles, kind="stable")
     angles = angles[order]
@@ -394,14 +387,11 @@ def shadow_lemma_audit(census: OrbitCensus, mu: AtomicMeasure, alpha: float,
     band = np.isin(census.word_lengths, np.asarray(word_lengths))
     d = mu.distances[band]
     masses = np.full(len(d), total)
-    # Elements farther than r cast the arc of half-width asin(sinh r / sinh d)
-    # around their direction, as :func:`shadow` does; the others the circle.
+    # Elements farther than r cast a shadow arc; the others the circle.
     arc = d > r
-    w = disk_points_many(base, mu.atom_re[band][arc], mu.atom_im[band][arc])
-    phi = np.arctan2(w.imag, w.real) % _TWO_PI
-    half = np.arcsin(np.sinh(r) / np.sinh(d[arc]))
-    lo = boundary_angles_at(base, (phi - half) % _TWO_PI)
-    width = (boundary_angles_at(base, (phi + half) % _TWO_PI) - lo) % _TWO_PI
+    lo, hi = shadow_arcs(mu.basepoint, mu.atom_re[band][arc], mu.atom_im[band][arc],
+                         d[arc], r)
+    width = (hi - lo) % _TWO_PI
     hi = (lo + np.where(width > 0.0, width, _TWO_PI)) % _TWO_PI
     i_lo = np.searchsorted(angles, lo, side="left")
     i_hi = np.searchsorted(angles, hi, side="right")
@@ -433,14 +423,14 @@ def shadow_cover_bound(census: OrbitCensus, mu: AtomicMeasure, radius: float,
                        r: float, delta: float = 1.0) -> CoverBound:
     """Empirical multiplicity of the shadow cover over one annulus of orbit
     points, with the induced count bound checked exactly on the census."""
-    base = mu.basepoint
     d = mu.distances
     sel = np.nonzero((d >= radius - delta) & (d <= radius + delta))[0]
     if len(sel) == 0:
         raise ValueError("annulus contains no census elements")
-    arcs = [BoundaryInterval.full_circle() if d[i] <= r
-            else shadow(base, Point(float(mu.atom_re[i]), float(mu.atom_im[i])), r)
-            for i in sel]
+    far = sel[d[sel] > r]  # the others' shadows are the circle
+    lo, hi = shadow_arcs(mu.basepoint, mu.atom_re[far], mu.atom_im[far], d[far], r)
+    arcs = ([BoundaryInterval.full_circle()] * (len(sel) - len(far))
+            + list(map(BoundaryInterval, lo.tolist(), hi.tolist())))
     thetas = np.linspace(0.0, _TWO_PI, _COVER_GRID, endpoint=False)
     mult = np.zeros(_COVER_GRID, dtype=np.int64)
     angles, weights = _far_atoms(mu, default_horizon(census))

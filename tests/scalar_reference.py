@@ -1,0 +1,91 @@
+"""Scalar references for the boundary kernels of `kleinian.hyperbolic`.
+
+The library computes every boundary formula in one batch kernel, and its
+scalar primitives are one-row calls of those kernels.  The tests compare
+the kernels with these independent bodies instead: the same formulas in
+`math`, one point at a time, moving x to i by the isometry
+z -> (z - Re x) / Im x and applying matrices entry by entry.
+"""
+
+import math
+
+from kleinian.hyperbolic import (
+    INFINITY,
+    BoundaryInterval,
+    BoundaryPoint,
+    Isometry,
+    Point,
+    _fold_angle,
+    distance,
+)
+
+
+def boundary_angle(xi: BoundaryPoint) -> float:
+    """Circle angle in [0, 2*pi) of a boundary point (Cayley transform at i)."""
+    if xi.is_infinity:
+        return 0.0
+    # xi = -cot(theta/2), with theta/2 = atan2(1, -xi) in (0, pi).
+    return _fold_angle(2.0 * math.atan2(1.0, -xi.value))
+
+
+def boundary_from_angle(theta: float) -> BoundaryPoint:
+    """Inverse of :func:`boundary_angle`."""
+    theta = theta % (2.0 * math.pi)
+    s = math.sin(theta / 2.0)
+    if s == 0.0:
+        return INFINITY
+    return BoundaryPoint(-math.cos(theta / 2.0) / s)
+
+
+def apply_boundary(g: Isometry, xi: BoundaryPoint) -> BoundaryPoint:
+    """The image of xi under g."""
+    if xi.is_infinity:
+        if abs(g.c) < 1e-9:
+            return INFINITY
+        return BoundaryPoint(g.a / g.c)
+    x = xi.value
+    num, denom, scale = g.a * x + g.b, g.c * x + g.d, 1.0
+    if not (math.isfinite(num) and math.isfinite(denom)):
+        # A product overflowed; dividing through by x keeps the image.
+        num, denom, scale = g.a + g.b / x, g.c + g.d / x, 1.0 / abs(x)
+    if abs(denom) < 1e-9 * max(scale, abs(num)):
+        return INFINITY
+    return BoundaryPoint(num / denom)
+
+
+def to_center(x: Point) -> Isometry:
+    """The isometry z -> (z - Re x)/Im x sending x to i."""
+    s = math.sqrt(x.im)
+    return Isometry(1.0 / s, -x.re / s, 0.0, s)
+
+
+def boundary_at_angle(x: Point, theta: float) -> BoundaryPoint:
+    """Boundary point at the given angle of the disk model centered at x."""
+    return apply_boundary(to_center(x).inverse(), boundary_from_angle(theta))
+
+
+def direction_angle_from(x: Point, p: Point) -> float:
+    """Angle in [0, 2*pi) of the ray from x through p, in the disk at x."""
+    q = to_center(x).apply(p).as_complex()
+    w = (q - 1j) / (q + 1j)  # Cayley: disk centered at image i
+    if abs(w) == 0.0:
+        raise ValueError("direction undefined: p coincides with x")
+    return _fold_angle(math.atan2(w.imag, w.real))
+
+
+def direction_from(x: Point, p: Point) -> BoundaryPoint:
+    """Endpoint of the geodesic ray from x through p."""
+    return boundary_at_angle(x, direction_angle_from(x, p))
+
+
+def shadow(x: Point, y: Point, r: float) -> BoundaryInterval:
+    """Arc of directions whose ray from x meets the ball B(y, r): the arc of
+    half-width asin(sinh r / sinh d(x, y)) about the direction of y in the
+    disk at x, or the full boundary when d(x, y) <= r."""
+    d = distance(x, y)
+    if d <= r:
+        return BoundaryInterval.full_circle()
+    half = math.asin(math.sinh(r) / math.sinh(d))
+    phi = direction_angle_from(x, y)
+    return BoundaryInterval(boundary_angle(boundary_at_angle(x, phi - half)),
+                            boundary_angle(boundary_at_angle(x, phi + half)))

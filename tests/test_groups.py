@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kleinian.hyperbolic import (
     BoundaryInterval, BoundaryPoint, Isometry, ORIGIN, Point, apply_many, boundary_angle,
-    boundary_from_angle, distance, distances_many, origin_distances_many)
+    distance, distances_many, origin_distances_many)
 from kleinian import groups
 from kleinian.counting import estimate_exponent, make_report
 from kleinian.patterson import atom_positions
@@ -35,6 +35,8 @@ from kleinian.groups import (
     verify_ping_pong,
     word_matrix,
 )
+
+import scalar_reference as ref
 
 A = Isometry(3.0, 0.0, 0.0, 1.0 / 3.0)
 B = Isometry(5.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0, 5.0 / 3.0)
@@ -131,7 +133,8 @@ def _ref_inside(outer, inner):
 
 def _ref_image(g, arc):
     """The image arc of arc under g, which keeps the circular orientation."""
-    return tuple(boundary_angle(g.apply_boundary(boundary_from_angle(t))) for t in arc)
+    return tuple(ref.boundary_angle(ref.apply_boundary(g, ref.boundary_from_angle(t)))
+                 for t in arc)
 
 
 def _ref_margin(letters, arcs):
@@ -174,7 +177,7 @@ def _ref_candidates(letters):
 
 def _ref_angle(xi):
     """boundary_angle of xi; NaN, which fails every arc test, for NaN."""
-    return math.nan if math.isnan(xi) else boundary_angle(BoundaryPoint(xi))
+    return math.nan if math.isnan(xi) else ref.boundary_angle(BoundaryPoint(xi))
 
 
 def _ref_propose(letters):
@@ -631,6 +634,15 @@ def test_radius_capped_free_census_is_complete(schottky_census):
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         enumerate_orbit(schottky_spec(A, B), max_word_length=10, budget=100)
+
+
+def test_a_bound_that_stops_pruning_meets_the_budget(monkeypatch):
+    # With no clearance every word is kept for its subtree, so a radius
+    # census grows its frontier threefold a level while its rows stay put.
+    monkeypatch.setattr(groups, "_halfplane_clearance",
+                        lambda lo, hi, g11, g12, g22: np.zeros(len(g11)))
+    with pytest.raises(BudgetExceeded, match="frontier"):
+        enumerate_orbit(schottky_spec(A, B), max_radius=5.0, budget=10_000)
 
 
 def _brute_force_words(spec, x, y, depth, within=math.inf):

@@ -30,6 +30,8 @@ from kleinian.hyperbolic import (
     shadow,
 )
 
+import scalar_reference as ref
+
 RNG = np.random.default_rng(20260823)
 
 
@@ -282,6 +284,13 @@ def test_geodesic_point_distance_and_direction():
             1.0, abs=1e-8)
 
 
+def test_direction_from_a_point_to_itself_is_undefined():
+    x = Point(0.3, 1.7)
+    for direction in (direction_angle_from, direction_from):
+        with pytest.raises(ValueError, match="coincides"):
+            direction(x, Point(0.3, 1.7))
+
+
 def test_direction_round_trip_through_boundary():
     x = Point(0.7, 1.3)
     p = Point(4.0, 0.2)
@@ -376,6 +385,13 @@ def test_distance_resolves_points_closer_than_rounding(gap):
     assert distances_many(x, np.array([gap]), np.array([1.0]))[0] == distance(x, y)
 
 
+def test_distances_below_the_normal_range_do_not_vanish():
+    # Half of the least subnormal rounds to 0; the distance is t itself there.
+    x, y = ORIGIN, Point(5e-324, 1.0)
+    assert distance(x, y) == 5e-324
+    assert distances_many(x, np.array([y.re]), np.array([y.im]))[0] == 5e-324
+
+
 def test_distance_near_zero_does_not_cancel():
     # y = e^t i lies at exactly log(Im y) from i.  Through arccosh(1 + t)
     # the distance 2e-6 came out as 1.99998e-6.
@@ -430,7 +446,7 @@ def test_batch_kernels_match_scalar_primitives(x, items):
         [distance(x, p) for p in ps], rel=1e-12, abs=1e-12)
     angles = direction_angles_many(x, pre, pim)
     for theta, p in zip(angles, ps):
-        expected = boundary_angle(direction_from(x, p))
+        expected = ref.boundary_angle(ref.direction_from(x, p))
         # Compare on the circle: 0 and 2 pi are the same direction.
         gap = (theta - expected + math.pi) % (2.0 * math.pi) - math.pi
         assert abs(gap) <= 1e-8
@@ -448,6 +464,8 @@ def test_scalar_and_batch_mobius_actions_agree_bit_for_bit(p, gs):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(isometries, min_size=1, max_size=20))
 @example([Isometry(1.0, 1e-9, 0.0, 1.0), Isometry.identity()])
+# Half of the least subnormal distance rounds to 0.
+@example([_iwasawa(5e-324, 0.0, 0.0)])
 def test_origin_distances_need_no_image_point(gs):
     # 4 sinh^2(d / 2) = ||m||_F^2 - 2 det m = (a - d)^2 + (b + c)^2: the
     # kernel is accurate relative to d, near 0 too, where the point formula's
@@ -457,7 +475,8 @@ def test_origin_distances_need_no_image_point(gs):
     for g, dist in zip(gs, origin_distances_many(mats)):
         a, b, c, d = (Fraction(v) for v in g.matrix())
         exact = ((a - d) ** 2 + (b + c) ** 2) / (a * d - b * c)
-        got = Fraction(2.0 * math.sinh(dist / 2.0)) ** 2
+        # 2 sinh(d / 2) is d itself where d / 2 would round.
+        got = Fraction(dist if dist < 2.0 ** -1021 else 2.0 * math.sinh(dist / 2.0)) ** 2
         assert got == exact == 0 or abs(got / exact - 1) <= 1e-14
 
 
@@ -471,7 +490,7 @@ def test_boundary_angles_at_matches_scalar_boundary_at_angle(x, thetas):
     angles = boundary_angles_at(x, np.array(thetas))
     for got, theta in zip(angles, thetas):
         assert 0.0 <= got < 2.0 * math.pi
-        expected = boundary_angle(boundary_at_angle(x, theta))
+        expected = ref.boundary_angle(ref.boundary_at_angle(x, theta))
         gap = (got - expected + math.pi) % (2.0 * math.pi) - math.pi
         assert abs(gap) <= 1e-8
 
@@ -488,14 +507,14 @@ def test_boundary_angles_at_matches_scalar_boundary_at_angle(x, thetas):
 def test_boundary_action_on_arrays_matches_scalar_calls(items):
     gs, thetas = zip(*items)
     xi = boundary_values(np.array(thetas))
-    points = [boundary_from_angle(theta) for theta in thetas]
+    points = [ref.boundary_from_angle(theta) for theta in thetas]
     assert [math.isinf(v) for v in xi] == [p.is_infinity for p in points]
     assert xi[np.isfinite(xi)] == pytest.approx(
         [p.value for p in points if not p.is_infinity], rel=1e-12)
     images = apply_boundary_many(np.array([[[g.a, g.b], [g.c, g.d]] for g in gs]), xi)
     for got, g, p in zip(boundary_angles(images), gs, points):
         assert 0.0 <= got < 2.0 * math.pi
-        expected = boundary_angle(g.apply_boundary(p))
+        expected = ref.boundary_angle(ref.apply_boundary(g, p))
         gap = (got - expected + math.pi) % (2.0 * math.pi) - math.pi
         assert abs(gap) <= 1e-8
 

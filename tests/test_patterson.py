@@ -47,6 +47,8 @@ from kleinian.patterson import (
 )
 from kleinian.sequences import SequenceProbe, critical_exponent
 
+import scalar_reference as ref
+
 A = Isometry(3.0, 0.0, 0.0, 1.0 / 3.0)
 B = Isometry(5.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0, 5.0 / 3.0)
 PARABOLIC = Isometry(1.0, 1.0, 0.0, 1.0)
@@ -384,8 +386,8 @@ def test_shadow_lemma_matches_direct_shadow_mass(census8):
 def _reference_shadow_lemma_audit(census, mu, alpha, r, word_lengths=(3, 4, 5, 6, 7),
                                   horizon=None):
     """(distances, masses, ratios) of the shadow-lemma audit as a loop over
-    the band elements that builds each shadow arc with `shadow` and reads its
-    mass off the sorted-angle prefix table."""
+    the band elements that builds each shadow arc with the scalar reference
+    `shadow` and reads its mass off the sorted-angle prefix table."""
     if horizon is None:
         horizon = default_horizon(census)
     base = mu.basepoint
@@ -399,7 +401,7 @@ def _reference_shadow_lemma_audit(census, mu, alpha, r, word_lengths=(3, 4, 5, 6
     for i in np.nonzero(np.isin(census.word_lengths, word_lengths))[0]:
         p = Point(float(mu.atom_re[i]), float(mu.atom_im[i]))
         d = distance(base, p)
-        arc = shadow(base, p, r) if d > 0 else BoundaryInterval.full_circle()
+        arc = ref.shadow(base, p, r) if d > 0 else BoundaryInterval.full_circle()
         if arc.full:
             m = total
         else:
@@ -483,7 +485,8 @@ def word_interval(spec, word_indices):
     circular orientation of its ends."""
     arc = ping_pong_certificate(spec).intervals[word_indices[-1]]
     g = word_matrix(spec, tuple(map(signed_letter, word_indices[:-1])))
-    return BoundaryInterval.from_points(g.apply_boundary(arc.lo), g.apply_boundary(arc.hi))
+    return BoundaryInterval(boundary_angle(g.apply_boundary(arc.lo)),
+                            boundary_angle(g.apply_boundary(arc.hi)))
 
 
 def test_word_intervals_nest(spec):

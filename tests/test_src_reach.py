@@ -69,3 +69,35 @@ def test_every_name_the_benchmark_patches_resolves():
         assert callable(cls.write_csv), cls
     assert callable(cli.load_config) and callable(groups.enumerate_orbit)
     assert set(spans.KIND_LAYER) == set(groups.KINDS)
+
+
+# Scalar boundary primitives of `hyperbolic`, each a one-row call of the
+# batch kernel that holds its formula.
+ONE_ROW_CALLS = ("boundary_angle", "boundary_from_angle", "apply_boundary",
+                 "boundary_at_angle", "direction_from", "direction_angle_from",
+                 "busemann", "shadow")
+
+
+def _own_arithmetic(source: str) -> dict[str, list[str]]:
+    """The `math` calls and arithmetic operators in the bodies of the
+    functions named in ONE_ROW_CALLS, by function name."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name in ONE_ROW_CALLS:
+            ops = found.setdefault(node.name, [])
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "math"):
+                    ops.append(f"math.{sub.attr}")
+                elif isinstance(sub, (ast.BinOp, ast.AugAssign)) or (
+                        isinstance(sub, ast.UnaryOp) and not isinstance(sub.op, ast.Not)):
+                    ops.append(type(sub.op).__name__)
+    return found
+
+
+def test_scalar_boundary_primitives_hold_no_formula_of_their_own():
+    # A body of its own would be a second copy of a kernel's formula, free
+    # to round apart from it.
+    found = _own_arithmetic((SRC / "hyperbolic.py").read_text())
+    assert sorted(found) == sorted(ONE_ROW_CALLS)
+    assert {name: ops for name, ops in found.items() if ops} == {}
