@@ -406,19 +406,97 @@ _SUITES = {
 }
 
 
-def cmd_check(args) -> int:
+def _suite_results(names: list) -> list:
+    """The (name, ok, detail) checks of the suites `names`, in order.  A
+    check that cannot even be computed is a failure of that suite, not a
+    crash of the whole verification run; checks already produced by the
+    suite are kept."""
     results = []
-    for name, suite in _SUITES.items():
-        if args.filter and args.filter not in name:
-            continue
-        # A check that cannot even be computed is a failure of that suite,
-        # not a crash of the whole verification run; checks already
-        # produced by the suite are kept.
+    for name in names:
         try:
-            for item in suite():
+            for item in _SUITES[name]():
                 results.append(item)
         except tuple(_EXIT_CODES) as exc:
             results.append((f"{name}-suite", False, f"aborted: {exc}"))
+    return results
+
+
+def _worker(names: list, write_fd: int):
+    """The forked worker: run the suites `names` and write their checks, or
+    the exception that stopped them, pickled to `write_fd`.  It never returns
+    into the caller and never flushes the stdio buffers it shares with the
+    parent."""
+    import os
+    import pickle
+
+    try:
+        try:
+            payload = (True, _suite_results(names))
+        except BaseException as exc:
+            payload = (False, exc)
+        try:
+            data = pickle.dumps(payload)
+            pickle.loads(data)
+        except Exception:  # an exception that does not survive pickling
+            exc = payload[1]
+            data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(0)
+
+
+def _run_suites(names: list) -> list:
+    """The checks of the suites `names`, in order.  Where `os.fork` exists
+    and more than one suite is named, a forked worker runs all but the last
+    while this process runs the last.  A worker that ends without sending
+    its checks fails each of its suites; an exception it raised is raised
+    here."""
+    import os
+    import pickle
+
+    *forked, last = names
+    pid = None
+    # In the CLI the only other thread is numpy's OpenBLAS pool, which
+    # OpenBLAS itself stops around a fork.
+    if forked and hasattr(os, "fork"):
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: run every suite here
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid is None:
+        return _suite_results(names)
+    if pid == 0:
+        _worker(forked, write_fd)
+    os.close(write_fd)
+    pipe = os.fdopen(read_fd, "rb")
+    try:
+        own = _suite_results([last])
+        data = pipe.read()
+    finally:
+        pipe.close()  # first, so that a worker blocked on a full pipe can end
+        status = os.waitpid(pid, 0)[1]
+    if not data:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"ended by signal {-code}" if code < 0 else f"exited with code {code}"
+        return [(f"{name}-suite", False, f"aborted: worker {how}")
+                for name in forked] + own
+    ok, payload = pickle.loads(data)
+    if not ok:
+        raise payload
+    return payload + own
+
+
+def cmd_check(args) -> int:
+    """Run the verification suites whose name contains `--filter`, print
+    one line per check and write `check.json`.  Where `os.fork` exists, the
+    suites run in two processes (see `_run_suites`): patterson, the largest,
+    in this one and the others in a worker.  The checks are printed and
+    written in suite order either way."""
+    names = [name for name in _SUITES if not args.filter or args.filter in name]
+    results = _run_suites(names) if names else []
     if not results:
         print(f"no suite matches filter {args.filter!r}", file=sys.stderr)
         return EXIT_PARSE

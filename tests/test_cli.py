@@ -1,4 +1,6 @@
 import json
+import os
+import signal
 import time
 import weakref
 
@@ -552,3 +554,106 @@ def test_check_detects_injected_distance_bug(tmp_path, capsys, monkeypatch):
     assert rc == cli.EXIT_CHECK_FAILED
     out = capsys.readouterr().out
     assert "FAIL parabolic-exponent" in out
+
+
+# `--filter se` selects separation and sequences: separation runs in the
+# forked worker and sequences in this process.  Monkeypatches reach the
+# worker because it is a fork of this process.
+
+
+@pytest.fixture
+def no_child_left():
+    # A worker that hangs fails the test instead of stalling the run.
+    def expire(signum, frame):
+        raise TimeoutError("check did not end within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _check(out, capsys, pattern):
+    rc = run(["check", "--filter", pattern, "--out", str(out)])
+    return rc, capsys.readouterr().out, json.loads((out / "check.json").read_text())
+
+
+def test_check_worker_results_match_each_suite_alone(tmp_path, capsys, no_child_left):
+    rc, out, doc = _check(tmp_path / "se", capsys, "se")
+    alone = [_check(tmp_path / name, capsys, name)
+             for name in ("separation", "sequences")]
+    assert rc == 0 and all(code == 0 for code, _, _ in alone)
+    lines = [line for _, text, _ in alone for line in text.splitlines()[:-1]]
+    assert out.splitlines() == lines + [f"{len(lines)}/{len(lines)} checks passed"]
+    assert doc == {**alone[0][2], "results": alone[0][2]["results"] + alone[1][2]["results"]}
+
+
+@pytest.mark.parametrize("fork", ["missing", "failing"])
+def test_check_runs_every_suite_here_without_a_fork(tmp_path, capsys, monkeypatch,
+                                                    no_child_left, fork):
+    expected = _check(tmp_path / "forked", capsys, "se")
+
+    def no_process(*args):
+        raise OSError("fork failed")
+
+    if fork == "missing":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", no_process)
+    assert _check(tmp_path / "inline", capsys, "se") == expected
+
+
+def test_check_worker_suite_budget_aborts_that_suite(tmp_path, capsys, monkeypatch,
+                                                     no_child_left):
+    def over_budget():
+        yield ("kept-check", True, "computed before the abort")
+        raise groups.BudgetExceeded("census exceeds budget 5")
+
+    monkeypatch.setitem(cli._SUITES, "separation", over_budget)
+    rc, out, doc = _check(tmp_path, capsys, "se")
+    assert rc == cli.EXIT_CHECK_FAILED
+    assert out.splitlines()[:2] == [
+        "PASS kept-check: computed before the abort",
+        "FAIL separation-suite: aborted: census exceeds budget 5"]
+    assert [r["name"] for r in doc["results"]][:3] == [
+        "kept-check", "separation-suite", "sequence-exponent-agreement"]
+
+
+class _UnpicklableError(Exception):
+    def __init__(self, what, where):  # unpickling calls it with one argument
+        super().__init__(f"{what} at {where}")
+
+
+@pytest.mark.parametrize("error, message", [
+    (RuntimeError("worker crashed"), "worker crashed"),
+    (_UnpicklableError("crash", "suite"), "_UnpicklableError: crash at suite"),
+])
+def test_check_worker_suite_error_is_raised_here(tmp_path, capsys, monkeypatch,
+                                                 no_child_left, error, message):
+    def crashing():
+        raise error
+        yield
+
+    monkeypatch.setitem(cli._SUITES, "separation", crashing)
+    with pytest.raises(RuntimeError) as info:
+        run(["check", "--filter", "se", "--out", str(tmp_path)])
+    assert type(info.value) is RuntimeError and str(info.value) == message
+    assert capsys.readouterr().out == ""
+
+
+def test_check_killed_worker_fails_its_suites(tmp_path, capsys, monkeypatch, no_child_left):
+    def killed():
+        os.kill(os.getpid(), signal.SIGKILL)
+        yield
+
+    monkeypatch.setitem(cli._SUITES, "separation", killed)
+    rc, out, doc = _check(tmp_path, capsys, "se")
+    assert rc == cli.EXIT_CHECK_FAILED
+    assert out.splitlines()[0] == (
+        f"FAIL separation-suite: aborted: worker ended by signal {int(signal.SIGKILL)}")
+    assert [r["pass"] for r in doc["results"]] == [False, True, True, True, True]

@@ -381,7 +381,7 @@ def test_distance_positive_definite(x, y):
 def test_distance_resolves_points_closer_than_rounding(gap):
     # 1 + |x-y|^2 / 2 rounds to 1 here; the distance is still gap to first order.
     x, y = Point(0.0, 1.0), Point(gap, 1.0)
-    assert distance(x, y) == pytest.approx(gap, rel=1e-6)
+    assert distance(x, y) == pytest.approx(gap, rel=1e-6, abs=0)
     assert distances_many(x, np.array([gap]), np.array([1.0]))[0] == distance(x, y)
 
 
