@@ -77,9 +77,12 @@ class CountingReport:
 def make_report(census: OrbitCensus, r_min: float = 0.0,
                 r_max: float | None = None, step: float = 0.5,
                 delta: float = 1.0) -> CountingReport:
-    if r_max is None:
+    complete = r_max is None
+    if complete:
         r_max = census.completeness_radius - delta
     radii = np.arange(r_min, r_max + 1e-12, step)
+    if complete:  # the slack may add a radius whose annulus is incomplete
+        radii = radii[radii + delta <= census.completeness_radius]
     counts = np.array([orbital_count(census, r) for r in radii])
     annular = np.array([annular_count(census, r, delta) for r in radii])
     return CountingReport(radii=radii, counts=counts, annular=annular, delta=delta)

@@ -617,10 +617,7 @@ def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
             mats = f * u + e * w
             dists = origin_distances_many(f * pm + e * qm)
         dists[(n < clip_lo) | (n > clip_hi)] = math.inf  # farther than the cap
-        a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0]
-        lead = np.select([np.abs(a) > _TOL, np.abs(b) > _TOL, np.abs(c) > _TOL], [a, b, c])
-        mats[lead < 0.0] *= -1.0
-        return mats, dists
+        return _canonical_signs(mats.reshape(-1, 4)).reshape(-1, 2, 2), dists
 
     exponents = np.concatenate([np.arange(max(lo, 0), hi + 1, dtype=np.int64),
                                 np.arange(min(hi, -1), lo - 1, -1, dtype=np.int64)])
@@ -772,13 +769,13 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
     return _census(*pieces[:3], (_FreeWords, pieces[3]), x, y, min(bound_floor, radius), spec)
 
 
-def _canonical_int_rows(rows: np.ndarray) -> np.ndarray:
-    """Sign-canonicalize (n, 4) integer matrix rows in place convention:
-    first nonzero of (a, b, c) positive."""
+def _canonical_signs(rows: np.ndarray) -> np.ndarray:
+    """Flip in place the (n, 4) matrix rows (a, b, c, d) whose first entry of
+    (a, b, c) that is not (numerically) zero is negative, as `Isometry` does.
+    For integer rows that entry is the first nonzero one."""
     a, b, c = rows[:, 0], rows[:, 1], rows[:, 2]
-    lead = np.where(a != 0, a, np.where(b != 0, b, c))
-    flip = lead < 0
-    rows[flip] *= -1
+    lead = np.select([np.abs(a) > _TOL, np.abs(b) > _TOL, np.abs(c) > _TOL], [a, b, c])
+    rows[lead < 0] *= -1
     return rows
 
 
@@ -886,7 +883,7 @@ def _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget):
             raise BudgetExceeded(f"census exceeds budget {budget}")
         i, t = _expand_ranges(t_lo.astype(np.int64), n_t.astype(np.int64))
         g0 = np.stack([a0[i] + t * c[i], b0[i] + t * d[i], c[i], d[i]], axis=1)
-        rows = _canonical_int_rows((k @ g0.reshape(-1, 2, 2) @ h_inv).reshape(-1, 4))
+        rows = _canonical_signs((k @ g0.reshape(-1, 2, 2) @ h_inv).reshape(-1, 4))
         dists = origin_distances_many(rows.reshape(-1, 2, 2), x, y)
         inside = dists <= max_radius
         rows, dists = rows[inside], dists[inside]

@@ -5,8 +5,9 @@ acting by Mobius transformations, and the visual boundary is R u {oo}.
 Boundary arcs are parametrised by the angle on the unit circle obtained from
 the Cayley transform z -> (z - i)/(z + i), which maps the boundary
 counterclockwise (increasing real coordinate sweeps increasing angle, with
-oo at angle 0).  Each boundary formula (angles, directions, Busemann, shadows)
-is one batch kernel at the end; the scalar primitives are its one-row calls.
+oo at angle 0).  Each formula (action, distance, angles, directions, Busemann,
+shadows) is one batch kernel at the end; the scalar primitives are its
+one-row calls.
 """
 
 from __future__ import annotations
@@ -141,12 +142,9 @@ class Isometry:
         return abs(self.b) < tol and abs(self.c) < tol and abs(self.a - 1.0) < tol
 
     def apply(self, x: Point) -> Point:
-        """The image of x, by the operations of :func:`apply_many`."""
-        s = math.sqrt(x.im)
-        n11, n12 = self.a * s, (self.a * x.re + self.b) / s
-        n21, n22 = self.c * s, (self.c * x.re + self.d) / s
-        im = 1.0 / (n21 * n21 + n22 * n22)
-        return Point((n11 * n21 + n12 * n22) * im, im)
+        """The image of x: :func:`apply_many` on one matrix."""
+        re, im = apply_many((((self.a, self.b), (self.c, self.d)),), x)
+        return Point(float(re[0]), float(im[0]))
 
     def apply_boundary(self, xi: BoundaryPoint) -> BoundaryPoint:
         """The image of xi: :func:`apply_boundary_many` on one matrix."""
@@ -197,10 +195,8 @@ class Isometry:
 
 
 def distance(x: Point, y: Point) -> float:
-    """Hyperbolic distance, 2 arcsinh(t / 2) with t = |x - y| / (sqrt(Im x)
-    sqrt(Im y)): nothing cancels, near 0 included."""
-    t = math.hypot(x.re - y.re, x.im - y.im) / (math.sqrt(x.im) * math.sqrt(y.im))
-    return t if t < _HALF_ROUNDS else 2.0 * math.asinh(0.5 * t)
+    """Hyperbolic distance: :func:`distances_many` of one point."""
+    return float(distances_many(x, np.array([y.re]), np.array([y.im]))[0])
 
 
 def busemann(xi: BoundaryPoint, x1: Point, x2: Point) -> float:
@@ -297,7 +293,7 @@ def apply_many(mats, p: Point) -> tuple[np.ndarray, np.ndarray]:
     """(re, im) arrays of the images of p under a stack of (n, 2, 2)
     unimodular matrices m: N = m K_p^-1 sends i to m.p, so Im = 1 / (N21^2 +
     N22^2) and Re = (N11 N21 + N12 N22) Im, and neither cancels far from p.
-    :meth:`Isometry.apply` does the same operations."""
+    :meth:`Isometry.apply` is its one-row call."""
     mats = np.asarray(mats, dtype=np.float64)
     a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
     s = math.sqrt(p.im)
@@ -310,8 +306,9 @@ def apply_many(mats, p: Point) -> tuple[np.ndarray, np.ndarray]:
 
 
 def distances_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Hyperbolic distances from x to the points (re, im), by the formula
-    of :func:`distance`."""
+    """Hyperbolic distances from x to the points z = (re, im): 2 asinh(t / 2)
+    with t = |x - z| / (sqrt(Im x) sqrt(Im z)), where nothing cancels, near 0
+    included.  :func:`distance` is its one-row call."""
     # Overflow to inf is fine: such points are infinitely far.  So is a
     # point whose imaginary part underflowed to 0: it is dropped at inf.
     with np.errstate(over="ignore", divide="ignore"):
@@ -338,7 +335,7 @@ def origin_distances_many(mats, x: Point = ORIGIN, y: Point = ORIGIN) -> np.ndar
 
 
 def _twice_asinh_half(t: np.ndarray) -> np.ndarray:
-    """2 asinh(t / 2), by the rule of :func:`distance` below _HALF_ROUNDS."""
+    """2 asinh(t / 2), and t itself below _HALF_ROUNDS, where t / 2 rounds."""
     d = 0.5 * t
     np.arcsinh(d, out=d)
     d *= 2.0

@@ -1,7 +1,8 @@
-"""Scalar references for the boundary kernels of `kleinian.hyperbolic`.
+"""Scalar references for the batch kernels of `kleinian.hyperbolic`.
 
-The library computes every boundary formula in one batch kernel, and its
-scalar primitives are one-row calls of those kernels.  The tests compare
+The library computes every formula (Möbius action, distance, boundary
+angles, directions, shadows) in one batch kernel, and its scalar
+primitives are one-row calls of those kernels.  The tests compare
 the kernels with these independent bodies instead: the same formulas in
 `math`, one point at a time, moving x to i by the isometry
 z -> (z - Re x) / Im x and applying matrices entry by entry.
@@ -16,8 +17,24 @@ from kleinian.hyperbolic import (
     Isometry,
     Point,
     _fold_angle,
-    distance,
 )
+
+
+def apply(g: Isometry, x: Point) -> Point:
+    """The image of x under g, by the operations of `apply_many`: N = g K_x^-1
+    sends i to g.x, so Im = 1 / (N21^2 + N22^2) and Re = (N11 N21 + N12 N22) Im."""
+    s = math.sqrt(x.im)
+    n11, n12 = g.a * s, (g.a * x.re + g.b) / s
+    n21, n22 = g.c * s, (g.c * x.re + g.d) / s
+    im = 1.0 / (n21 * n21 + n22 * n22)
+    return Point((n11 * n21 + n12 * n22) * im, im)
+
+
+def distance(x: Point, y: Point) -> float:
+    """Hyperbolic distance, 2 asinh(t / 2) with t = |x - y| / (sqrt(Im x)
+    sqrt(Im y)), and t itself where t / 2 would round."""
+    t = math.hypot(x.re - y.re, x.im - y.im) / (math.sqrt(x.im) * math.sqrt(y.im))
+    return t if t < 2.0 ** -1021 else 2.0 * math.asinh(0.5 * t)
 
 
 def boundary_angle(xi: BoundaryPoint) -> float:
@@ -66,7 +83,7 @@ def boundary_at_angle(x: Point, theta: float) -> BoundaryPoint:
 
 def direction_angle_from(x: Point, p: Point) -> float:
     """Angle in [0, 2*pi) of the ray from x through p, in the disk at x."""
-    q = to_center(x).apply(p).as_complex()
+    q = apply(to_center(x), p).as_complex()
     w = (q - 1j) / (q + 1j)  # Cayley: disk centered at image i
     if abs(w) == 0.0:
         raise ValueError("direction undefined: p coincides with x")

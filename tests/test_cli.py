@@ -47,6 +47,17 @@ def test_exponent_parabolic(tmp_path, capsys):
     assert "point_estimate=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["exponent", "patterson"])
+def test_counting_grid_ends_inside_the_completeness_radius(tmp_path, command):
+    # The grid's rounding slack reached radius 18 here, whose annulus [17, 19]
+    # ends past the completeness radius: an uncaught IncompleteCensus, exit 1.
+    rc = run([command, "--config", "parabolic", "--max-radius", "18.9999999999999",
+              "--out", str(tmp_path)])
+    assert rc == 0
+    if command == "exponent":
+        assert json.loads((tmp_path / "estimate.json").read_text())["window"][1] == 17.5
+
+
 @pytest.mark.parametrize("argv", [["--config", "lattice", "--max-radius", "9"],
                                   ["--config", "schottky", "--max-word-length", "8"]],
                          ids=["lattice-R9", "schottky-L8"])

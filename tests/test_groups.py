@@ -287,6 +287,7 @@ def test_proposed_arcs_match_the_all_pairs_reference(gens):
 
 def test_random_reduced_words_are_not_identity():
     spec = schottky_spec(A, B)
+    mats = []
     for _ in range(1000):
         length = int(RNG.integers(1, 9))
         word = []
@@ -297,8 +298,10 @@ def test_random_reduced_words_are_not_identity():
             word.append(s)
         m = word_matrix(spec, word)
         assert not m.is_identity(tol=1e-6)
-        # Free group: the orbit point moves.
-        assert distance(ORIGIN, m.apply(ORIGIN)) > 0.1
+        mats.append(m.matrix())
+    # Free group: every orbit point moves.
+    re, im = apply_many(np.reshape(mats, (-1, 2, 2)), ORIGIN)
+    assert np.all(distances_many(ORIGIN, re, im) > 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +607,7 @@ def test_census_distances_match_word_matrices(schottky_census):
     idx = RNG.choice(len(c), size=500, replace=False)
     for i in idx:
         g = c.element(int(i))
-        assert distance(ORIGIN, g.apply(ORIGIN)) == pytest.approx(
+        assert ref.distance(ORIGIN, ref.apply(g, ORIGIN)) == pytest.approx(
             c.distances[int(i)], abs=1e-8)
         w = c.word(int(i))
         assert len(w) == c.word_lengths[int(i)]
@@ -1284,13 +1287,13 @@ def test_lattice_census_matches_oracle_at_moved_basepoints():
     assert len(got) == len(census)
     # d(i, g.i) <= d(i, x) + d(x, g.y) + d(y, i), so the ball at (x, y) lies
     # in the oracle's ball at i of the larger radius.
-    wide = _oracle_lattice_elements(R + distance(ORIGIN, x) + distance(ORIGIN, y))
+    wide = _oracle_lattice_elements(R + ref.distance(ORIGIN, x) + ref.distance(ORIGIN, y))
     oracle = {_canonical(k) for k in wide
-              if distance(x, Isometry(*map(float, k)).apply(y)) <= R}
+              if ref.distance(x, ref.apply(Isometry(*map(float, k)), y)) <= R}
     assert got == oracle
     for i in range(len(census)):
         assert census.distances[i] == pytest.approx(
-            distance(x, census.element(i).apply(y)), abs=1e-9)
+            ref.distance(x, ref.apply(census.element(i), y)), abs=1e-9)
 
 
 def _bfs_word_lengths(x, y, radius, slack=3.0):
@@ -1301,7 +1304,7 @@ def _bfs_word_lengths(x, y, radius, slack=3.0):
         return (a, b, c, d) if (a or b or c) > 0 else (-a, -b, -c, -d)
 
     def dist(g):
-        return distance(x, Isometry(*map(float, g)).apply(y))
+        return ref.distance(x, ref.apply(Isometry(*map(float, g)), y))
 
     level = {(1, 0, 0, 1): 0}
     frontier = [(1, 0, 0, 1)]
@@ -1373,7 +1376,7 @@ def test_conjugated_census_distances_are_self_consistent():
     # conjugated matrices ...
     for i in RNG.choice(len(conj), size=100, replace=False):
         g = conj.element(int(i))
-        assert distance(ORIGIN, g.apply(ORIGIN)) == pytest.approx(
+        assert ref.distance(ORIGIN, ref.apply(g, ORIGIN)) == pytest.approx(
             conj.distances[int(i)], abs=1e-7)
     # ... and with the inner group's census at the moved basepoints.
     assert len(base) == len(conj)

@@ -54,7 +54,7 @@ def geodesic_point(x: Point, theta: float, t: float) -> Point:
     theta (in the disk model centred at x)."""
     w = math.tanh(t / 2.0) * complex(math.cos(theta), math.sin(theta))
     q = 1j * (1.0 + w) / (1.0 - w)  # inverse Cayley, back to half-plane at i
-    return to_center(x).inverse().apply(Point(q.real, q.imag))
+    return ref.apply(to_center(x).inverse(), Point(q.real, q.imag))
 
 
 def random_isometry(rng=RNG) -> Isometry:
@@ -88,9 +88,12 @@ def test_distance_symmetry_and_identity():
 
 
 def test_triangle_inequality_bulk():
-    for _ in range(10_000):
-        x, y, z = random_point(), random_point(), random_point()
-        assert distance(x, z) <= distance(x, y) + distance(y, z) + 1e-7
+    # All 10^6 ordered triples of 100 points, from one row of distances each.
+    points = [random_point() for _ in range(100)]
+    re, im = np.array([p.re for p in points]), np.array([p.im for p in points])
+    d = np.array([distances_many(p, re, im) for p in points])
+    # d[i, k] <= d[i, j] + d[j, k] for every (i, j, k).
+    assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :] + 1e-7)
 
 
 def test_distance_isometry_invariance():
@@ -300,23 +303,23 @@ def test_direction_round_trip_through_boundary():
 
 def _min_distance_to_ray(x: Point, theta: float, y: Point) -> float:
     """Ternary search for min_t d(geodesic_point(x, theta, t), y)."""
-    lo, hi = 0.0, distance(x, y) + 5.0
+    lo, hi = 0.0, ref.distance(x, y) + 5.0
     for _ in range(200):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        if distance(geodesic_point(x, theta, m1), y) < distance(
+        if ref.distance(geodesic_point(x, theta, m1), y) < ref.distance(
                 geodesic_point(x, theta, m2), y):
             hi = m2
         else:
             lo = m1
-    return distance(geodesic_point(x, theta, lo), y)
+    return ref.distance(geodesic_point(x, theta, lo), y)
 
 
 def test_shadow_against_ray_shooting_oracle():
     hits = 0
     for _ in range(100):
         x, y = random_point(), random_point()
-        d = distance(x, y)
+        d = ref.distance(x, y)
         r = float(RNG.uniform(0.3, 2.0))
         if d <= r + 0.05:
             continue
@@ -363,7 +366,9 @@ finite_points = st.builds(
 @given(finite_points, finite_points, finite_points)
 def test_triangle_inequality_property(x, y, z):
     # Slack covers acosh roundoff for nearly collinear configurations.
-    assert distance(x, z) <= distance(x, y) + distance(y, z) + 1e-7
+    d_xy, d_xz = distances_many(x, np.array([y.re, z.re]), np.array([y.im, z.im]))
+    d_yz = distances_many(y, np.array([z.re]), np.array([z.im]))[0]
+    assert d_xz <= d_xy + d_yz + 1e-7
 
 
 @settings(max_examples=200, deadline=None)
@@ -382,7 +387,7 @@ def test_distance_resolves_points_closer_than_rounding(gap):
     # 1 + |x-y|^2 / 2 rounds to 1 here; the distance is still gap to first order.
     x, y = Point(0.0, 1.0), Point(gap, 1.0)
     assert distance(x, y) == pytest.approx(gap, rel=1e-6, abs=0)
-    assert distances_many(x, np.array([gap]), np.array([1.0]))[0] == distance(x, y)
+    assert distances_many(x, np.array([gap]), np.array([1.0]))[0] == ref.distance(x, y)
 
 
 def test_distances_below_the_normal_range_do_not_vanish():
@@ -434,16 +439,16 @@ isometries = st.builds(_iwasawa, st.floats(-3.0, 3.0), st.floats(-1.5, 1.5),
          [(Isometry(0.0, 1.0, -1.0, 0.0), Point(0.0, 2.0))])
 def test_batch_kernels_match_scalar_primitives(x, items):
     gs, ps = zip(*items)
-    assume(all(distance(x, p) > 1e-3 for p in ps))
+    assume(all(ref.distance(x, p) > 1e-3 for p in ps))
     re, im = apply_many(np.array([[[g.a, g.b], [g.c, g.d]] for g in gs]), x)
-    images = [g.apply(x) for g in gs]
+    images = [ref.apply(g, x) for g in gs]
     assert re == pytest.approx([q.re for q in images], rel=1e-12, abs=1e-12)
     assert im == pytest.approx([q.im for q in images], rel=1e-12, abs=1e-12)
 
     pre = np.array([p.re for p in ps])
     pim = np.array([p.im for p in ps])
     assert distances_many(x, pre, pim) == pytest.approx(
-        [distance(x, p) for p in ps], rel=1e-12, abs=1e-12)
+        [ref.distance(x, p) for p in ps], rel=1e-12, abs=1e-12)
     angles = direction_angles_many(x, pre, pim)
     for theta, p in zip(angles, ps):
         expected = ref.boundary_angle(ref.direction_from(x, p))
@@ -455,9 +460,9 @@ def test_batch_kernels_match_scalar_primitives(x, items):
 @settings(max_examples=100, deadline=None)
 @given(finite_points, st.lists(isometries, min_size=1, max_size=20))
 def test_scalar_and_batch_mobius_actions_agree_bit_for_bit(p, gs):
-    # One formula, written twice with the same operations.
+    # The reference body does the kernel's operations one point at a time.
     re, im = apply_many(np.array([[[g.a, g.b], [g.c, g.d]] for g in gs]), p)
-    images = [g.apply(p) for g in gs]
+    images = [ref.apply(g, p) for g in gs]
     assert [(q.re, q.im) for q in images] == list(zip(re.tolist(), im.tolist()))
 
 

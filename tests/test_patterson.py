@@ -94,7 +94,7 @@ def test_atom_positions_match_word_matrices(census8):
     y = census8.basepoint_y
     for i in rng.integers(0, len(census8), size=40):
         g = Isometry(*census8.mats[i].reshape(4))
-        p = g.apply(y)
+        p = ref.apply(g, y)
         assert p.re == pytest.approx(pre[i], abs=1e-9)
         assert p.im == pytest.approx(pim[i], abs=1e-9)
 
@@ -400,7 +400,7 @@ def _reference_shadow_lemma_audit(census, mu, alpha, r, word_lengths=(3, 4, 5, 6
     dists, masses = [], []
     for i in np.nonzero(np.isin(census.word_lengths, word_lengths))[0]:
         p = Point(float(mu.atom_re[i]), float(mu.atom_im[i]))
-        d = distance(base, p)
+        d = ref.distance(base, p)
         arc = ref.shadow(base, p, r) if d > 0 else BoundaryInterval.full_circle()
         if arc.full:
             m = total

@@ -71,11 +71,11 @@ def test_every_name_the_benchmark_patches_resolves():
     assert set(spans.KIND_LAYER) == set(groups.KINDS)
 
 
-# Scalar boundary primitives of `hyperbolic`, each a one-row call of the
-# batch kernel that holds its formula.
-ONE_ROW_CALLS = ("boundary_angle", "boundary_from_angle", "apply_boundary",
-                 "boundary_at_angle", "direction_from", "direction_angle_from",
-                 "busemann", "shadow")
+# Scalar primitives of `hyperbolic`, each a one-row call of the batch
+# kernel that holds its formula.
+ONE_ROW_CALLS = ("apply", "distance", "boundary_angle", "boundary_from_angle",
+                 "apply_boundary", "boundary_at_angle", "direction_from",
+                 "direction_angle_from", "busemann", "shadow")
 
 
 def _own_arithmetic(source: str) -> dict[str, list[str]]:
@@ -95,7 +95,7 @@ def _own_arithmetic(source: str) -> dict[str, list[str]]:
     return found
 
 
-def test_scalar_boundary_primitives_hold_no_formula_of_their_own():
+def test_scalar_primitives_hold_no_formula_of_their_own():
     # A body of its own would be a second copy of a kernel's formula, free
     # to round apart from it.
     found = _own_arithmetic((SRC / "hyperbolic.py").read_text())
