@@ -46,7 +46,10 @@ KINDS = (
 # entry of a ball element at x = y = i, and the matrices that reduce the
 # basepoints into the fundamental domain.
 _LATTICE_ENTRY_MAX = (1 << 15) - 1
-_LATTICE_CHUNK = 1 << 18  # bottom rows per batch of the lattice enumeration
+# Candidate bottom rows per chunk of a lattice enumeration, and rows per piece
+# of its census and per slice of its word lengths, so that what a lattice
+# census holds beyond its rows is bounded.
+_LATTICE_CHUNK = 1 << 14
 _TABLE_CHUNK = 1 << 14  # rows formatted per write of a CSV table
 _MAX_NESTING = 64  # conjugations around a spec; each is a level of recursion
 # Largest radius at which a cyclic ball is solved, below the R = 1419 where
@@ -511,14 +514,15 @@ def _stack(pieces):
     return out
 
 
-def _census(mats, dists, wls, words, x, y, completeness, spec):
-    """Census sorted by distance, ties in the given order.  Each column is a
-    list of pieces, and ``words`` is None or a pair of the word class and its
-    pieces.  The distances are sorted now, the rows by
-    :func:`_rows_by_distance` when they are first read."""
+def _census(mats, dists, wls, words, x, y, completeness, spec, read_rows=None):
+    """Census sorted by distance.  Each column is a list of pieces, and
+    ``words`` is None or a pair of the word class and its pieces.  The
+    distances are sorted now, the rows when they are first read, by
+    ``read_rows`` called on the four columns (default
+    :func:`_rows_by_distance`: ties in the given order)."""
     dists = [_stack(dists)]  # one piece, released once the rows are ordered
     return OrbitCensus._pending(
-        functools.partial(_rows_by_distance, dists, mats, wls, words),
+        functools.partial(read_rows or _rows_by_distance, dists, mats, wls, words),
         # Equal to dists[argsort(dists, kind="stable")]: no distance is NaN
         # or -0.0 (origin_distances_many gives 2 arcsinh of a hypot >= +0.0,
         # and a NaN fails the radius test).
@@ -703,7 +707,9 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
 
     Level k holds the words of length k (the identity is level 0).  Each
     letter in turn extends, in order, the frontier words of level k - 1 that
-    it does not cancel; its children within ``max_radius`` join the census,
+    it does not cancel and, for a finite ``max_radius``, whose bound on the
+    letter's own subtree is within it; its children within ``max_radius``
+    join the census,
     and those whose subtree bound is within ``max_radius`` join the next
     frontier.  So only one letter's children are alive at a time.  The
     subtree bound (see :func:`_certified_halfplanes`) holds wherever y lies.
@@ -759,12 +765,22 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
         if not len(mats):
             break
         alive = len(mats)
+        # Every child w.m and its subtree lie at distance >= d(w^-1.x, D_m) -
+        # shift: the parents too far from D_m for the radius get no child m.
+        gram = _preimage_gram(mats, x) if radius < math.inf else None
         frontier = [], [], []  # the next frontier's pieces, one per letter
         for li in range(n_letters):
             sel = last != li ^ 1
+            if gram is not None:
+                clear = _halfplane_clearance(lo[li:li + 1], hi[li:li + 1], *gram) - shift
+                far = sel & (clear > radius)
+                bound_floor = min(bound_floor, float(clear[far].min(initial=math.inf)))
+                sel &= ~far
             if sel.any():
                 for col, part in zip(frontier, extend(level, li, mats[sel], words[sel])):
                     col.append(part)
+        if not frontier[0]:  # no parent was within reach of any letter
+            break
         frontier = tuple(map(_stack, frontier))
     return _census(*pieces[:3], (_FreeWords, pieces[3]), x, y, min(bound_floor, radius), spec)
 
@@ -805,19 +821,23 @@ def _st_word_lengths(rows: np.ndarray) -> np.ndarray:
     """Word lengths in S, T, T^-1 of (n, 4) integer rows (a, b, c, d), by a
     nearest-integer Euclid: while c != 0, right-multiply by T^k S with k
     minimising |d + k c| (the smaller |k| on a tie), which spends |k| + 1
-    letters and at least halves |c|; the matrix is then +-T^b, |b| letters."""
-    a, b, c, d = (rows[:, j].copy() for j in range(4))
+    letters and at least halves |c|; the matrix is then +-T^b, |b| letters.
+    Run over slices of _LATTICE_CHUNK rows, so its working set is bounded."""
     lengths = np.zeros(len(rows), dtype=np.int64)
-    idx = np.nonzero(c)[0]
-    while len(idx):
-        ai, ci, di = a[idx], c[idx], d[idx]
-        k = -di // ci
-        r_lo, r_hi = np.abs(di + k * ci), np.abs(di + (k + 1) * ci)
-        k += (r_hi < r_lo) | ((r_hi == r_lo) & (np.abs(k + 1) < np.abs(k)))
-        a[idx], b[idx], c[idx], d[idx] = b[idx] + k * ai, -ai, di + k * ci, -ci
-        lengths[idx] += np.abs(k) + 1
-        idx = idx[c[idx] != 0]
-    return lengths + np.abs(b)
+    for s in range(0, len(rows), _LATTICE_CHUNK):
+        a, b, c, d = (rows[s:s + _LATTICE_CHUNK, j].copy() for j in range(4))
+        steps = lengths[s:s + _LATTICE_CHUNK]
+        idx = np.nonzero(c)[0]
+        while len(idx):
+            ai, ci, di = a[idx], c[idx], d[idx]
+            k = -di // ci
+            r_lo, r_hi = np.abs(di + k * ci), np.abs(di + (k + 1) * ci)
+            k += (r_hi < r_lo) | ((r_hi == r_lo) & (np.abs(k + 1) < np.abs(k)))
+            a[idx], b[idx], c[idx], d[idx] = b[idx] + k * ai, -ai, di + k * ci, -ci
+            steps[idx] += np.abs(k) + 1
+            idx = idx[c[idx] != 0]
+        steps += np.abs(b)
+    return lengths
 
 
 def _reduce_basepoint(p: Point):
@@ -847,7 +867,11 @@ def _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget):
     gives one g0 per coprime bottom row (c, d), c >= 0; the others are
     T^t g0, which move g0.y0 by t, so a quadratic bounds t.  ``budget``
     bounds the ball; elements longer than ``max_word_length`` are dropped,
-    and the nearest of them bounds the completeness radius.
+    and the nearest of them bounds the completeness radius.  The bottom rows
+    are taken _LATTICE_CHUNK candidates at a time, and their rows formed
+    _LATTICE_CHUNK at a time; each such slice's rows, distances and word
+    lengths are kept as one piece of their column, to be stacked only when
+    the rows are read (:func:`_lattice_rows`).
     """
     if max_radius is None:
         raise InsufficientLimits("lattice enumeration needs max_radius")
@@ -866,7 +890,11 @@ def _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget):
     d_lo[0], d_hi[0] = max(d_lo[0], 1), min(d_hi[0], 1)  # c = 0: only (0, 1)
     counts = np.maximum(d_hi - d_lo + 1, 0)
     c_step = max(1, _LATTICE_CHUNK // (2 * int(math.sqrt(row_bound)) + 2))
-    completeness, total, out = max_radius, 0, []
+    completeness, total = max_radius, 0
+    # Census columns (rows, distances, word lengths), each from an empty
+    # piece, so that an empty ball stacks too.
+    pieces = ([np.zeros((0, 4), np.int64)], [np.zeros(0)],
+              [] if max_word_length is None else [np.zeros(0, np.int64)])
     for c0 in range(0, len(c_all), c_step):
         owner, d = _expand_ranges(d_lo[c0:c0 + c_step], counts[c0:c0 + c_step])
         c = c_all[c0:c0 + c_step][owner]
@@ -882,37 +910,70 @@ def _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget):
         if total + n_t.sum() > budget:
             raise BudgetExceeded(f"census exceeds budget {budget}")
         i, t = _expand_ranges(t_lo.astype(np.int64), n_t.astype(np.int64))
-        g0 = np.stack([a0[i] + t * c[i], b0[i] + t * d[i], c[i], d[i]], axis=1)
-        rows = _canonical_signs((k @ g0.reshape(-1, 2, 2) @ h_inv).reshape(-1, 4))
-        dists = origin_distances_many(rows.reshape(-1, 2, 2), x, y)
-        inside = dists <= max_radius
-        rows, dists = rows[inside], dists[inside]
-        total += len(rows)
-        wls = None
-        if max_word_length is not None:
-            wls = _st_word_lengths(rows)
-            long = wls > max_word_length
-            if long.any():
-                completeness = min(completeness, float(dists[long].min()))
-            rows, dists, wls = rows[~long], dists[~long], wls[~long]
-        out.append((rows, dists, wls))
-    rows, dists, wls = zip(*out)
-    rows, dists = np.concatenate(rows), np.concatenate(dists)
-    wls = None if max_word_length is None else np.concatenate(wls)
-    return OrbitCensus._pending(functools.partial(_lattice_rows, rows, dists, wls),
-                                distances=np.sort(dists), basepoint_x=x, basepoint_y=y,
-                                completeness_radius=completeness, spec=spec)
+        for s in range(0, len(i), _LATTICE_CHUNK):  # a piece per slice of rows
+            j, tj = i[s:s + _LATTICE_CHUNK], t[s:s + _LATTICE_CHUNK]
+            g0 = np.stack([a0[j] + tj * c[j], b0[j] + tj * d[j], c[j], d[j]], axis=1)
+            rows = _canonical_signs((k @ g0.reshape(-1, 2, 2) @ h_inv).reshape(-1, 4))
+            dists = origin_distances_many(rows.reshape(-1, 2, 2), x, y)
+            inside = dists <= max_radius
+            rows, dists = rows[inside], dists[inside]
+            total += len(rows)
+            if max_word_length is not None:
+                wls = _st_word_lengths(rows)
+                long = wls > max_word_length
+                if long.any():
+                    completeness = min(completeness, float(dists[long].min()))
+                rows, dists = rows[~long], dists[~long]
+                pieces[2].append(wls[~long])
+            pieces[0].append(rows)
+            pieces[1].append(dists)
+    return _census(*pieces, None, x, y, completeness, spec, _lattice_rows)
 
 
-def _lattice_rows(rows, dists, wls):
-    """The row columns of a lattice census of the (n, 4) integer ``rows`` at
-    distances ``dists``, with word lengths ``wls`` (None: not computed yet),
-    in distance order; ties keep the order of a word-length BFS over sorted
-    rows."""
-    if wls is None:
-        wls = _st_word_lengths(rows)
-    order = np.lexsort((rows[:, 3], rows[:, 2], rows[:, 1], rows[:, 0], wls, dists))
-    return {"word_lengths": wls[order], "words": None, "mats": rows[order].reshape(-1, 2, 2)}
+def _packed_order(cols) -> np.ndarray:
+    """The permutation ``np.lexsort(cols)`` of the aligned 1-d integer
+    columns ``cols`` (the last is the primary key), by few stable argsorts:
+    consecutive columns, each offset by its least value, share the bit
+    fields of one int64 key while their ranges fit in 63 bits, and the keys
+    are argsorted from the least significant.  Each key is built one column
+    at a time."""
+    if not len(cols[0]):
+        return np.arange(0)
+    keys, key, used = [], None, 0
+    for col in cols:
+        part = col - col.min()
+        bits = int(part.max()).bit_length()
+        if key is not None and used + bits > 63:
+            keys.append(key)
+            key, used = None, 0
+        if key is None:
+            key = part
+        else:
+            part <<= used
+            key |= part
+        used += bits
+    keys.append(key)
+    order = np.argsort(keys[0], kind="stable")
+    for key in keys[1:]:
+        order = order[np.argsort(key[order], kind="stable")]
+    return order
+
+
+def _lattice_rows(dists, rows, wls, words):
+    """The row columns of a lattice census (see :func:`_census`) in distance
+    order; ties keep the order of a word-length BFS over sorted rows, by
+    word length, then by the entries (a, b, c, d).  The rows are stacked and
+    their word lengths computed if none were (``wls`` holds no piece); the
+    order is :func:`_packed_order` of (d, c, b, a, word length), one key
+    wherever the entries are small, then a stable argsort of the distances.
+    The rows are put in that order in place, one entry column at a time."""
+    rows = _stack(rows)
+    wls = _stack(wls) if wls else _st_word_lengths(rows)
+    order = _packed_order([*rows.T[::-1], wls])
+    order = order[np.argsort(_stack(dists)[order], kind="stable")]
+    for j in range(4):
+        rows[:, j] = rows[order, j]
+    return {"word_lengths": wls[order], "words": words, "mats": rows.reshape(-1, 2, 2)}
 
 
 def _enumerate_conjugated(spec, x, y, max_word_length, max_radius, budget):

@@ -1090,6 +1090,43 @@ def test_free_search_peak_memory_is_a_small_multiple_of_the_census(
     assert peak <= ratio * retained
 
 
+def test_radius_bounded_free_search_forms_no_child_out_of_its_letters_reach(monkeypatch):
+    # A parent too far from a letter's half-plane for the radius gets no
+    # child of that letter: at nested depth 4, R18 the search forms 43,935
+    # children for a census of 5,229 (103,619 when every allowed child was
+    # formed and then tested).
+    formed = []
+    distances = groups.origin_distances_many
+
+    def counted(mats, *args):
+        formed.append(len(mats))
+        return distances(mats, *args)
+
+    monkeypatch.setattr(groups, "origin_distances_many", counted)
+    census = enumerate_orbit(nested_subgroup_spec(A, B, 4), max_radius=18.0)
+    assert len(census) == 5229
+    assert sum(formed) - 1 <= 10 * len(census)  # the root is formed too
+
+
+def test_lattice_census_peak_memory_is_a_small_multiple_of_the_census():
+    # The ball is enumerated in pieces of bounded size, kept until the rows
+    # are read; reading them stacks the rows once, computes the word lengths
+    # slice by slice and reorders the rows in place, one entry column at a
+    # time.
+    tracemalloc.start()
+    try:
+        census = enumerate_orbit(modular_lattice_spec(), max_radius=11.0)
+        enumerated = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        census.mats
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    retained = census.mats.nbytes + census.distances.nbytes + census.word_lengths.nbytes
+    assert enumerated <= 1.5 * retained
+    assert read <= 2.5 * retained
+
+
 # ---------------------------------------------------------------------------
 # Rows ordered on first read, against eager references.
 
@@ -1156,6 +1193,26 @@ def test_lattice_rows_ordered_on_first_read_match_the_six_key_sort(x, y, max_wor
     assert census.completeness_radius == radius
     if max_word_length is not None:
         assert radius < 9.0
+
+
+def test_lattice_rows_with_entries_past_two_to_the_fifteen_match_the_six_key_sort():
+    # Far up the cusp the ball holds translations T^t with |t| > 2^15, whose
+    # entries no fixed 16-bit field of a packed key holds.
+    p = Point(0.3, 5000.0)
+    census = enumerate_orbit(modular_lattice_spec(), p, p, max_radius=4.0)
+    mats, dists, wls, radius = _reference_lattice_census(p, p, 4.0, None)
+    assert np.abs(mats).max() > 1 << 15
+    assert np.array_equal(census.mats, mats)
+    assert np.array_equal(census.distances, dists)
+    assert np.array_equal(census.word_lengths, wls)
+
+
+@pytest.mark.parametrize("scale", [1, 1 << 20, 1 << 40], ids=["one-key", "two-keys", "four-keys"])
+def test_packed_order_is_the_lexsort_permutation(scale):
+    rng = np.random.default_rng(scale)
+    cols = [rng.integers(-scale, scale + 1, 5000) for _ in range(4)]
+    cols.append(rng.integers(0, 3, 5000))  # a primary key with many ties
+    assert np.array_equal(groups._packed_order(cols), np.lexsort(cols))
 
 
 @pytest.mark.parametrize("g, y, max_word_length, max_radius, first, n_max", [
@@ -1356,6 +1413,15 @@ def test_lattice_basepoints_off_the_fundamental_domain(lattice_census):
 def test_lattice_needs_a_radius():
     with pytest.raises(ValueError):
         enumerate_orbit(modular_lattice_spec(), max_word_length=5)
+
+
+@pytest.mark.parametrize("max_word_length", [None, 3])
+def test_an_empty_lattice_ball_has_empty_integer_rows(max_word_length):
+    census = enumerate_orbit(modular_lattice_spec(), max_radius=-1.0,
+                             max_word_length=max_word_length)
+    assert len(census) == 0 and census.completeness_radius == -1.0
+    assert census.mats.shape == (0, 2, 2) and census.mats.dtype == np.int64
+    assert census.word_lengths.shape == (0,) and census.word_lengths.dtype == np.int64
 
 
 def test_lattice_overflow_guard():

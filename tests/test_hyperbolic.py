@@ -1,4 +1,5 @@
 import math
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -32,10 +33,15 @@ from kleinian.hyperbolic import (
 
 import scalar_reference as ref
 
-RNG = np.random.default_rng(20260823)
+
+@pytest.fixture
+def rng(request):
+    """A generator of the test's own, seeded from its name, so that its
+    inputs do not depend on which tests ran before it."""
+    return np.random.default_rng(zlib.crc32(request.node.name.encode()))
 
 
-def random_point(rng=RNG) -> Point:
+def random_point(rng) -> Point:
     return Point(float(rng.uniform(-5, 5)), float(math.exp(rng.uniform(-2, 2))))
 
 
@@ -57,7 +63,7 @@ def geodesic_point(x: Point, theta: float, t: float) -> Point:
     return ref.apply(to_center(x).inverse(), Point(q.real, q.imag))
 
 
-def random_isometry(rng=RNG) -> Isometry:
+def random_isometry(rng) -> Isometry:
     while True:
         a, b, c, d = rng.uniform(-2, 2, size=4)
         if a * d - b * c > 0.1:
@@ -80,26 +86,26 @@ def test_distance_horizontal_translation_closed_form():
         assert distance(ORIGIN, Point(float(n), 1.0)) == pytest.approx(expected)
 
 
-def test_distance_symmetry_and_identity():
+def test_distance_symmetry_and_identity(rng):
     for _ in range(100):
-        x, y = random_point(), random_point()
+        x, y = random_point(rng), random_point(rng)
         assert distance(x, y) == pytest.approx(distance(y, x))
         assert distance(x, x) == 0.0
 
 
-def test_triangle_inequality_bulk():
+def test_triangle_inequality_bulk(rng):
     # All 10^6 ordered triples of 100 points, from one row of distances each.
-    points = [random_point() for _ in range(100)]
+    points = [random_point(rng) for _ in range(100)]
     re, im = np.array([p.re for p in points]), np.array([p.im for p in points])
     d = np.array([distances_many(p, re, im) for p in points])
     # d[i, k] <= d[i, j] + d[j, k] for every (i, j, k).
     assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :] + 1e-7)
 
 
-def test_distance_isometry_invariance():
+def test_distance_isometry_invariance(rng):
     for _ in range(1000):
-        g = random_isometry()
-        x, y = random_point(), random_point()
+        g = random_isometry(rng)
+        x, y = random_point(rng), random_point(rng)
         assert distance(g.apply(x), g.apply(y)) == pytest.approx(
             distance(x, y), abs=1e-9)
 
@@ -116,9 +122,9 @@ def test_determinant_normalized_and_sign_canonical():
     assert h1 == h2
 
 
-def test_compose_inverse_identity():
+def test_compose_inverse_identity(rng):
     for _ in range(200):
-        g = random_isometry()
+        g = random_isometry(rng)
         gi = g @ g.inverse()
         assert gi.is_identity(tol=1e-9)
 
@@ -160,10 +166,10 @@ def test_translation_length_equals_axis_displacement():
     assert distance(p, a.apply(p)) > a.translation_length()
 
 
-def test_translation_length_conjugation_invariant():
+def test_translation_length_conjugation_invariant(rng):
     a = Isometry(3.0, 0.0, 0.0, 1.0 / 3.0)
     for _ in range(50):
-        c = random_isometry()
+        c = random_isometry(rng)
         conj = c @ a @ c.inverse()
         assert conj.translation_length() == pytest.approx(
             a.translation_length(), abs=1e-9)
@@ -217,10 +223,10 @@ def test_busemann_at_infinity_closed_form():
     assert busemann(INFINITY, x1, x2) == pytest.approx(math.log(0.5 / 2.0))
 
 
-def test_busemann_cocycle_and_antisymmetry():
+def test_busemann_cocycle_and_antisymmetry(rng):
     for _ in range(200):
-        xi = BoundaryPoint(float(RNG.uniform(-5, 5)))
-        x1, x2, x3 = random_point(), random_point(), random_point()
+        xi = BoundaryPoint(float(rng.uniform(-5, 5)))
+        x1, x2, x3 = random_point(rng), random_point(rng), random_point(rng)
         b12 = busemann(xi, x1, x2)
         b23 = busemann(xi, x2, x3)
         b13 = busemann(xi, x1, x3)
@@ -243,10 +249,10 @@ def test_busemann_is_distance_difference_limit():
     assert prev_gap < 1e-3
 
 
-def test_busemann_bounded_by_distance():
+def test_busemann_bounded_by_distance(rng):
     for _ in range(200):
-        xi = BoundaryPoint(float(RNG.uniform(-5, 5)))
-        x1, x2 = random_point(), random_point()
+        xi = BoundaryPoint(float(rng.uniform(-5, 5)))
+        x1, x2 = random_point(rng), random_point(rng)
         assert abs(busemann(xi, x1, x2)) <= distance(x1, x2) + 1e-9
 
 
@@ -276,11 +282,11 @@ def test_interval_complement_partitions_circle():
 # Directions, shadows, geodesics.
 
 
-def test_geodesic_point_distance_and_direction():
+def test_geodesic_point_distance_and_direction(rng):
     for _ in range(100):
-        x = random_point()
-        theta = float(RNG.uniform(0.0, 2.0 * math.pi))
-        t = float(RNG.uniform(0.1, 8.0))
+        x = random_point(rng)
+        theta = float(rng.uniform(0.0, 2.0 * math.pi))
+        t = float(rng.uniform(0.1, 8.0))
         p = geodesic_point(x, theta, t)
         assert distance(x, p) == pytest.approx(t, abs=1e-8)
         assert math.cos(direction_angle_from(x, p) - theta) == pytest.approx(
@@ -315,12 +321,12 @@ def _min_distance_to_ray(x: Point, theta: float, y: Point) -> float:
     return ref.distance(geodesic_point(x, theta, lo), y)
 
 
-def test_shadow_against_ray_shooting_oracle():
+def test_shadow_against_ray_shooting_oracle(rng):
     hits = 0
     for _ in range(100):
-        x, y = random_point(), random_point()
+        x, y = random_point(rng), random_point(rng)
         d = ref.distance(x, y)
-        r = float(RNG.uniform(0.3, 2.0))
+        r = float(rng.uniform(0.3, 2.0))
         if d <= r + 0.05:
             continue
         hits += 1
