@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .hyperbolic import (
     boundary_angles,
     boundary_values,
     distance,  # unused here; perfbench/spans.py wraps groups.distance by name
+    hyperbolic_fixed_points,
     origin_distances_many,
 )
 
@@ -126,7 +127,9 @@ def modular_lattice_spec() -> GroupSpec:
 
 
 def nested_subgroup_spec(alpha: Isometry, beta: Isometry, depth: int) -> GroupSpec:
-    """The subgroup generated by {alpha^-n beta alpha^n : 0 <= n <= depth}."""
+    """The subgroup generated by {alpha^-n beta alpha^n : 0 <= n <= depth}.
+    alpha may be hyperbolic, parabolic or elliptic; the first two are
+    enumerated and certified in alpha's eigenframe (:func:`_normal_form`)."""
     return GroupSpec("nested_subgroup", generators=(alpha, beta), depth=depth)
 
 
@@ -224,20 +227,23 @@ class PingPongCertificate:
 
     intervals: tuple[BoundaryInterval, ...]
     margin: float
-    letters: tuple[Isometry, ...]
+    letters: np.ndarray = field(compare=False)  # (2k, 2, 2), read-only
 
 
-def _letters(generators) -> tuple[Isometry, ...]:
-    """The letters g1, g1^-1, g2, g2^-1, ... of hyperbolic generators."""
-    for g in generators:
-        if g.classify() != "hyperbolic":
-            raise NonHyperbolicGenerator(f"generator is {g.classify()}")
-    return tuple(h for g in generators for h in (g, g.inverse()))
+def _letters(generators) -> np.ndarray:
+    """The (2k, 2, 2) stack of the letters g1, g1^-1, g2, g2^-1, ... of the
+    isometries ``generators``."""
+    return np.array([[[h.a, h.b], [h.c, h.d]] for g in generators
+                     for h in (g, g.inverse())]).reshape(-1, 2, 2)
 
 
-def _matrices(isometries) -> np.ndarray:
-    """The (n, 2, 2) stack of the matrices of the isometries."""
-    return np.array([[[g.a, g.b], [g.c, g.d]] for g in isometries]).reshape(-1, 2, 2)
+def _check_hyperbolic(lmats) -> None:
+    """Raise unless every letter of det 1 in ``lmats`` has |trace| > 2."""
+    trace = np.abs(lmats[:, 0, 0] + lmats[:, 1, 1])
+    bad = np.nonzero(~(trace > 2.0 + _TOL))[0]
+    if len(bad):
+        raise NonHyperbolicGenerator(f"generator {bad[0] // 2 + 1} is not hyperbolic: "
+                                     f"|trace| = {trace[bad[0]]:.9g}")
 
 
 def _ping_pong_margin(lmats, lo, hi):
@@ -277,24 +283,29 @@ def verify_ping_pong(generators, candidate_intervals) -> PingPongCertificate:
     overlap or a letter image escapes, :class:`NonHyperbolicGenerator` for a
     non-hyperbolic generator.
     """
-    letters = _letters(generators)
-    intervals = tuple(candidate_intervals)
-    if len(intervals) != len(letters):
+    return _verified(_letters(generators), tuple(candidate_intervals))
+
+
+def _verified(lmats, intervals) -> PingPongCertificate:
+    """:func:`verify_ping_pong` on the (2k, 2, 2) letters ``lmats``."""
+    _check_hyperbolic(lmats)
+    if len(intervals) != len(lmats):
         raise ValueError("need one candidate interval per generator letter")
     lo, hi = np.array([(arc.lo_angle, arc.hi_angle) for arc in intervals]).T
-    margin, bad = _ping_pong_margin(_matrices(letters), lo, hi)
+    margin, bad = _ping_pong_margin(lmats, lo, hi)
     if bad is not None:
         raise MarginViolation(f"letter arcs {bad} fail ping-pong by {-margin:.3g}", letters=bad)
-    return PingPongCertificate(intervals, margin, letters)
+    lmats.setflags(write=False)
+    return PingPongCertificate(intervals, margin, lmats)
 
 
-def propose_intervals(generators) -> tuple[BoundaryInterval, ...]:
-    """Auto-propose letter arcs: centered at the attracting fixed points with a
-    common half-width, else about the isometric circles.  The first family
-    with a certified candidate wins, and in it the first of the best margin."""
-    letters = _letters(generators)
-    centers = boundary_angles(np.array([ell.fixed_points()[0].value for ell in letters]))
-    lmats = _matrices(letters)
+def propose_intervals(lmats) -> tuple[BoundaryInterval, ...]:
+    """Auto-propose arcs for the (2k, 2, 2) letters ``lmats`` (see
+    :func:`_letters`): centered at the attracting fixed points with a common
+    half-width, else about the isometric circles.  The first family with a
+    certified candidate wins, and in it the first of the best margin."""
+    _check_hyperbolic(lmats)
+    centers = boundary_angles(hyperbolic_fixed_points(lmats)[0])
     # Half-width limited by half the smallest gap between arc centers.
     angles = np.sort(centers)
     max_half = 0.5 * float(((np.roll(angles, -1) - angles) % _TWO_PI).min())
@@ -324,9 +335,14 @@ def propose_intervals(generators) -> tuple[BoundaryInterval, ...]:
 @functools.lru_cache(maxsize=64)
 def ping_pong_certificate(spec: GroupSpec) -> PingPongCertificate:
     """Certified interval system (auto-proposed arcs) for the letters of a
-    spec that is free on :func:`_free_generators`."""
-    gens = _free_generators(spec)
-    return verify_ping_pong(gens, propose_intervals(gens))
+    spec that is free on :func:`_free_letters`.  A nested spec is certified
+    in alpha's eigenframe (:func:`_normal_form`), whose letters and arcs
+    the certificate holds."""
+    frame = _normal_form(spec)
+    if spec.kind == "nested_subgroup" and frame.kind == "conjugated":
+        return ping_pong_certificate(frame.inner)
+    lmats = _free_letters(spec)
+    return _verified(lmats, propose_intervals(lmats))
 
 
 # ---------------------------------------------------------------------------
@@ -465,36 +481,111 @@ class OrbitCensus:
              m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1])))
 
 
-def _free_generators(spec: GroupSpec) -> tuple[Isometry, ...]:
-    """Generator list of the constructions that are free on their
-    generators (Schottky, nested conjugates, the rank-one cyclics, and
-    conjugates of these)."""
+def _power_coefficients(lam, n):
+    """(f(n), e(n)) with g^n = f(n) U + e(n) V for (lam, U, V) of
+    :func:`_power_basis`: (1, n) for lam None, else (lam^n, lam^-n)."""
+    return (np.ones_like(n), n) if lam is None else (lam ** n, lam ** -n)
+
+
+def _power_basis(g: Isometry):
+    """(lam, U, V) with g^n = f(n) U + e(n) V (:func:`_power_coefficients`)
+    for g scaled to trace >= 0.  A parabolic g (or the identity) has lam
+    None, U = I and V = g - I (Cayley-Hamilton); a hyperbolic or elliptic g
+    has U, V the projections onto the eigenlines of its eigenvalues lam, mu:
+    lam > 1 > mu for a hyperbolic g, and lam = conj(mu) on the unit circle
+    for an elliptic one, whose powers are the real part of the complex sum."""
+    h = np.reshape(g.matrix(), (2, 2)) * math.copysign(1.0, g.trace())
+    (a, b), (c, d) = h.tolist()
+    kind = g.classify()
+    if kind in ("parabolic", "identity"):
+        return None, np.eye(2), h - np.eye(2)
+    if kind == "hyperbolic":
+        # Eigenvalues without cancellation: exactly a and d where b c = 0.
+        half = abs(a - d) / 2.0
+        s = b * c / (half + math.sqrt(half * half + b * c))
+        lam, mu = (a + s, d - s) if a >= d else (d + s, a - s)
+    else:
+        t = (a + d) / 2.0
+        lam = complex(t, math.sqrt((1.0 - t) * (1.0 + t)))
+        mu = lam.conjugate()
+    return lam, (h - mu * np.eye(2)) / (lam - mu), (lam * np.eye(2) - h) / (lam - mu)
+
+
+def _unit_column(m: np.ndarray) -> np.ndarray:
+    """The longest column of m, scaled to length 1 and to a positive first
+    nonzero entry: the unit vector of the range of a rank-one m."""
+    norms = np.hypot(m[0], m[1])
+    col = m[:, np.argmax(norms)] / norms.max()
+    return -col if tuple(col) < (0.0, 0.0) else col
+
+
+def _normal_form(spec: GroupSpec) -> GroupSpec:
+    """A nested spec whose alpha is hyperbolic or parabolic in alpha's
+    eigenframe, conjugate(nested(alpha', h^-1 beta h, depth), h^-1), where
+    its letters keep their precision; any other spec, or one with h = I, as
+    it is.  The columns of h are unit vectors of the ranges of U and V of
+    :func:`_power_basis` (of V and its perpendicular for a parabolic alpha),
+    scaled to det 1, so a fixed point at oo needs no case of its own.
+    alpha' = h^-1 alpha h is built exactly, as diag(lam, 1/lam) or [[1, t],
+    [0, 1]]: the deep letters would multiply its rounding by lam^(2n)."""
+    if spec.kind != "nested_subgroup" or spec.generators[0].classify() not in (
+            "hyperbolic", "parabolic"):
+        return spec
+    alpha, beta = spec.generators
+    lam, u, v = _power_basis(alpha)
+    p = _unit_column(v if lam is None else u)
+    q = np.array([-p[1], p[0]]) if lam is None else _unit_column(v)
+    det = p[0] * q[1] - p[1] * q[0]
+    h = np.column_stack([p, math.copysign(1.0, det) * q]) / math.sqrt(abs(det))
+    if (h == np.eye(2)).all():
+        return spec
+    alpha1 = (Isometry(1.0, float(p @ v @ q), 0.0, 1.0) if lam is None
+              else Isometry(lam, 0.0, 0.0, 1.0 / lam))
+    c = Isometry(h[1, 1], -h[0, 1], -h[1, 0], h[0, 0])  # h^-1
+    cinv, cm = _conjugation(c)
+    beta1 = Isometry(*(cm @ np.reshape(beta.matrix(), (2, 2)) @ cinv).ravel())
+    return conjugate(nested_subgroup_spec(alpha1, beta1, spec.depth), c)
+
+
+def _free_letters(spec: GroupSpec) -> np.ndarray:
+    """The (2k, 2, 2) float letters g1, g1^-1, g2, g2^-1, ... of the
+    constructions free on their generators (Schottky, nested conjugates, the
+    rank-one cyclics, and conjugates of these).  A nested spec's letters
+    alpha^-n beta^+-1 alpha^n are one batched product P(-n) beta^+-1 P(n),
+    n = 0 .. depth, P(n) = alpha^n in the closed form of
+    :func:`_power_basis`, formed in the frame of :func:`_normal_form`.  No
+    letter is rescaled by its determinant, which cancels for large entries;
+    letters past double precision raise OverflowError."""
     if spec.kind in ("schottky", "cyclic_hyperbolic", "cyclic_parabolic"):
-        return tuple(spec.generators)
-    if spec.kind == "nested_subgroup":
-        alpha, beta = spec.generators
-        gens = []
-        a_pow = Isometry.identity()
-        for _ in range(spec.depth + 1):
-            gens.append(a_pow.inverse() @ beta @ a_pow)
-            a_pow = alpha @ a_pow
-        return tuple(gens)
-    if spec.kind == "conjugated":
-        c = spec.conjugator
-        return tuple(c.inverse() @ g @ c for g in _free_generators(spec.inner))
-    raise ValueError(f"no free letters for kind {spec.kind!r}")
+        return _letters(spec.generators)
+    frame = _normal_form(spec)
+    with np.errstate(all="ignore"):  # checked below
+        if frame.kind == "conjugated":
+            cinv, cm = _conjugation(frame.conjugator)
+            letters = cinv[None, :, :] @ _free_letters(frame.inner) @ cm[None, :, :]
+        elif frame.kind == "nested_subgroup":
+            alpha, beta = frame.generators
+            lam, u, v = _power_basis(alpha)
+            n = np.arange(frame.depth + 1.0)[:, None, None, None]
+            (f, e), (fi, ei) = _power_coefficients(lam, n), _power_coefficients(lam, -n)
+            letters = ((fi * u + ei * v) @ _letters([beta]) @ (f * u + e * v)).real
+        else:
+            raise ValueError(f"no free letters for kind {spec.kind!r}")
+    if not np.isfinite(letters).all():
+        raise OverflowError(f"the letters of {spec.kind!r} leave double precision")
+    return _canonical_signs(letters.reshape(-1, 4)).reshape(-1, 2, 2)
 
 
-def word_matrix(spec: GroupSpec, word) -> Isometry:
-    """Evaluate a reduced word (signed 1-based generator indices)."""
-    letters = [h for g in _free_generators(spec) for h in (g, g.inverse())]
-    m = Isometry.identity()
+def word_matrix(spec: GroupSpec, word) -> np.ndarray:
+    """The 2x2 float matrix of a reduced word (signed 1-based generator
+    indices): the product of its letters of :func:`_free_letters`."""
+    letters = _free_letters(spec)
+    m = np.eye(2)
     for s in word:
         if not 1 <= abs(s) <= len(letters) // 2:
             raise ValueError(f"letter {s} is outside the letters "
                              f"+-1..+-{len(letters) // 2} of {spec.kind!r}")
-        idx = 2 * (abs(s) - 1) + (0 if s > 0 else 1)
-        m = m @ letters[idx]
+        m = m @ letters[2 * (abs(s) - 1) + (s < 0)]
     return m
 
 
@@ -559,20 +650,7 @@ def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
     _CYCLIC_RADIUS_CAP is resolved, so the completeness radius is at most
     that, and no power is formed whose frame or coefficients leave double
     precision."""
-    g = spec.generators[0]
-    h = np.array([[g.a, g.b], [g.c, g.d]]) * math.copysign(1.0, g.trace())
-    (a, b), (c, d) = h.tolist()
-    if spec.kind == "cyclic_parabolic":
-        lam, u, w = None, np.eye(2), h - np.eye(2)
-    else:
-        # Eigenvalues without cancellation: exactly a and d where b c = 0.
-        half = abs(a - d) / 2.0
-        s = b * c / (half + math.sqrt(half * half + b * c))
-        lam, mu = (a + s, d - s) if a >= d else (d + s, a - s)
-        u, w = (h - mu * np.eye(2)) / (lam - mu), (lam * np.eye(2) - h) / (lam - mu)
-
-    def coefficients(n):
-        return (np.ones_like(n), n) if lam is None else (lam ** n, lam ** -n)
+    lam, u, w = _power_basis(spec.generators[0])
 
     sx, sy = math.sqrt(x.im), math.sqrt(y.im)
     kx = np.array([[1.0 / sx, -x.re / sx], [0.0, sx]])
@@ -585,7 +663,7 @@ def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
             vertex = -float(p @ (q / qn) / qn)
         else:
             vertex = float(np.log(qn) - np.log(pn)) / (2.0 * math.log(lam))
-        fv, ev = coefficients(np.float64(vertex))
+        fv, ev = _power_coefficients(lam, np.float64(vertex))
         least = float(np.hypot(*(fv * p + ev * q)))
         width = float(qn if lam is None else 2.0 * fv * pn)
     if not (np.isfinite([pm, qm]).all() and math.isfinite(vertex + least)
@@ -617,7 +695,7 @@ def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
     def powers(n):
         """Matrices of the powers g^n and their distances d(x, g^n y)."""
         with np.errstate(all="ignore"):
-            f, e = (k[:, None, None] for k in coefficients(n))
+            f, e = (k[:, None, None] for k in _power_coefficients(lam, n))
             mats = f * u + e * w
             dists = origin_distances_many(f * pm + e * qm)
         dists[(n < clip_lo) | (n > clip_hi)] = math.inf  # farther than the cap
@@ -715,11 +793,11 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
     subtree bound (see :func:`_certified_halfplanes`) holds wherever y lies.
     """
     if spec.kind == "nested_subgroup" and 2 * (spec.depth + 1) > budget:
-        # Building the letters, one composition each, would itself outrun
-        # the budget: a parabolic alpha never overflows to stop it.
+        # The letters alone would outrun the budget: a parabolic alpha's
+        # never overflow to stop it.
         raise BudgetExceeded(f"the {2 * (spec.depth + 1)} letters of depth "
                              f"{spec.depth} exceed budget {budget}")
-    lmats = _matrices(ping_pong_certificate(spec).letters)
+    lmats = ping_pong_certificate(spec).letters
     n_letters = len(lmats)
     codes = signed_letter(np.arange(n_letters)).astype(np.min_scalar_type(-n_letters))
     lo, hi, shift = _certified_halfplanes(spec, y)
@@ -977,18 +1055,27 @@ def _lattice_rows(dists, rows, wls, words):
 
 
 def _enumerate_conjugated(spec, x, y, max_word_length, max_radius, budget):
-    c = spec.conjugator
-    inner = enumerate_orbit(spec.inner, c.apply(x), c.apply(y), max_word_length=max_word_length,
-                            max_radius=max_radius, budget=budget)
+    """The census of c^-1 . inner . c from that of inner at c.x and c.y, for
+    a conjugated spec or a nested one in its eigenframe (:func:`_normal_form`);
+    it keeps ``spec``."""
+    frame = _normal_form(spec)
+    c = frame.conjugator
+    inner = enumerate_orbit(frame.inner, c.apply(x), c.apply(y),
+                            max_word_length=max_word_length, max_radius=max_radius,
+                            budget=budget)
     return OrbitCensus._pending(functools.partial(_conjugated_rows, inner, c),
                                 distances=inner.distances, basepoint_x=x, basepoint_y=y,
                                 completeness_radius=inner.completeness_radius, spec=spec)
 
 
+def _conjugation(c: Isometry):
+    """(c^-1, c) as 2x2 arrays, c^-1 the adjugate, for m -> c^-1 m c."""
+    return np.array([[c.d, -c.b], [-c.c, c.a]]), np.array([[c.a, c.b], [c.c, c.d]])
+
+
 def _conjugated_rows(inner, c: Isometry):
     """The row columns of the census c^-1 . inner . c."""
-    cm = np.array([[c.a, c.b], [c.c, c.d]])
-    cinv = np.array([[c.d, -c.b], [-c.c, c.a]])
+    cinv, cm = _conjugation(c)
     return {"word_lengths": inner.word_lengths, "words": inner.words,
             "mats": cinv[None, :, :] @ inner.mats.astype(np.float64) @ cm[None, :, :]}
 
@@ -1004,8 +1091,10 @@ def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,
     so are the pruning bounds of the free search (:func:`_preimage_gram`).
     The census is sorted by distance; ``completeness_radius`` is the radius
     up to which it is complete: proved by the ping-pong half-planes at every
-    basepoint (free constructions; negative if a census is too shallow to
-    prove any radius), by convexity of n -> cosh d(x, g^n y) (cyclic groups,
+    basepoint (free constructions, a nested subgroup with a hyperbolic or
+    parabolic alpha in alpha's eigenframe, whose census is conjugated back
+    and keeps ``spec``; negative if a census is too shallow to prove any
+    radius), by convexity of n -> cosh d(x, g^n y) (cyclic groups,
     parabolic or hyperbolic: one closed form in n, solved for the ball and
     complete to at most 1400) or by exact lattice-point enumeration (the
     modular lattice, which needs ``max_radius``).  Limits that cannot bound
@@ -1020,8 +1109,8 @@ def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,
             "at least one of max_word_length, max_radius is required")
     if spec.kind in ("cyclic_hyperbolic", "cyclic_parabolic"):
         return _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget)
-    if spec.kind in ("schottky", "nested_subgroup"):
-        return _enumerate_free(spec, x, y, max_word_length, max_radius, budget)
     if spec.kind == "modular_lattice":
         return _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget)
-    return _enumerate_conjugated(spec, x, y, max_word_length, max_radius, budget)
+    if _normal_form(spec).kind == "conjugated":
+        return _enumerate_conjugated(spec, x, y, max_word_length, max_radius, budget)
+    return _enumerate_free(spec, x, y, max_word_length, max_radius, budget)

@@ -170,22 +170,11 @@ class Isometry:
         kind = self.classify()
         if kind not in ("hyperbolic", "parabolic"):
             raise ValueError(f"no boundary fixed points for {kind} isometry")
-        if abs(self.c) < _TOL:
-            if kind == "parabolic":
-                return INFINITY
-            other = BoundaryPoint(self.b / (self.d - self.a))
-            if abs(self.a) > abs(self.d):  # derivative at oo is (a/d)... |a|>|d| expands
-                return (INFINITY, other)
-            return (other, INFINITY)
         if kind == "parabolic":
-            return BoundaryPoint((self.a - self.d) / (2.0 * self.c))
-        disc = math.sqrt(self.trace() ** 2 - 4.0)
-        r1 = (self.a - self.d + disc) / (2.0 * self.c)
-        r2 = (self.a - self.d - disc) / (2.0 * self.c)
-        # |derivative| at a fixed point xi is 1/(c*xi + d)^2; attracting < 1.
-        if (self.c * r1 + self.d) ** 2 > 1.0:
-            return (BoundaryPoint(r1), BoundaryPoint(r2))
-        return (BoundaryPoint(r2), BoundaryPoint(r1))
+            return INFINITY if abs(self.c) < _TOL else BoundaryPoint(
+                (self.a - self.d) / (2.0 * self.c))
+        pair = hyperbolic_fixed_points(((self.a, self.b), (self.c, self.d)))
+        return tuple(BoundaryPoint(float(xi)) for xi in pair)
 
     def translation_length(self) -> float:
         """Displacement along the axis of a hyperbolic isometry."""
@@ -390,6 +379,25 @@ def apply_boundary_many(mats, xi: np.ndarray) -> np.ndarray:
                           np.inf, num / denom)
         at_inf = np.where(np.abs(c) < _TOL, np.inf, a / c)
     return np.where(np.isinf(xi), at_inf, finite)
+
+
+def hyperbolic_fixed_points(mats) -> tuple[np.ndarray, np.ndarray]:
+    """(attracting, repelling) boundary coordinates (inf for oo) of the fixed
+    points of hyperbolic (..., 2, 2) matrices of determinant 1: the roots of
+    c xi^2 + (d - a) xi - b = 0, the attracting one where the derivative
+    1 / (c xi + d)^2 is below 1; for c = 0, oo and b / (d - a), with oo
+    attracting where |a| > |d|.  :meth:`Isometry.fixed_points` is its one-row
+    call."""
+    mats = np.asarray(mats, dtype=np.float64)
+    a, b, c, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
+    with np.errstate(all="ignore"):  # the c = 0 rows, replaced below
+        disc = np.sqrt((a + d) ** 2 - 4.0)
+        r1, r2 = (a - d + disc) / (2.0 * c), (a - d - disc) / (2.0 * c)
+        first = (c * r1 + d) ** 2 > 1.0
+        other = b / (d - a)
+    flat, expands = np.abs(c) < _TOL, np.abs(a) > np.abs(d)
+    return (np.where(flat, np.where(expands, np.inf, other), np.where(first, r1, r2)),
+            np.where(flat, np.where(expands, other, np.inf), np.where(first, r2, r1)))
 
 
 def boundary_values_at(x: Point, theta: np.ndarray) -> np.ndarray:

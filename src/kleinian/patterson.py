@@ -310,9 +310,9 @@ def equivariance_audit(census: OrbitCensus, g0_letter: int, s: float) -> Equivar
     mu = orbital_measure(census, s, atoms=atoms)
     if g0_letter == 0:
         return EquivarianceAudit(0.0, 0.0, matched=len(mu), unmatched=0)
-    g0 = word_matrix(census.spec, (g0_letter,))
-    mu_pull = orbital_measure(census, s, x=g0.inverse().apply(census.basepoint_x),
-                              atoms=atoms)
+    (a, b), (c, d) = word_matrix(census.spec, (g0_letter,))
+    re, im = apply_many([[[d, -b], [-c, a]]], census.basepoint_x)  # g0^-1 x
+    mu_pull = orbital_measure(census, s, x=Point(float(re[0]), float(im[0])), atoms=atoms)
     # (g0*mu)(atom of word g0^-1 w) = mu(atom of word w); compare with the
     # measure at g0^-1 x evaluated on the same atom.
     j = census.words.shifted_index(g0_letter)

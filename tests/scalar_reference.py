@@ -1,7 +1,7 @@
 """Scalar references for the batch kernels of `kleinian.hyperbolic`.
 
 The library computes every formula (Möbius action, distance, boundary
-angles, directions, shadows) in one batch kernel, and its scalar
+angles, directions, shadows, fixed points) in one batch kernel, and its scalar
 primitives are one-row calls of those kernels.  The tests compare
 the kernels with these independent bodies instead: the same formulas in
 `math`, one point at a time, moving x to i by the isometry
@@ -68,6 +68,21 @@ def apply_boundary(g: Isometry, xi: BoundaryPoint) -> BoundaryPoint:
     if abs(denom) < 1e-9 * max(scale, abs(num)):
         return INFINITY
     return BoundaryPoint(num / denom)
+
+
+def fixed_points(g: Isometry) -> tuple[BoundaryPoint, BoundaryPoint]:
+    """(attracting, repelling) fixed points of a hyperbolic g."""
+    if abs(g.c) < 1e-9:
+        other = BoundaryPoint(g.b / (g.d - g.a))
+        # The derivative at oo is d / a: oo attracts where |a| > |d|.
+        return (INFINITY, other) if abs(g.a) > abs(g.d) else (other, INFINITY)
+    disc = math.sqrt(g.trace() ** 2 - 4.0)
+    r1 = (g.a - g.d + disc) / (2.0 * g.c)
+    r2 = (g.a - g.d - disc) / (2.0 * g.c)
+    # |derivative| at a fixed point xi is 1/(c xi + d)^2; attracting < 1.
+    if (g.c * r1 + g.d) ** 2 > 1.0:
+        return BoundaryPoint(r1), BoundaryPoint(r2)
+    return BoundaryPoint(r2), BoundaryPoint(r1)
 
 
 def to_center(x: Point) -> Isometry:

@@ -122,6 +122,47 @@ def test_nested_exponent_ends_with_the_builtin_depth_4_estimate(tmp_path, capsys
     assert estimates[0]["point_estimate"] == estimates[1]["point_estimate"]
 
 
+def _nested_config(path, depth, theta=None):
+    """Write the nested subgroup of the builtin pair, rotated about i by
+    theta if given, as a config at path."""
+    a, b = cli._A, cli._B
+    if theta is not None:
+        c, s = np.cos(theta / 2), np.sin(theta / 2)
+        k = cli.Isometry(c, s, -s, c)
+        a, b = k.inverse() @ a @ k, k.inverse() @ b @ k
+    path.write_text(json.dumps(groups.spec_to_json_dict(groups.nested_subgroup_spec(a, b, depth))))
+    return str(path)
+
+
+@pytest.mark.parametrize("depth, code", [(1, 0), (4, 0), (8, 0), (9, 0), (11, 0), (12, 0),
+                                         (20, cli.EXIT_PARSE)])
+def test_rotated_nested_config_exits_as_the_builtin_one(tmp_path, capsys, depth, code):
+    # Conjugate configs end alike.  With letters composed in the rotated
+    # frame, the rotation by 0.7 exited 2 ("no certified interval system")
+    # at depths 1, 4 and 8, 2 ("generator is elliptic") at depth 9 and 4
+    # ("positive determinant, got 0.0") at depths 11 and 12.  Depth 20 has
+    # no certificate in any frame.
+    codes = [run(["exponent", "--config", _nested_config(tmp_path / f"{name}.json", depth, theta),
+                  "--max-radius", "20", "--out", str(tmp_path / name)])
+             for name, theta in (("builtin", None), ("rotated", 0.7))]
+    assert codes == [code, code]
+
+
+def test_rotated_nested_equivariance_audit_matches_the_builtin(tmp_path, capsys):
+    # Depth 2 keeps the L6 audit quick; with letters composed in its own
+    # frame the rotated pair exited 2.
+    lines = []
+    for name, theta in (("builtin", None), ("rotated", 0.7)):
+        config = _nested_config(tmp_path / f"{name}.json", 2, theta)
+        assert run(["patterson", "--config", config, "--max-word-length", "6",
+                    "--audit", "equivariance", "--out", str(tmp_path / name)]) == 0
+        lines.append(dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines()
+                          if line.startswith("equivariance_")))
+    builtin, rotated = lines
+    assert float(rotated["equivariance_max_discrepancy"]) <= 1e-12
+    assert rotated["equivariance_leakage"] == builtin["equivariance_leakage"]
+
+
 @pytest.mark.parametrize("theta", [0.7, -1.2])
 def test_separation_on_a_rotated_cyclic_subgroup(tmp_path, capsys, theta):
     # The entries of the rotated generator's powers pass 1e8 long before

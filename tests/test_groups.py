@@ -60,22 +60,22 @@ def test_schottky_pair_certifies_with_positive_margin():
 def test_shared_axis_generators_fail():
     # a and a^2 share the axis {0, infinity}: their letter arcs collide.
     with pytest.raises(MarginViolation) as err:
-        propose_intervals((A, A @ A))
+        propose_intervals(groups._letters((A, A @ A)))
     assert err.value.letters is None or len(err.value.letters) == 2
 
 
 def test_generator_with_its_inverse_fails():
     with pytest.raises(MarginViolation):
-        propose_intervals((A, A.inverse()))
+        propose_intervals(groups._letters((A, A.inverse())))
 
 
 def test_non_hyperbolic_generator_rejected():
     with pytest.raises(NonHyperbolicGenerator):
-        propose_intervals((A, PARABOLIC))
+        propose_intervals(groups._letters((A, PARABOLIC)))
 
 
 def test_verify_rejects_overlapping_candidate_arcs():
-    good = propose_intervals((A, B))
+    good = propose_intervals(groups._letters((A, B)))
     bad = (good[0], good[0], good[2], good[3])
     with pytest.raises(MarginViolation) as err:
         verify_ping_pong((A, B), bad)
@@ -194,6 +194,16 @@ def _ref_propose(letters):
     return None
 
 
+def _isometry_letters(gens):
+    """The letters g1, g1^-1, g2, g2^-1, ... as isometries, for the references."""
+    return [h for g in gens for h in (g, g.inverse())]
+
+
+def _nested_generators(spec):
+    """The generators alpha^-n beta alpha^n of a nested spec, as isometries."""
+    return [Isometry(*m.ravel()) for m in groups._free_letters(spec)[::2]]
+
+
 def _hyperbolic(t, g):
     return g.inverse() @ Isometry(math.exp(t), 0.0, 0.0, math.exp(-t)) @ g
 
@@ -205,8 +215,8 @@ _letter_systems = st.one_of(
     st.lists(st.builds(_hyperbolic, st.floats(0.1, 3.0), _any_isometry), min_size=1, max_size=3),
     st.builds(lambda t: [_rotation(t).inverse() @ g @ _rotation(t) for g in (A, B)],
               st.floats(-math.pi, math.pi)),
-    st.builds(lambda t, depth: list(groups._free_generators(
-        conjugate(nested_subgroup_spec(A, B, depth), _rotation(t)))),
+    st.builds(lambda t, depth: _nested_generators(
+        conjugate(nested_subgroup_spec(A, B, depth), _rotation(t))),
         st.floats(-math.pi, math.pi), st.integers(0, 6)),
 )
 
@@ -217,7 +227,7 @@ def _arc_systems(draw):
     fixed points with a drawn half-width, arbitrary arcs, or such centred
     arcs with the first letter's arc also put in the second letter's place."""
     gens = draw(_letter_systems)
-    letters = groups._letters(gens)
+    letters = _isometry_letters(gens)
     kind = draw(st.sampled_from(["centred", "arbitrary", "duplicated"]))
     if kind == "arbitrary":
         ends = st.tuples(st.floats(0.0, 7.0), st.floats(0.0, 7.0))
@@ -249,7 +259,7 @@ _G = Isometry(2.0, 1.0, 1.0, 1.0)
 @example(([_G], [(1.0, 2.0), (1.0, 2.0)]))
 def test_ping_pong_margin_matches_all_pairs_reference(system):
     gens, arcs = system
-    ref = _ref_margin(groups._letters(gens), arcs)
+    ref = _ref_margin(_isometry_letters(gens), arcs)
     overlaps = [(i, j) for i, j in itertools.combinations(range(len(arcs)), 2)
                 if _ref_gap(arcs[i], arcs[j]) <= 0.0]
     try:
@@ -266,12 +276,12 @@ def test_ping_pong_margin_matches_all_pairs_reference(system):
 @settings(max_examples=30, deadline=5000)
 @given(_letter_systems)
 @example([A, B])
-@example(list(groups._free_generators(nested_subgroup_spec(A, B, 4))))
+@example(_nested_generators(nested_subgroup_spec(A, B, 4)))
 def test_proposed_arcs_match_the_all_pairs_reference(gens):
-    letters = groups._letters(gens)
+    letters = _isometry_letters(gens)
     ref = _ref_propose(letters)
     try:
-        arcs = [(arc.lo_angle, arc.hi_angle) for arc in propose_intervals(gens)]
+        arcs = [(arc.lo_angle, arc.hi_angle) for arc in propose_intervals(groups._letters(gens))]
     except MarginViolation:
         assert ref is None
         return
@@ -297,8 +307,8 @@ def test_random_reduced_words_are_not_identity():
                 continue
             word.append(s)
         m = word_matrix(spec, word)
-        assert not m.is_identity(tol=1e-6)
-        mats.append(m.matrix())
+        assert not Isometry(*m.ravel()).is_identity(tol=1e-6)
+        mats.append(m)
     # Free group: every orbit point moves.
     re, im = apply_many(np.reshape(mats, (-1, 2, 2)), ORIGIN)
     assert np.all(distances_many(ORIGIN, re, im) > 0.1)
@@ -611,7 +621,7 @@ def test_census_distances_match_word_matrices(schottky_census):
             c.distances[int(i)], abs=1e-8)
         w = c.word(int(i))
         assert len(w) == c.word_lengths[int(i)]
-        m = word_matrix(c.spec, w)
+        m = Isometry(*word_matrix(c.spec, w).ravel())
         assert np.allclose([m.a, m.b, m.c, m.d],
                            [g.a, g.b, g.c, g.d], atol=1e-8)
 
@@ -653,7 +663,7 @@ def _brute_force_words(spec, x, y, depth, within=math.inf):
     letters +-1, +-2 with d <= within: every product, one level at a time,
     with no pruning and no half-planes."""
     signs = np.array([1, -1, 2, -2])
-    lmats = np.array([np.reshape(word_matrix(spec, (s,)).matrix(), (2, 2)) for s in signs])
+    lmats = np.array([word_matrix(spec, (s,)) for s in signs])
     words, mats, out = np.zeros((1, 0), int), np.eye(2)[None], {}
     for level in range(depth + 1):
         if level:
@@ -767,8 +777,7 @@ def _reference_free_census(spec, x, y, max_word_length, max_radius):
         cm = np.array([[c.a, c.b], [c.c, c.d]])
         cinv = np.array([[c.d, -c.b], [-c.c, c.a]])
         return (cinv[None, :, :] @ cols[0] @ cm[None, :, :], *cols[1:], radius)
-    letters = groups._letters(groups._free_generators(spec))
-    lmats = np.stack([np.array([[l.a, l.b], [l.c, l.d]]) for l in letters])
+    lmats = groups._free_letters(spec)
     n_letters = len(lmats)
     codes = groups.signed_letter(np.arange(n_letters)).astype(
         np.min_scalar_type(-n_letters))
@@ -856,8 +865,8 @@ def _exact_word_matrices(spec, words):
     power-of-two scale, which the distances of :func:`_exact_distances_of`
     do not see.  Shared prefixes are multiplied once."""
     letters = ping_pong_certificate(spec).letters
-    den = max(Fraction(v).denominator for g in letters for v in g.matrix())
-    ints = {int(groups.signed_letter(i)): tuple(int(Fraction(v) * den) for v in g.matrix())
+    den = max(Fraction(v).denominator for v in letters.ravel().tolist())
+    ints = {int(groups.signed_letter(i)): tuple(int(Fraction(v) * den) for v in g.ravel().tolist())
             for i, g in enumerate(letters)}
     memo = {(): (1, 0, 0, 1)}
 
@@ -988,6 +997,134 @@ def test_rotated_nested_pair_has_the_builtin_distances():
     assert np.count_nonzero(rotated.distances <= 21.0) == 29895
     assert np.allclose(rotated.distances, builtin.distances, rtol=0.0, atol=1e-9)
     assert rotated.completeness_radius == builtin.completeness_radius == 22.0
+
+
+# The nested pairs of the conjugation-invariance and letter tests: the
+# builtin pair; a parabolic alpha with beta the translation by 5 along the
+# geodesic from -1 to 1; and an elliptic alpha, the rotation about 8i by 2.
+_P3 = Isometry(1.0, 3.0, 0.0, 1.0)
+_BETA5 = Isometry(math.cosh(2.5), math.sinh(2.5), math.sinh(2.5), math.cosh(2.5))
+_ROT_8I = (Isometry(math.sqrt(8.0), 0.0, 0.0, 1.0 / math.sqrt(8.0)) @ _rotation(2.0)
+           @ Isometry(1.0 / math.sqrt(8.0), 0.0, 0.0, math.sqrt(8.0)))
+_ANGLES = np.linspace(-3.0, 3.0, 25)  # -3, -2.75, ..., 3
+
+
+def _assert_same_census(census, reference):
+    assert len(census) == len(reference)
+    assert census.completeness_radius == reference.completeness_radius
+    assert np.allclose(census.distances, reference.distances, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("depth", [1, 4, 8, 12])
+def test_rotated_nested_pair_has_the_builtin_census_at_every_angle(depth):
+    # The rotation about i keeps every orbit distance from i.  Letters
+    # composed in the rotated frame certified 5 of these 25 angles at depths
+    # 1, 4 and 8, and 1 of 25 at depth 12; in alpha's eigenframe all do.
+    builtin = enumerate_orbit(nested_subgroup_spec(A, B, depth), max_radius=12.0)
+    for theta in _ANGLES:
+        rotated = nested_subgroup_spec(*_rotated(theta, A, B), depth)
+        _assert_same_census(enumerate_orbit(rotated, max_radius=12.0), builtin)
+
+
+@pytest.mark.parametrize("depth", range(2, 9))
+def test_rotated_parabolic_nested_pair_has_the_unrotated_census(depth):
+    # At this angle no certificate was found for the composed letters.
+    reference = enumerate_orbit(nested_subgroup_spec(_P3, _BETA5, depth), max_radius=20.0)
+    rotated = nested_subgroup_spec(*_rotated(-2.0, _P3, _BETA5), depth)
+    assert groups._normal_form(rotated).kind == "conjugated"
+    _assert_same_census(enumerate_orbit(rotated, max_radius=20.0), reference)
+
+
+def test_rotated_elliptic_nested_pair_has_the_unrotated_census():
+    # An elliptic alpha has no eigenframe: its letters are the real parts of
+    # the closed form, in the frame it is given in.
+    reference = enumerate_orbit(nested_subgroup_spec(_ROT_8I, B, 2), max_radius=16.0)
+    assert len(reference) == 345
+    for theta in (-2.5, 0.7):
+        rotated = nested_subgroup_spec(*_rotated(theta, _ROT_8I, B), 2)
+        assert groups._normal_form(rotated) == rotated
+        _assert_same_census(enumerate_orbit(rotated, max_radius=16.0), reference)
+
+
+def _fractions(g: Isometry):
+    return [[Fraction(g.a), Fraction(g.b)], [Fraction(g.c), Fraction(g.d)]]
+
+
+def _exact_nested_letters(alpha, beta, depth):
+    """alpha^-n beta^+-1 alpha^n for n = 0 .. depth, in the letter order of
+    the library, each entry rounded once from the exact product of the
+    rational matrices alpha and beta.  With alpha = A / s and beta = B / t
+    for integer matrices A and B, a letter is adj(A)^n B A^n / (det(A)^n t),
+    and its inverse adj(A)^n adj(B) A^n t / (det(A)^n det(B)), in integers."""
+    def ints(m):
+        scale = math.lcm(*(v.denominator for row in m for v in row))
+        return [[int(v * scale) for v in row] for row in m], scale
+
+    def mul(p, q):
+        return [[p[i][0] * q[0][j] + p[i][1] * q[1][j] for j in range(2)] for i in range(2)]
+
+    def adj(p):
+        return [[p[1][1], -p[0][1]], [-p[1][0], p[0][0]]]
+
+    def det(p):
+        return p[0][0] * p[1][1] - p[0][1] * p[1][0]
+
+    (a, _), (b, t) = ints(alpha), ints(beta)
+    m, m_inv, scale, letters = b, adj(b), 1, []
+    for _ in range(depth + 1):
+        letters.append([[v / (scale * t) for v in row] for row in m])
+        letters.append([[v * t / (scale * det(b)) for v in row] for row in m_inv])
+        m, m_inv, scale = mul(mul(adj(a), m), a), mul(mul(adj(a), m_inv), a), scale * det(a)
+    return np.array(letters)
+
+
+def _letter_error(mats, exact):
+    """The largest error of the float matrices against the exact ones, each
+    relative to its exact matrix's largest entry, and up to sign."""
+    top = np.abs(exact).max(axis=(1, 2))
+    return float((np.minimum(np.abs(mats - exact).max(axis=(1, 2)),
+                             np.abs(mats + exact).max(axis=(1, 2))) / top).max())
+
+
+def _nested_letter_error(alpha, beta, depth, reference=None):
+    """The error of the letters of nested(alpha, beta, depth), and of its
+    first and last one-letter words, against the exact letters of
+    ``reference`` (a matrix of Fractions, default alpha's) and beta."""
+    spec = nested_subgroup_spec(alpha, beta, depth)
+    if reference is None:
+        reference = _fractions(alpha)
+    exact = _exact_nested_letters(reference, _fractions(beta), depth)
+    signs = (1, -1, depth + 1, -depth - 1)
+    words = np.array([word_matrix(spec, (s,)) for s in signs])
+    return max(_letter_error(groups._free_letters(spec), exact),
+               _letter_error(words, exact[[0, 1, -2, -1]]))
+
+
+def test_nested_letters_match_exact_products():
+    # Composed one Isometry at a time, each product rescaled by the square
+    # root of its cancelling determinant, the rotated depth-8 letters were
+    # off by 3.8e-6, and depth 12 raised NonInvertibleMatrix.  Closed form:
+    # the diagonal pair to depth 12 within 1e-15, and the elliptic alpha.
+    assert _nested_letter_error(A, B, 12) <= 1e-15
+    assert _nested_letter_error(_ROT_8I, B, 2) <= 1e-14
+    # A rotated alpha's letters depend on its eigenvalue ratio to the power
+    # 2n, so its last-bit rounding and the few ulps by which det(alpha) is
+    # not 1 are amplified 2n-fold (7.3e-15 at worst).
+    assert max(_nested_letter_error(*_rotated(theta, A, B), 12) for theta in _ANGLES) <= 1e-14
+
+
+def test_rotated_parabolic_letters_match_exact_products_at_depth_200():
+    alpha, beta = _rotated(-2.0, _P3, _BETA5)
+    frame = groups._normal_form(nested_subgroup_spec(alpha, beta, 200))
+    # Against the exact parabolic c^-1 alpha' c of the eigenframe, here as
+    # det(c) c^-1 alpha' c: the letters do not see a scalar factor.
+    c = np.array(_fractions(frame.conjugator), dtype=object)
+    c_adj = np.array([[c[1, 1], -c[0, 1]], [-c[1, 0], c[0, 0]]], dtype=object)
+    snapped = c_adj @ np.array(_fractions(frame.inner.generators[0]), dtype=object) @ c
+    assert _nested_letter_error(alpha, beta, 200, snapped) <= 1e-14
+    # Against the float alpha, whose trace is 2 + 5.6e-17: its letters leave
+    # those of a parabolic by n^2 times that (1.9e-12 at depth 200).
+    assert _nested_letter_error(alpha, beta, 200) <= 1e-11
 
 
 def _exact_clearance(lo, hi, u, v):

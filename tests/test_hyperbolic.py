@@ -27,6 +27,7 @@ from kleinian.hyperbolic import (
     direction_from,
     distance,
     distances_many,
+    hyperbolic_fixed_points,
     origin_distances_many,
     shadow,
 )
@@ -489,6 +490,21 @@ def test_origin_distances_need_no_image_point(gs):
         # 2 sinh(d / 2) is d itself where d / 2 would round.
         got = Fraction(dist if dist < 2.0 ** -1021 else 2.0 * math.sinh(dist / 2.0)) ** 2
         assert got == exact == 0 or abs(got / exact - 1) <= 1e-14
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(isometries, st.floats(0.05, 3.0)), min_size=1, max_size=20))
+# The axis of a diagonal matrix ends at oo: the c = 0 case, both ways round.
+@example([(Isometry.identity(), 1.0), (Isometry.identity(), -1.0)])
+def test_fixed_points_on_arrays_match_scalar_calls(items):
+    gs = [g.inverse() @ Isometry(math.exp(t), 0.0, 0.0, math.exp(-t)) @ g for g, t in items]
+    att, rep = hyperbolic_fixed_points(np.array([[[g.a, g.b], [g.c, g.d]] for g in gs]))
+    for g, *got in zip(gs, att.tolist(), rep.tolist()):
+        assert g.fixed_points() == tuple(BoundaryPoint(v) for v in got)
+        for v, expected in zip(got, ref.fixed_points(g)):
+            assert math.isinf(v) == expected.is_infinity
+            if not math.isinf(v):
+                assert v == pytest.approx(expected.value, rel=1e-9, abs=1e-12)
 
 
 arc_angles = st.floats(-10.0, 10.0)

@@ -10,6 +10,9 @@ from kleinian.hyperbolic import (
     Isometry,
     ORIGIN,
     Point,
+    apply_boundary_many,
+    apply_many,
+    boundary_angles,
     boundary_angle,
     direction_angles_many,
     disk_points_many,
@@ -277,8 +280,9 @@ def _reference_shifted_index(census, letter):
 def _reference_equivariance_audit(census, letter, s):
     """The equivariance audit as a loop over the census words."""
     mu = orbital_measure(census, s)
-    g0 = word_matrix(census.spec, (letter,))
-    w_pull = orbital_measure(census, s, x=g0.inverse().apply(census.basepoint_x)).weights
+    (a, b), (c, d) = word_matrix(census.spec, (letter,))
+    re, im = apply_many([[[d, -b], [-c, a]]], census.basepoint_x)
+    w_pull = orbital_measure(census, s, x=Point(float(re[0]), float(im[0]))).weights
     w_mu = mu.weights
     max_disc = leakage = 0.0
     matched = unmatched = 0
@@ -485,8 +489,8 @@ def word_interval(spec, word_indices):
     circular orientation of its ends."""
     arc = ping_pong_certificate(spec).intervals[word_indices[-1]]
     g = word_matrix(spec, tuple(map(signed_letter, word_indices[:-1])))
-    return BoundaryInterval(boundary_angle(g.apply_boundary(arc.lo)),
-                            boundary_angle(g.apply_boundary(arc.hi)))
+    lo, hi = boundary_angles(apply_boundary_many(g, np.array([arc.lo.value, arc.hi.value])))
+    return BoundaryInterval(float(lo), float(hi))
 
 
 def test_word_intervals_nest(spec):

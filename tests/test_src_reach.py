@@ -4,6 +4,7 @@ library code or exported by the package."""
 
 import ast
 import importlib.util
+import math
 import inspect
 from pathlib import Path
 
@@ -101,3 +102,48 @@ def test_scalar_primitives_hold_no_formula_of_their_own():
     found = _own_arithmetic((SRC / "hyperbolic.py").read_text())
     assert sorted(found) == sorted(ONE_ROW_CALLS)
     assert {name: ops for name, ops in found.items() if ops} == {}
+
+
+# Functions of `groups` that form free letters and words as float arrays.
+# An Isometry made or composed in them would rescale every product by the
+# square root of its determinant, which cancels for large entries: the
+# rotated depth-8 nested letters were off by 3.8e-6 that way.
+ARRAY_LETTERS = ("_free_letters", "word_matrix")
+
+
+def _isometry_uses(source: str) -> dict[str, list[str]]:
+    """The references to `Isometry` and the calls of its methods that make
+    or compose isometries in the functions named in ARRAY_LETTERS."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name in ARRAY_LETTERS:
+            found[node.name] = [
+                ast.unparse(sub) for sub in ast.walk(node)
+                if (isinstance(sub, ast.Name) and sub.id == "Isometry")
+                or (isinstance(sub, ast.Attribute)
+                    and sub.attr in ("identity", "inverse", "compose"))]
+    return found
+
+
+def test_letters_and_words_are_formed_without_isometries(monkeypatch):
+    assert _isometry_uses((SRC / "groups.py").read_text()) == {
+        name: [] for name in ARRAY_LETTERS}
+    # No `@` between isometries either: composing one raises while the
+    # letters and words of every free kind are formed.
+    a, b = groups.Isometry(3.0, 0.0, 0.0, 1.0 / 3.0), groups.Isometry(1.25, 0.75, 0.75, 1.25)
+    r = groups.Isometry(math.cos(0.35), math.sin(0.35), -math.sin(0.35), math.cos(0.35))
+    p = groups.Isometry(1.0, 3.0, 0.0, 1.0)
+    specs = [groups.schottky_spec(a, b), groups.cyclic_spec(p),
+             groups.nested_subgroup_spec(a, b, 8),
+             groups.nested_subgroup_spec(r.inverse() @ a @ r, r.inverse() @ b @ r, 8),
+             groups.nested_subgroup_spec(r.inverse() @ p @ r, b, 8),
+             groups.nested_subgroup_spec(r, b, 8), groups.conjugate(groups.schottky_spec(a, b), r)]
+
+    def refuse(self, other):
+        raise AssertionError("an Isometry was composed")
+
+    monkeypatch.setattr(groups.Isometry, "compose", refuse)
+    monkeypatch.setattr(groups.Isometry, "__matmul__", refuse)
+    for spec in specs:
+        assert groups._free_letters(spec).shape[1:] == (2, 2)
+        assert groups.word_matrix(spec, (1, -1, 1)).shape == (2, 2)
