@@ -185,6 +185,7 @@ def _out_dir(args) -> Path:
 
 def cmd_census(args) -> int:
     census, _, digest = _load_census(args)
+    census.mats  # rows that overflow raise here, before the file is opened
     path = _out_dir(args) / "census.csv"
     with open(path, "w") as fh:
         census.write_csv(fh, header_lines=_header(args, digest))

@@ -29,7 +29,10 @@ from .hyperbolic import (
     apply_many,
     boundary_angles,
     boundary_values,
+    canonical_signs,
+    conjugates_many,
     distance,  # unused here; perfbench/spans.py wraps groups.distance by name
+    frames_many,
     hyperbolic_fixed_points,
     origin_distances_many,
 )
@@ -542,8 +545,8 @@ def _normal_form(spec: GroupSpec) -> GroupSpec:
     alpha1 = (Isometry(1.0, float(p @ v @ q), 0.0, 1.0) if lam is None
               else Isometry(lam, 0.0, 0.0, 1.0 / lam))
     c = Isometry(h[1, 1], -h[0, 1], -h[1, 0], h[0, 0])  # h^-1
-    cinv, cm = _conjugation(c)
-    beta1 = Isometry(*(cm @ np.reshape(beta.matrix(), (2, 2)) @ cinv).ravel())
+    beta1 = Isometry(*conjugates_many(  # c beta c^-1: conjugated by the adjugate of c
+        np.reshape(beta.matrix(), (1, 2, 2)), (c.d, -c.b, -c.c, c.a)).ravel())
     return conjugate(nested_subgroup_spec(alpha1, beta1, spec.depth), c)
 
 
@@ -561,8 +564,7 @@ def _free_letters(spec: GroupSpec) -> np.ndarray:
     frame = _normal_form(spec)
     with np.errstate(all="ignore"):  # checked below
         if frame.kind == "conjugated":
-            cinv, cm = _conjugation(frame.conjugator)
-            letters = cinv[None, :, :] @ _free_letters(frame.inner) @ cm[None, :, :]
+            letters = conjugates_many(_free_letters(frame.inner), frame.conjugator.matrix())
         elif frame.kind == "nested_subgroup":
             alpha, beta = frame.generators
             lam, u, v = _power_basis(alpha)
@@ -573,7 +575,7 @@ def _free_letters(spec: GroupSpec) -> np.ndarray:
             raise ValueError(f"no free letters for kind {spec.kind!r}")
     if not np.isfinite(letters).all():
         raise OverflowError(f"the letters of {spec.kind!r} leave double precision")
-    return _canonical_signs(letters.reshape(-1, 4)).reshape(-1, 2, 2)
+    return np.stack(canonical_signs(*letters.reshape(-1, 4).T), axis=-1).reshape(-1, 2, 2)
 
 
 def word_matrix(spec: GroupSpec, word) -> np.ndarray:
@@ -637,26 +639,22 @@ def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
     With g scaled to trace >= 2, g^n = f U + e V: f = 1, e = n, U = I and
     V = g - I for a parabolic g (Cayley-Hamilton); f = lam^n, e = lam^-n and
     U, V the projections onto the eigenlines of the eigenvalues lam > mu of
-    a hyperbolic one.  With K_p: z -> (z - Re p) / Im p, which sends p to i,
-    the frame K_x g^n K_y^-1 = f P + e Q moves i by d(x, g^n y)
-    (:func:`origin_distances_many`).  With p, q the vectors (M11 - M22,
-    M12 + M21) of P and Q, 4 sinh^2(d / 2) = |f p + e q|^2 = least^2 +
-    (width phi(n - v))^2, where phi(s) = s or sinh(s log lam): convex in n,
-    least at the vertex v.  Inverted at R, it gives the ball's window, whose
-    size is checked against the budget before any power is formed.  That
-    window, widened by 2 for rounding, is evaluated, with rows listed as
-    n = 0, 1, ..., then -1, -2, ....  By convexity the nearest power beyond
-    the window on either side is the one nearest v there.  No distance past
-    _CYCLIC_RADIUS_CAP is resolved, so the completeness radius is at most
-    that, and no power is formed whose frame or coefficients leave double
-    precision."""
+    a hyperbolic one.  The frame K_x g^n K_y^-1 = f P + e Q
+    (:func:`frames_many`) moves i by d(x, g^n y).  With p, q the vectors
+    (M11 - M22, M12 + M21) of P and Q, 4 sinh^2(d / 2) = |f p + e q|^2 =
+    least^2 + (width phi(n - v))^2, where phi(s) = s or sinh(s log lam):
+    convex in n, least at the vertex v.  Inverted at R, it gives the ball's
+    window, whose size is checked against the budget before any power is
+    formed.  That window, widened by 2 for rounding, is evaluated, with rows
+    listed as n = 0, 1, ..., then -1, -2, ....  By convexity the nearest
+    power beyond the window on either side is the one nearest v there.  No
+    distance past _CYCLIC_RADIUS_CAP is resolved, so the completeness radius
+    is at most that, and no power is formed whose frame or coefficients
+    leave double precision."""
     lam, u, w = _power_basis(spec.generators[0])
 
-    sx, sy = math.sqrt(x.im), math.sqrt(y.im)
-    kx = np.array([[1.0 / sx, -x.re / sx], [0.0, sx]])
-    ky_inv = np.array([[sy, y.re / sy], [0.0, 1.0 / sy]])
+    pm, qm = np.stack(frames_many(np.stack([u, w]), x, y), axis=-1).reshape(2, 2, 2)
     with np.errstate(all="ignore"):  # checked below
-        pm, qm = kx @ u @ ky_inv, kx @ w @ ky_inv
         p, q = (np.array([m[0, 0] - m[1, 1], m[0, 1] + m[1, 0]]) for m in (pm, qm))
         pn, qn = np.hypot(*p), np.hypot(*q)
         if lam is None:
@@ -699,7 +697,7 @@ def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
             mats = f * u + e * w
             dists = origin_distances_many(f * pm + e * qm)
         dists[(n < clip_lo) | (n > clip_hi)] = math.inf  # farther than the cap
-        return _canonical_signs(mats.reshape(-1, 4)).reshape(-1, 2, 2), dists
+        return np.stack(canonical_signs(*mats.reshape(-1, 4).T), axis=-1).reshape(-1, 2, 2), dists
 
     exponents = np.concatenate([np.arange(max(lo, 0), hi + 1, dtype=np.int64),
                                 np.arange(min(hi, -1), lo - 1, -1, dtype=np.int64)])
@@ -725,11 +723,12 @@ def _gram(p, q, r, s):
 
 
 def _preimage_gram(mats, x: Point):
-    """The Gram matrices of the points w^-1.x for a stack of unimodular w:
-    w^-1 K_x^-1, with w^-1 the adjugate (d, -b; -c, a), sends i there."""
-    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
-    sx = math.sqrt(x.im)
-    return _gram(d * sx, (d * x.re - b) / sx, -c * sx, (a - c * x.re) / sx)
+    """Gram matrices of the points w^-1.x for unimodular w, to which the frame
+    w^-1 K_x^-1 of (d, -b; -c, a) at (i, x) sends i: D F D, D = diag(1, -1), for
+    the frame F of (d, b; c, a), a view of w, at (i, -conj x); F's G12 negated."""
+    g11, g12, g22 = _gram(*frames_many(mats[:, ::-1, ::-1].swapaxes(1, 2), ORIGIN,
+                                       Point(-x.re, x.im)))
+    return g11, -g12, g22
 
 
 def _halfplane_clearance(lo, hi, g11, g12, g22):
@@ -771,10 +770,9 @@ def _certified_halfplanes(spec: GroupSpec, y: Point):
     """
     lo, hi = np.array([(arc.lo_angle, arc.hi_angle)
                        for arc in ping_pong_certificate(spec).intervals]).T
-    sy = math.sqrt(y.im)
-    gy = [np.array([g]) for g in _gram(sy, y.re / sy, 0.0, 1.0 / sy)]
-    # y = K_y^-1.i lies in at most one D_m, and its distance to the
-    # complement (the arc with its ends swapped) is d(y, y0).
+    # y = K_y^-1.i, of Gram gy, lies in at most one D_m, and its distance to
+    # the complement (the arc with its ends swapped) is d(y, y0).
+    gy = _gram(*frames_many(np.eye(2)[None], ORIGIN, y))
     shift = max(float(_halfplane_clearance(hi[m:m + 1], lo[m:m + 1], *gy)[0])
                 for m in range(len(lo)))
     return lo, hi, shift
@@ -861,16 +859,6 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
             break
         frontier = tuple(map(_stack, frontier))
     return _census(*pieces[:3], (_FreeWords, pieces[3]), x, y, min(bound_floor, radius), spec)
-
-
-def _canonical_signs(rows: np.ndarray) -> np.ndarray:
-    """Flip in place the (n, 4) matrix rows (a, b, c, d) whose first entry of
-    (a, b, c) that is not (numerically) zero is negative, as `Isometry` does.
-    For integer rows that entry is the first nonzero one."""
-    a, b, c = rows[:, 0], rows[:, 1], rows[:, 2]
-    lead = np.select([np.abs(a) > _TOL, np.abs(b) > _TOL, np.abs(c) > _TOL], [a, b, c])
-    rows[lead < 0] *= -1
-    return rows
 
 
 def _expand_ranges(lo, counts):
@@ -991,7 +979,8 @@ def _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget):
         for s in range(0, len(i), _LATTICE_CHUNK):  # a piece per slice of rows
             j, tj = i[s:s + _LATTICE_CHUNK], t[s:s + _LATTICE_CHUNK]
             g0 = np.stack([a0[j] + tj * c[j], b0[j] + tj * d[j], c[j], d[j]], axis=1)
-            rows = _canonical_signs((k @ g0.reshape(-1, 2, 2) @ h_inv).reshape(-1, 4))
+            rows = np.stack(canonical_signs(*(k @ g0.reshape(-1, 2, 2) @ h_inv).reshape(-1, 4).T),
+                            axis=1)
             dists = origin_distances_many(rows.reshape(-1, 2, 2), x, y)
             inside = dists <= max_radius
             rows, dists = rows[inside], dists[inside]
@@ -1068,16 +1057,10 @@ def _enumerate_conjugated(spec, x, y, max_word_length, max_radius, budget):
                                 completeness_radius=inner.completeness_radius, spec=spec)
 
 
-def _conjugation(c: Isometry):
-    """(c^-1, c) as 2x2 arrays, c^-1 the adjugate, for m -> c^-1 m c."""
-    return np.array([[c.d, -c.b], [-c.c, c.a]]), np.array([[c.a, c.b], [c.c, c.d]])
-
-
 def _conjugated_rows(inner, c: Isometry):
     """The row columns of the census c^-1 . inner . c."""
-    cinv, cm = _conjugation(c)
     return {"word_lengths": inner.word_lengths, "words": inner.words,
-            "mats": cinv[None, :, :] @ inner.mats.astype(np.float64) @ cm[None, :, :]}
+            "mats": conjugates_many(inner.mats, c.matrix())}
 
 
 def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,
@@ -1087,7 +1070,7 @@ def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,
     """Census of all distinct group elements within the given limits.
 
     Every distance d(x, g.y) is read off the matrix of g, through the frame
-    K_x g K_y^-1 of :func:`origin_distances_many`, with no image point g.y;
+    K_x g K_y^-1 of :func:`frames_many`, with no image point g.y;
     so are the pruning bounds of the free search (:func:`_preimage_gram`).
     The census is sorted by distance; ``completeness_radius`` is the radius
     up to which it is complete: proved by the ping-pong half-planes at every

@@ -89,8 +89,7 @@ class Isometry:
     """An orientation-preserving isometry, i.e. an element of PSL(2, R).
 
     The stored matrix is normalised to determinant 1 and to the canonical
-    sign: the first entry of (a, b, c) that is not (numerically) zero is
-    positive, so M and -M hash and compare equal.
+    sign of :func:`canonical_signs`, so M and -M hash and compare equal.
     """
 
     a: float
@@ -104,16 +103,8 @@ class Isometry:
         if not math.isfinite(det) or det <= 0.0:
             raise NonInvertibleMatrix(f"matrix must have positive determinant, got {det}")
         s = math.sqrt(det)
-        a, b, c, d = a / s, b / s, c / s, d / s
-        for lead in (a, b, c):
-            if abs(lead) > _TOL:
-                if lead < 0.0:
-                    a, b, c, d = -a, -b, -c, -d
-                break
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        for name, value in zip("abcd", canonical_signs(a / s, b / s, c / s, d / s)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def identity() -> "Isometry":
@@ -278,18 +269,29 @@ def shadow(x: Point, y: Point, r: float) -> BoundaryInterval:
 # Batch kernels over arrays of orbit points.
 
 
-def apply_many(mats, p: Point) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) arrays of the images of p under a stack of (n, 2, 2)
-    unimodular matrices m: N = m K_p^-1 sends i to m.p, so Im = 1 / (N21^2 +
-    N22^2) and Re = (N11 N21 + N12 N22) Im, and neither cancels far from p.
-    :meth:`Isometry.apply` is its one-row call."""
+def frames_many(mats, x: Point, y: Point) -> tuple[np.ndarray, ...]:
+    """Entries (F11, F12, F21, F22) of the frames F = K_x m K_y^-1 of (..., 2,
+    2) matrices m, K_p: z -> (z - Re p) / Im p; F sends i to K_x(m.y), at
+    d(x, m.y).  With u = a - c Re x (a at x = i), r = sqrt(Im y / Im x), s =
+    sqrt(Im x Im y), F = (u r, (u Re y + b - d Re x) / s; c s, (c Re y + d) / r)."""
     mats = np.asarray(mats, dtype=np.float64)
-    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
-    s = math.sqrt(p.im)
+    a, b, c, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
+    sx, sy = math.sqrt(x.im), math.sqrt(y.im)
+    r, s = sy / sx, sx * sy
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: infinitely far
+        if x != ORIGIN:
+            a, b = a - x.re * c, b - x.re * d
+        return a * r, (a * y.re + b) / s, c * s, (c * y.re + d) / r
+
+
+def apply_many(mats, p: Point) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) arrays of the images of p under (n, 2, 2) unimodular m: the
+    frames N = m K_p^-1 (:func:`frames_many` at x = i) send i to m.p, so Im =
+    1 / (N21^2 + N22^2) and Re = (N11 N21 + N12 N22) Im, and neither cancels
+    far from p.  :meth:`Isometry.apply` is its one-row call."""
+    n11, n12, n21, n22 = frames_many(mats, ORIGIN, p)
     # Past double precision an image lies at Im 0: infinitely far.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        n11, n12 = a * s, (a * p.re + b) / s
-        n21, n22 = c * s, (c * p.re + d) / s
         im = 1.0 / (n21 * n21 + n22 * n22)
         return (n11 * n21 + n12 * n22) * im, im
 
@@ -306,21 +308,34 @@ def distances_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def origin_distances_many(mats, x: Point = ORIGIN, y: Point = ORIGIN) -> np.ndarray:
-    """Distances d(x, m.y) for a stack of (n, 2, 2) unimodular matrices m,
-    from the matrices alone: with K_p: z -> (z - Re p) / Im p, the frame
-    F = K_x m K_y^-1 moves i by d, and 4 sinh^2(d / 2) = (F11 - F22)^2 +
-    (F12 + F21)^2.  With u = a - c Re x, r = sqrt(Im y / Im x) and s =
-    sqrt(Im x Im y), F = (u r, (u Re y + b - d Re x) / s; c s, (c Re y + d)
-    / r): exactly 1 for m = 1 at x = y, and m itself at x = y = i."""
+    """Distances d(x, m.y) for (n, 2, 2) unimodular m, from the frames F of
+    :func:`frames_many` (m itself at x = y = i), which move i by d: 4
+    sinh^2(d / 2) = (F11 - F22)^2 + (F12 + F21)^2."""
     mats = np.asarray(mats)
-    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    a, b, c, d = (frames_many(mats, x, y) if (x, y) != (ORIGIN, ORIGIN)
+                  else (mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]))
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: outside every ball
-        if (x, y) != (ORIGIN, ORIGIN):
-            sx, sy = math.sqrt(x.im), math.sqrt(y.im)
-            r, s = sy / sx, sx * sy
-            u = a - x.re * c
-            a, b, c, d = u * r, (u * y.re + (b - x.re * d)) / s, c * s, (c * y.re + d) / r
         return _twice_asinh_half(np.hypot(a - d, b + c))
+
+
+def conjugates_many(mats, entries) -> np.ndarray:
+    """c^-1 m c for (n, 2, 2) matrices m and the entries (a, b, c, d) of a
+    unimodular c; OverflowError where a product leaves double precision."""
+    a, b, c, d = entries
+    with np.errstate(all="ignore"):  # checked below
+        out = np.array([[[d, -b], [-c, a]]]) @ mats @ np.array([[[a, b], [c, d]]])
+    if not np.isfinite(out).all():
+        raise OverflowError("a conjugate of these matrices leaves double precision")
+    return out
+
+
+def canonical_signs(a, b, c, d):
+    """The entries (a, b, c, d) of matrices, elementwise, negated where the
+    first of a, b, c beyond _TOL in size (of integers, the first nonzero one)
+    is negative: one form of M and -M.  :class:`Isometry` is its one-row call."""
+    k = 1 - 2 * ((a < -_TOL) | ((abs(a) <= _TOL) & ((b < -_TOL)
+                                                      | ((abs(b) <= _TOL) & (c < -_TOL)))))
+    return a * k, b * k, c * k, d * k
 
 
 def _twice_asinh_half(t: np.ndarray) -> np.ndarray:

@@ -445,6 +445,8 @@ _BAD_FLAGS = {
     "patterson-s-grid-shared-tag": ["patterson", "--s-grid", "0.70:0.70004:0.00001"],
     "exponent-window-reversed": ["exponent", "--window", "12:6"],
     "exponent-window-nan": ["exponent", "--window", "nan:5"],
+    "patterson-s-grid-two-fields": ["patterson", "--s-grid", "0:1"],
+    "exponent-window-one-field": ["exponent", "--window", "5"],
 }
 
 
@@ -463,6 +465,7 @@ _P = [["1", "1"], ["0", "1"]]
 _ROT = [[str(np.cos(0.25)), str(np.sin(0.25))], [str(-np.sin(0.25)), str(np.cos(0.25))]]
 # The rotation about i by pi, of order 2.
 _R_PI = [["0", "-1"], ["1", "0"]]
+_SINGULAR = [["1", "1"], ["1", "1"]]
 
 
 def _conjugation_chain(n):
@@ -504,6 +507,15 @@ def _conjugation_chain(n):
     (["separation", "--max-word-length", "3"],
      {"group": {"kind": "cyclic_hyperbolic", "generators": [_A]},
       "witness": [1, 2, 3]}, cli.EXIT_PARSE),
+    (["separation", "--max-word-length", "3"],
+     {"group": {"kind": "cyclic_hyperbolic", "generators": [_A]},
+      "witness": _SINGULAR}, cli.EXIT_PARSE),
+    (["separation", "--max-word-length", "3"],
+     {"group": {"kind": "cyclic_hyperbolic", "generators": [_A]}}, cli.EXIT_PARSE),
+    (["census", "--max-word-length", "3"],
+     {"kind": "schottky", "generators": [_SINGULAR, _B]}, cli.EXIT_PARSE),
+    (["census", "--max-radius", "5"],
+     {"kind": "cyclic_hyperbolic", "generators": [[["0", "1"], ["1", "0"]]]}, cli.EXIT_PARSE),
     (["census", "--max-radius", "5"],
      {"kind": "cyclic_hyperbolic", "generators": []}, cli.EXIT_PARSE),
     (["census", "--max-word-length", "3"], {"kind": "schottky", "generators": []}, cli.EXIT_PARSE),
@@ -532,7 +544,9 @@ def _conjugation_chain(n):
         "lattice-census-word-length-only", "lattice-exponent-word-length-only",
         "conjugated-lattice-word-length-only", "lattice-equivariance-audit",
         "conjugated-lattice-equivariance-audit", "conjugated-without-inner",
-        "separation-witness-not-2x2", "cyclic-without-generator",
+        "separation-witness-not-2x2", "separation-witness-singular",
+        "separation-without-witness", "schottky-singular-generator",
+        "cyclic-negative-determinant", "cyclic-without-generator",
         "schottky-without-generators", "cyclic-elliptic-radius",
         "cyclic-elliptic-word-length", "parabolic-identity",
         "parabolic-on-hyperbolic-generator", "nested-fractional-depth",
@@ -563,6 +577,25 @@ def test_overflow_while_enumerating_exit_code(tmp_path, capsys):
     assert rc == cli.EXIT_OVERFLOW
     err = capsys.readouterr().err
     assert err.startswith("error: arithmetic overflow: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("limit", [["--max-word-length", "10000000"], ["--max-radius", "1400"]])
+def test_conjugated_rows_past_double_precision_exit_with_overflow(tmp_path, capsys, limit):
+    # c^-1 g^n c with c = diag(1e-5, 1e5) is formed through c^-1 g^n, whose
+    # entry 1e5 lam^n leaves double precision in the four farthest rows of
+    # the ball, at d ~ 1398 (they were written as inf and nan).  `census`
+    # writes the rows and fails; `exponent` reads only the distances.
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({
+        "kind": "conjugated", "conjugator": [["1e-5", "0"], ["0", "1e5"]],
+        "inner": {"kind": "cyclic_hyperbolic", "generators": [
+            [["1.6487212707001282", "0"], ["0", "0.6065306597126334"]]]}}))
+    argv = ["--config", str(path), *limit, "--out"]
+    assert run(["census", *argv, str(tmp_path / "census")]) == cli.EXIT_OVERFLOW
+    err = capsys.readouterr().err
+    assert err.startswith("error: arithmetic overflow: ") and err.count("\n") == 1
+    assert not (tmp_path / "census" / "census.csv").exists()
+    assert run(["exponent", *argv, str(tmp_path / "exponent")]) == 0
 
 
 @pytest.mark.parametrize("case", list(_BAD_FLAGS))

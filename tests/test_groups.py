@@ -456,6 +456,41 @@ def test_parabolic_ball_at_the_budget_edge(monkeypatch):
         enumerate_orbit(spec, max_radius=18.0, budget=16206)
 
 
+@pytest.mark.parametrize("g, x, y, limits, error, match, formed", [
+    # The frame K_x g K_y^-1 of the basepoints leaves double precision.
+    (HYPERBOLIC_CYCLIC, Point(-1e308, 1.0), Point(1e308, 1.0), {"max_radius": 5.0},
+     OverflowError, "at these basepoints", False),
+    # The ball about n = -23 reaches past |n| = 1418, where lam^n leaves
+    # double precision (it is capped at R = 1400, not at the word length).
+    (HYPERBOLIC_CYCLIC, ORIGIN, Point(0.0, 1e10), {"max_word_length": 10 ** 7},
+     OverflowError, "in this ball", False),
+    # The ball lies about n = -1e17, past the integers that doubles hold.
+    (PARABOLIC, ORIGIN, Point(1e17, 1.0), {"max_radius": 5.0},
+     OverflowError, "beyond exact double precision", False),
+    # The frame divides b by 1e200: powers within R have entries past 1e308.
+    (Isometry(E, 1e100, 0.0, 1.0 / E), Point(0.0, 1e200), Point(0.0, 1e200),
+     {"max_radius": 1000.0}, OverflowError, "in this ball", True),
+    # g^+-4 lie at exactly R, which the inverted window rounds out of it: 8
+    # powers pass the pre-check, and the ball holds 9.
+    (PARABOLIC, ORIGIN, ORIGIN, {"max_radius": 2.0 * math.asinh(2.0), "budget": 8},
+     BudgetExceeded, "budget 8", True),
+], ids=["frame", "power-in-ball", "exponent", "matrix-in-ball", "budget-after-rounding"])
+def test_each_cyclic_guard_is_reached(monkeypatch, g, x, y, limits, error, match, formed):
+    # Whether the powers were formed tells the guard before them from the
+    # one after, where they share a message.
+    rows = []
+    distances = groups.origin_distances_many
+
+    def counted(mats, *args):
+        rows.append(len(mats))
+        return distances(mats, *args)
+
+    monkeypatch.setattr(groups, "origin_distances_many", counted)
+    with pytest.raises(error, match=match):
+        enumerate_orbit(cyclic_spec(g), x, y, **limits)
+    assert bool(rows) == formed
+
+
 def test_parabolic_powers_past_the_point_formula_keep_their_distances():
     # d(i, g^n i) = 2 asinh(1e200 |n| / 2) is about 921 + 2 log |n|, but the
     # point formula's |z - i|^2 overflows: these powers take their distance
@@ -1033,6 +1068,17 @@ def test_rotated_parabolic_nested_pair_has_the_unrotated_census(depth):
     rotated = nested_subgroup_spec(*_rotated(-2.0, _P3, _BETA5), depth)
     assert groups._normal_form(rotated).kind == "conjugated"
     _assert_same_census(enumerate_orbit(rotated, max_radius=20.0), reference)
+
+
+def test_a_rotated_nested_spec_is_certified_in_its_eigenframe():
+    # Called on the rotated spec itself, not on the inner spec that its
+    # census enumerates, the certificate is the eigenframe's.
+    spec = nested_subgroup_spec(*_rotated(0.7, A, B), 4)
+    inner = groups._normal_form(spec).inner
+    certificate = ping_pong_certificate(spec)
+    assert certificate == ping_pong_certificate(inner)
+    assert np.array_equal(certificate.letters, groups._free_letters(inner))
+    assert certificate.margin > 0.0
 
 
 def test_rotated_elliptic_nested_pair_has_the_unrotated_census():

@@ -138,6 +138,14 @@ def test_apply_matches_mobius_formula():
     assert p.as_complex() == pytest.approx(w)
 
 
+def test_apply_forms_the_frame_at_i_too():
+    # N12 = (a Re p + b) / sqrt(Im p) is formed at p = i as well, where it
+    # turns b = -0.0 into +0.0: Re stays +0.0, which prints as 0, not -0.
+    # (The inverse of a diagonal letter has these signed zeros.)
+    re, im = apply_many(np.array([[[1.0, -0.0], [-0.0, 1.0]]]), ORIGIN)
+    assert (re.tobytes(), im.tobytes()) == (np.zeros(1).tobytes(), np.ones(1).tobytes())
+
+
 def test_classification():
     assert Isometry(3.0, 0.0, 0.0, 1.0 / 3.0).classify() == "hyperbolic"
     assert Isometry(1.0, 1.0, 0.0, 1.0).classify() == "parabolic"

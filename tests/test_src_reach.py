@@ -147,3 +147,28 @@ def test_letters_and_words_are_formed_without_isometries(monkeypatch):
     for spec in specs:
         assert groups._free_letters(spec).shape[1:] == (2, 2)
         assert groups.word_matrix(spec, (1, -1, 1)).shape == (2, 2)
+
+
+# The kernels that take sqrt(Im p) of a basepoint p: the frame K_x m K_y^-1
+# and the distance.  That root anywhere else would be a second copy of the
+# frame, free to round apart from it.
+FRAME_KERNELS = ("frames_many", "distances_many")
+
+
+def _basepoint_roots() -> set[str]:
+    """The functions in `src/kleinian` that call a `sqrt` on the `im` of a
+    point, as `math.sqrt(p.im)`."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                    and sub.func.attr == "sqrt" and sub.args
+                    and isinstance(sub.args[0], ast.Attribute) and sub.args[0].attr == "im"
+                    for sub in ast.walk(node)):
+                found.add(node.name)
+    return found
+
+
+def test_only_the_frame_and_distance_kernels_take_a_basepoint_root():
+    assert _basepoint_roots() == set(FRAME_KERNELS)
