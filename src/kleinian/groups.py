@@ -206,10 +206,19 @@ def _table_chunks(fmt: str, cols):
 
 
 def _filled_chunks(templates, col):
-    """Each chunk template of :func:`_table_chunks` filled with its chunk of
-    the 1-d array ``col``, one value per remaining conversion."""
-    return (t % tuple(col[i:i + _TABLE_CHUNK].tolist())
-            for i, t in zip(range(0, len(col), _TABLE_CHUNK), templates))
+    """Each chunk template of :func:`_table_chunks` filled with the ``%.12g``
+    text of its chunk of the 1-d float64 array ``col``, one value per
+    remaining ``%s``.  A run of values with equal bits is formatted once, by
+    one ``%`` per chunk over the runs' first values, and its text repeated:
+    equal bits give equal text, and -0.0 and 0.0, or two NaNs of different
+    bits, are never one run."""
+    bits = np.ascontiguousarray(col, dtype=np.float64).view(np.int64)
+    for i, t in zip(range(0, len(col), _TABLE_CHUNK), templates):
+        part = bits[i:i + _TABLE_CHUNK]
+        new = np.concatenate([[True], part[1:] != part[:-1]])  # run starts
+        firsts = part[new].view(np.float64).tolist()
+        text = np.array(("%.12g\n" * len(firsts) % tuple(firsts)).split("\n"), dtype=object)
+        yield t % tuple(text[np.cumsum(new) - 1].tolist())
 
 
 def _write_table(fh, header_lines, columns: str, chunks) -> None:
@@ -249,6 +258,15 @@ def _check_hyperbolic(lmats) -> None:
                                      f"|trace| = {trace[bad[0]]:.9g}")
 
 
+def _image_arcs(lmats, lo, hi):
+    """(img_lo, img_hi): the angles of the arcs to which each letter of
+    ``lmats`` maps the complement (hi[i^1], lo[i^1]) of its inverse's arc,
+    for the letter arcs from ``lo`` counterclockwise to ``hi``."""
+    inv = np.arange(len(lo)) ^ 1
+    return boundary_angles(apply_boundary_many(
+        lmats, boundary_values(np.stack([hi[inv], lo[inv]]))))
+
+
 def _ping_pong_margin(lmats, lo, hi):
     """(margin, letters) of the letter arcs from the angles ``lo``
     counterclockwise to ``hi`` in [0, 2*pi), one per letter of ``lmats`` in
@@ -264,10 +282,7 @@ def _ping_pong_margin(lmats, lo, hi):
     if not reach[k] > 0.0:
         return float(reach[k]), tuple(sorted((int(order[k]), int(nxt[k]))))
     gap = float(((lo[nxt] - hi[order]) % _TWO_PI).min())
-    # Letter i maps the complement (hi[i^1], lo[i^1]) of its inverse's arc.
-    inv = np.arange(len(lo)) ^ 1
-    img_lo, img_hi = boundary_angles(apply_boundary_many(
-        lmats, boundary_values(np.stack([hi[inv], lo[inv]]))))
+    img_lo, img_hi = _image_arcs(lmats, lo, hi)
     img_width = np.where(img_hi == img_lo, _TWO_PI, (img_hi - img_lo) % _TWO_PI)
     start, end = (img_lo - lo) % _TWO_PI, width - (img_hi - lo) % _TWO_PI
     inside = np.where(start + img_width > width, -np.minimum(np.abs(start), np.abs(end)),
@@ -404,16 +419,26 @@ class _FreeWords(Sequence):
     def shifted_index(self, letter: int) -> np.ndarray:
         """Index of the reduced word letter^-1 w for each word w, or -1:
         w loses its first letter if that is ``letter``, else gains -letter."""
-        rows = np.pad(self.letters, ((0, 0), (0, 1)))  # room to prepend
+        n, width = self.letters.shape
+        both = np.zeros((2 * n, width + 1), self.letters.dtype)  # room to prepend
+        rows, shifted = both[:n], both[n:]
+        rows[:, :-1] = self.letters
         drop = rows[:, 0] == letter
-        shifted = np.zeros_like(rows)
         shifted[drop, :-1] = rows[drop, 1:]
         shifted[~drop, 1:] = rows[~drop, :-1]
         shifted[~drop, 0] = -letter
-        # One sortable key per row: its bytes.
-        row_bytes = np.dtype((np.void, rows.shape[1] * rows.itemsize))
-        keys = np.stack([rows, shifted]).view(row_bytes)
-        return _lookup(keys[0, :, 0], keys[1, :, 0])
+        # The words and their shifts, sorted together by one lexsort: as the
+        # words are distinct and so are the shifts, equal rows come in pairs,
+        # the word (the lower index, by stability) before its shift.
+        order = np.lexsort(both.T)
+        same = np.ones(max(2 * n - 1, 0), dtype=bool)
+        for col in both.T:  # a column at a time, to hold no sorted copy
+            col = col[order]
+            same &= col[1:] == col[:-1]
+        pair = np.flatnonzero(same)
+        index = np.full(n, -1)
+        index[order[pair + 1] - n] = order[pair]
+        return index
 
 
 _ROW_COLUMNS = ("word_lengths", "mats", "words")
@@ -764,9 +789,11 @@ def _certified_halfplanes(spec: GroupSpec, y: Point):
     Soundness: the certificate's positive margin makes the closed D_m
     disjoint, and each letter maps the closed complement of its inverse's
     half-plane strictly into its own, so every reduced word starting with
-    letter m sends y0 into D_m.  All descendants w v of a word w whose
-    continuations v start with m thus send y0 into w.D_m, and
-    d(x, w v.y) >= d(x, w.D_m) - shift = d(w^-1.x, D_m) - shift.
+    letter m sends y0 into D_m, and indeed into the closed half-plane
+    E_m = m.(closure of the exterior of D_m^-1) inside it, the hull of
+    letter m's image arc (:func:`_image_arcs`).  All descendants w v of a
+    word w whose continuations v start with m thus send y0 into w.E_m, and
+    d(x, w v.y) >= d(x, w.E_m) - shift = d(w^-1.x, E_m) - shift.
     """
     lo, hi = np.array([(arc.lo_angle, arc.hi_angle)
                        for arc in ping_pong_certificate(spec).intervals]).T
@@ -784,11 +811,12 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
     Level k holds the words of length k (the identity is level 0).  Each
     letter in turn extends, in order, the frontier words of level k - 1 that
     it does not cancel and, for a finite ``max_radius``, whose bound on the
-    letter's own subtree is within it; its children within ``max_radius``
-    join the census,
-    and those whose subtree bound is within ``max_radius`` join the next
-    frontier.  So only one letter's children are alive at a time.  The
-    subtree bound (see :func:`_certified_halfplanes`) holds wherever y lies.
+    letter's own subtree (by its image half-plane E_m) is within it; its
+    children within ``max_radius`` join the census, and those whose subtree
+    bound is within ``max_radius`` join the next frontier.  So only one
+    letter's children are alive at a time.  Both bounds (see
+    :func:`_certified_halfplanes`) hold wherever y lies.  The word matrix
+    is as wide as the longest census word.
     """
     if spec.kind == "nested_subgroup" and 2 * (spec.depth + 1) > budget:
         # The letters alone would outrun the budget: a parabolic alpha's
@@ -799,6 +827,7 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
     n_letters = len(lmats)
     codes = signed_letter(np.arange(n_letters)).astype(np.min_scalar_type(-n_letters))
     lo, hi, shift = _certified_halfplanes(spec, y)
+    img_lo, img_hi = _image_arcs(lmats, lo, hi)
     radius = math.inf if max_radius is None else max_radius
 
     def subtree_bound(mats, last):
@@ -816,9 +845,10 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
         and last letters of those whose subtree may reach it."""
         nonlocal size, bound_floor, alive
         take = dist <= radius
-        for col, part in zip(pieces, (mats, dist, np.full(len(dist), level), words)):
-            col.append(part[take])
-        size += len(pieces[1][-1])
+        if level == 0 or take.any():  # so no empty piece widens the words
+            for col, part in zip(pieces, (mats, dist, np.full(len(dist), level), words)):
+                col.append(part[take])
+            size += len(pieces[1][-1])
         keep = (bound <= radius) & (max_word_length is None or level < max_word_length)
         alive += int(keep.sum())
         if size + alive > budget:
@@ -841,14 +871,15 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
         if not len(mats):
             break
         alive = len(mats)
-        # Every child w.m and its subtree lie at distance >= d(w^-1.x, D_m) -
-        # shift: the parents too far from D_m for the radius get no child m.
+        # Every child w.m and its subtree lie at distance >= d(w^-1.x, E_m) -
+        # shift: the parents too far from E_m for the radius get no child m.
         gram = _preimage_gram(mats, x) if radius < math.inf else None
         frontier = [], [], []  # the next frontier's pieces, one per letter
         for li in range(n_letters):
             sel = last != li ^ 1
             if gram is not None:
-                clear = _halfplane_clearance(lo[li:li + 1], hi[li:li + 1], *gram) - shift
+                clear = _halfplane_clearance(img_lo[li:li + 1], img_hi[li:li + 1],
+                                             *gram) - shift
                 far = sel & (clear > radius)
                 bound_floor = min(bound_floor, float(clear[far].min(initial=math.inf)))
                 sel &= ~far

@@ -83,8 +83,9 @@ def atom_positions(census: OrbitCensus) -> tuple[np.ndarray, np.ndarray]:
 
 # A measure CSV row with every column rendered but the weight.  A formatted
 # number holds only digits, '.', 'e', '+', '-', 'inf' or 'nan', never '%', so
-# the weight's conversion ('%%' renders as '%') is the only one left.
-_ATOM_ROW = "%.12g,%.12g,%%.12g,%d"
+# the weight's slot ('%%' renders as '%') is the only conversion left; it
+# takes the weight's text from :func:`_filled_chunks`.
+_ATOM_ROW = "%.12g,%.12g,%%s,%d"
 
 
 class CensusAtoms:

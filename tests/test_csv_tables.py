@@ -25,6 +25,7 @@ from kleinian.groups import (
 )
 from kleinian.hyperbolic import Isometry, Point
 from kleinian.patterson import (
+    _ATOM_ROW,
     BoundaryHistogram,
     CensusAtoms,
     boundary_histogram,
@@ -213,13 +214,46 @@ def test_special_floats_in_every_column(monkeypatch, n):
     hist.write_csv(got)
     histogram_rows(hist, want)
     assert got.getvalue() == want.getvalue()
-    # The same values rendered into chunk templates, and then filled in.
-    wl = np.arange(n) % 7
-    templates = list(_table_chunks("%.12g,%.12g,%%.12g,%d", (values, values[::-1], wl)))
-    filled = "".join(_filled_chunks(templates, np.roll(values, 1)))
-    assert filled == "".join(
-        f"{a:.12g},{b:.12g},{w:.12g},{k}\n"
-        for a, b, w, k in zip(values, values[::-1], np.roll(values, 1), wl))
+    # The same values rendered into the measure's chunk templates, whose
+    # weight slot is then filled with the text of each value.
+    got, want = _filled_atom_rows(values, values[::-1], np.roll(values, 1))
+    assert got == want
+
+
+def _filled_atom_rows(re, im, weights):
+    """(measure rows filled by _filled_chunks, the per-row reference), with
+    word lengths drawn from the row index."""
+    wl = np.arange(len(weights)) % 7
+    got = "".join(_filled_chunks(list(_table_chunks(_ATOM_ROW, (re, im, wl))), weights))
+    return got, "".join(f"{a:.12g},{b:.12g},{w:.12g},{k}\n"
+                        for a, b, w, k in zip(re, im, weights, wl))
+
+
+# NaNs of three bit patterns, all rendered 'nan'.
+NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001],
+                dtype=np.uint64).view(np.float64)
+# Weight columns whose runs of equal bits fall every way across the chunks
+# of CHUNK rows.
+WEIGHT_RUNS = {
+    "runs-across-chunks": np.repeat([0.5, 0.25, 1.0 / 3.0, 0.5], [6, 3, 5, 2]),
+    "chunk-is-one-run": np.repeat([0.1, 0.2, 0.1], [CHUNK, CHUNK, 1]),
+    "no-runs": np.arange(1.0, 12.0) / 7.0,
+    "one-row-chunk": np.repeat([0.75, 0.125], [CHUNK, 1]),
+    "signed-zeros-nans-infinities": np.concatenate([
+        [0.0, -0.0, -0.0, 0.0, 0.0], NANS[[0, 0, 1, 2, 2, 0]],
+        [math.inf, math.inf, -math.inf, -math.inf, math.inf, 5e-324, -5e-324, -0.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WEIGHT_RUNS))
+def test_filled_weights_match_per_row_reference(monkeypatch, case):
+    monkeypatch.setattr(groups, "_TABLE_CHUNK", CHUNK)
+    weights = WEIGHT_RUNS[case]
+    atoms = np.linspace(-1.0, 1.0, len(weights))
+    for w in (weights, weights[::-1].copy()):
+        got, want = _filled_atom_rows(atoms, atoms[::-1], w)
+        assert got == want
+        assert got.count("\n") == len(w)
 
 
 @pytest.mark.parametrize("x", [None, Point(0.3, 1.7)], ids=["basepoint", "moved"])
@@ -237,6 +271,20 @@ def test_measures_of_one_census_share_their_atom_text(monkeypatch, x, n):
         measure_rows(mu, want, header_lines=HEADER)
         assert got.getvalue() == want.getvalue()
     assert len(atoms.csv_templates) == -(-n // CHUNK)
+
+
+@pytest.mark.parametrize("chunk", (3, CHUNK, 5))
+def test_measure_weight_runs_across_chunks(monkeypatch, chunk):
+    # At x = y a weight is a function of the distance, so the distance-sorted
+    # rows hold runs of equal weights, some across a chunk boundary.
+    monkeypatch.setattr(groups, "_TABLE_CHUNK", chunk)
+    mu = orbital_measure(_schottky(3), 0.7)
+    bits = mu.weights.view(np.int64)
+    assert (bits[chunk::chunk] == bits[chunk - 1:-1:chunk]).any()
+    got, want = io.StringIO(), io.StringIO()
+    mu.write_csv(got, header_lines=HEADER)
+    measure_rows(mu, want, header_lines=HEADER)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_measure_family_at_the_real_chunk_size():

@@ -846,7 +846,8 @@ def _reference_free_census(spec, x, y, max_word_length, max_radius):
         words = np.concatenate([words[p], codes[li, None]], axis=1)
         dist = origin_distances_many(mats, x, y)
         bound = subtree_bound(mats, li)
-    mats, dists, wls, words = zip(*levels)
+    # The word matrix is as wide as the longest census word.
+    mats, dists, wls, words = zip(*[lv for lv in levels if len(lv[1])] or levels[:1])
     width = words[-1].shape[1]
     words = np.concatenate([np.pad(w, ((0, 0), (0, width - w.shape[1]))) for w in words])
     dists = np.concatenate(dists)
@@ -875,9 +876,13 @@ _C = Isometry(1.0, 0.5, 0.0, 1.0)
     (schottky_spec(A, B), Point(0.3, 1.7), Point(-0.4, 0.8), 6, 7.0),
     (nested_subgroup_spec(A, B, 4), ORIGIN, ORIGIN, None, 17.0),
     (conjugate(nested_subgroup_spec(A, B, 4), A), ORIGIN, ORIGIN, None, 16.0),
+    # y in beta's half-plane: y0 lies on its boundary, so a child's image
+    # half-plane bound can be reached exactly.
+    (nested_subgroup_spec(A, B, 4), ORIGIN, Point(1.0, 0.2), None, 16.0),
 ], ids=["schottky-L8-ties", "radius", "combined", "identity-outside",
         "one-letter-frontier", "nested-R16", "conjugated-L6", "half-plane-R6",
-        "schottky-R9", "moved-L6-R7", "nested-R17", "nested-conjugate-R16"])
+        "schottky-R9", "moved-L6-R7", "nested-R17", "nested-conjugate-R16",
+        "nested-half-plane-R16"])
 def test_free_census_rows_match_level_at_a_time_reference(spec, x, y, max_word_length,
                                                           max_radius):
     # Row order sets the bytes of every artifact, so compare arrays, not sets.
