@@ -234,12 +234,12 @@ def cmd_separation(args) -> int:
 
 def _conformal_worst(census, mu, rng) -> float:
     """Worst conformal-ratio deviation of ``mu`` against its measures at five
-    random viewpoints, drawn from ``rng``; the five share the census's atoms."""
-    worst, atoms = 0.0, patterson.CensusAtoms(census)
+    random viewpoints, drawn from ``rng``."""
+    worst = 0.0
     for _ in range(5):
         xp = Point(float(rng.uniform(-1, 1)), float(math.exp(rng.uniform(-1, 1))))
         aud = patterson.conformal_ratio_audit(
-            mu, patterson.orbital_measure(census, mu.s, x=xp, atoms=atoms))
+            mu, patterson.orbital_measure(census, mu.s, x=xp))
         worst = max(worst, aud.max_deviation)
     return worst
 

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperbolic import Isometry, Point, distance
+from .hyperbolic import Isometry, origin_distances_many
+from .hyperbolic import distance  # unused here; perfbench/spans.py wraps counting.distance by name
 from .groups import OrbitCensus, _table_chunks, _write_table
 
 
@@ -178,11 +179,11 @@ class SeparationCertificate:
 def separation_certificate(h_census: OrbitCensus, g: Isometry,
                            s_grid) -> SeparationCertificate:
     """Largest grid s0 with e^(-s0 d(o, g.o)) * sum_{h != id} e^(-s0 d(o, h.o))
-    strictly above 1.  One-sided: failure only means the truncation was too
-    small, and raises :class:`NoCertificate`.
+    strictly above 1, with d(o, g.o) read off g's matrix.  One-sided: failure
+    only means the truncation was too small, and raises :class:`NoCertificate`.
     """
     o = h_census.basepoint_x
-    d_g = distance(o, g.apply(o))
+    d_g = float(origin_distances_many(np.reshape(g.matrix(), (1, 2, 2)), o, o)[0])
     nontrivial = h_census.distances[h_census.word_lengths > 0]
     if len(nontrivial) == 0:
         raise NoCertificate("subgroup census has no nontrivial elements")

@@ -27,6 +27,7 @@ from .hyperbolic import (
     _fold_angle,
     apply_boundary_many,
     apply_many,
+    arc_widths,
     boundary_angles,
     boundary_values,
     canonical_signs,
@@ -273,7 +274,7 @@ def _ping_pong_margin(lmats, lo, hi):
     the order of :func:`_letters`: the least gap between two arcs and between
     a letter's image of its inverse's complement and its own arc, and None;
     or, where a gap is not positive, its value and the letters at fault."""
-    width = np.where(hi == lo, _TWO_PI, (hi - lo) % _TWO_PI)
+    width = arc_widths(lo, hi)
     # Disjoint iff, in the order of lo, no arc reaches the start of the next.
     order = np.argsort(lo, kind="stable")
     nxt = np.roll(order, -1)
@@ -283,7 +284,7 @@ def _ping_pong_margin(lmats, lo, hi):
         return float(reach[k]), tuple(sorted((int(order[k]), int(nxt[k]))))
     gap = float(((lo[nxt] - hi[order]) % _TWO_PI).min())
     img_lo, img_hi = _image_arcs(lmats, lo, hi)
-    img_width = np.where(img_hi == img_lo, _TWO_PI, (img_hi - img_lo) % _TWO_PI)
+    img_width = arc_widths(img_lo, img_hi)
     start, end = (img_lo - lo) % _TWO_PI, width - (img_hi - lo) % _TWO_PI
     inside = np.where(start + img_width > width, -np.minimum(np.abs(start), np.abs(end)),
                       np.minimum(start, end))
@@ -491,6 +492,11 @@ class OrbitCensus:
 
     def __len__(self):
         return len(self.distances)
+
+    @functools.cached_property
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(re, im) arrays of the orbit points gamma.y, mapped on first read."""
+        return apply_many(self.mats, self.basepoint_y)
 
     def element(self, i: int) -> Isometry:
         m = self.mats[i]

@@ -214,10 +214,10 @@ class BoundaryInterval:
         return boundary_from_angle(self.hi_angle)
 
     def width(self) -> float:
+        """The arc's width: :func:`arc_widths` on one arc."""
         if self.full:
             return _TWO_PI
-        w = (self.hi_angle - self.lo_angle) % _TWO_PI
-        return w if w > 0.0 else _TWO_PI
+        return float(arc_widths(self.lo_angle, self.hi_angle))
 
     def contains_angle(self, theta: float) -> bool:
         if self.full:
@@ -376,6 +376,11 @@ def boundary_angles(xi: np.ndarray) -> np.ndarray:
         angles = _fold_angle(np.arctan2(-2.0 * xi, xi2 - 1.0))
     # Past |xi| = 1e154 xi^2 overflows; the angle is 0 there, as at infinity.
     return np.where(np.isinf(xi2), 0.0, angles)
+
+
+def arc_widths(lo, hi):
+    """Counterclockwise widths of the arcs from folded angles lo to hi; 2*pi where they meet."""
+    return np.where(hi == lo, _TWO_PI, (hi - lo) % _TWO_PI)
 
 
 def apply_boundary_many(mats, xi: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from .hyperbolic import (
     BoundaryInterval,
     Point,
     apply_many,
+    arc_widths,
     busemann_many,
     direction_angles_many,
     directions_many,
@@ -76,11 +77,6 @@ UNIT_MODIFIER = ModifierH()
 # Orbital measures.
 
 
-def atom_positions(census: OrbitCensus) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) arrays of the orbit points gamma.y of a census."""
-    return apply_many(census.mats, census.basepoint_y)
-
-
 # A measure CSV row with every column rendered but the weight.  A formatted
 # number holds only digits, '.', 'e', '+', '-', 'inf' or 'nan', never '%', so
 # the weight's slot ('%%' renders as '%') is the only conversion left; it
@@ -89,11 +85,10 @@ _ATOM_ROW = "%.12g,%.12g,%%s,%d"
 
 
 class CensusAtoms:
-    """What the measures of one census share, each computed on first use:
-    the orbit points gamma.y, their distances from the census basepoint,
-    the word lengths, the measure CSV's atom columns as text, and the
-    direction angles of the far atoms per viewpoint and horizon
-    (``far_angles``, filled by :func:`_far_atoms`).
+    """What the measure files and boundary statistics of one census share: the
+    measure CSV's atom columns as text, made on first use, and the direction
+    angles of the far atoms per viewpoint and horizon (``far_angles``,
+    filled by :func:`_far_atoms`).
 
     The text is one template per chunk of rows, with every column rendered
     but the weight, so each measure's file formats only its weights.  The
@@ -106,20 +101,8 @@ class CensusAtoms:
         self.far_angles: dict[tuple[Point, float], np.ndarray] = {}
 
     @functools.cached_property
-    def positions(self) -> tuple[np.ndarray, np.ndarray]:
-        return atom_positions(self.census)
-
-    @functools.cached_property
-    def base_distances(self) -> np.ndarray:
-        return distances_many(self.census.basepoint_x, *self.positions)
-
-    @functools.cached_property
-    def word_lengths(self) -> np.ndarray:
-        return self.census.word_lengths.copy()
-
-    @functools.cached_property
     def csv_templates(self) -> list[str]:
-        return list(_table_chunks(_ATOM_ROW, (*self.positions, self.word_lengths)))
+        return list(_table_chunks(_ATOM_ROW, (*self.census.positions, self.census.word_lengths)))
 
 
 @dataclass(frozen=True)
@@ -129,8 +112,9 @@ class AtomicMeasure:
     measure viewed from the basepoint has unit mass.
 
     ``distances`` holds d(x, p) for every atom p, x being the viewpoint
-    ``basepoint``: the distances the weights were computed from, which the
-    audits, the histogram and the render read instead of recomputing them.
+    ``basepoint``: the distances the weights were computed from (at the
+    census basepoint, the census's own ``distances``), which the audits, the
+    histogram and the render read instead of recomputing them.
 
     ``atoms`` is a weak reference to the :class:`CensusAtoms` the measure
     was built from.  While its owner keeps it, ``write_csv`` fills the
@@ -180,9 +164,11 @@ def orbital_measure(census: OrbitCensus, s: float, x: Point | None = None,
 
     The normalizer is always the truncated series at the census basepoint,
     so measures at different viewpoints x form one conformal family sharing
-    a normalization, and the basepoint measure has unit mass exactly.
-    ``atoms``, the census's :class:`CensusAtoms`, lets the measures of one
-    census share their atoms; by default they are computed for this one.
+    a normalization, and the basepoint measure has unit mass exactly.  The
+    atoms, their word lengths and their basepoint distances are the
+    census's own arrays.  ``atoms``, the census's :class:`CensusAtoms`, lets
+    the measures of one census share their CSV text and far-atom angles; by
+    default this measure has its own.
     """
     if len(census) == 0:
         raise ValueError("census is empty")
@@ -192,8 +178,8 @@ def orbital_measure(census: OrbitCensus, s: float, x: Point | None = None,
         raise ValueError("atoms of another census")
     if x is None:
         x = census.basepoint_x
-    pre, pim = atoms.positions
-    d_base = atoms.base_distances
+    pre, pim = census.positions
+    d_base = census.distances
     log_norm_terms = -s * d_base + h.log_value(d_base)
     log_norm = _logsumexp(log_norm_terms)
     if log_norm < _LOG_FLOOR:
@@ -203,7 +189,7 @@ def orbital_measure(census: OrbitCensus, s: float, x: Point | None = None,
     log_w = -s * d_x + h.log_value(d_x) - log_norm
     return AtomicMeasure(
         atom_re=pre, atom_im=pim, log_weights=log_w,
-        word_lengths=atoms.word_lengths, distances=d_x, basepoint=x,
+        word_lengths=census.word_lengths, distances=d_x, basepoint=x,
         target=census.basepoint_y, s=s, modifier=h, log_normalizer=log_norm,
         atoms=weakref.ref(atoms))
 
@@ -307,13 +293,12 @@ def equivariance_audit(census: OrbitCensus, g0_letter: int, s: float) -> Equivar
     """
     if census.words is None:
         raise ValueError("equivariance audit needs word metadata")
-    atoms = CensusAtoms(census)
-    mu = orbital_measure(census, s, atoms=atoms)
+    mu = orbital_measure(census, s)
     if g0_letter == 0:
         return EquivarianceAudit(0.0, 0.0, matched=len(mu), unmatched=0)
     (a, b), (c, d) = word_matrix(census.spec, (g0_letter,))
     re, im = apply_many([[[d, -b], [-c, a]]], census.basepoint_x)  # g0^-1 x
-    mu_pull = orbital_measure(census, s, x=Point(float(re[0]), float(im[0])), atoms=atoms)
+    mu_pull = orbital_measure(census, s, x=Point(float(re[0]), float(im[0])))
     # (g0*mu)(atom of word g0^-1 w) = mu(atom of word w); compare with the
     # measure at g0^-1 x evaluated on the same atom.
     j = census.words.shifted_index(g0_letter)
@@ -392,8 +377,7 @@ def shadow_lemma_audit(census: OrbitCensus, mu: AtomicMeasure, alpha: float,
     arc = d > r
     lo, hi = shadow_arcs(mu.basepoint, mu.atom_re[band][arc], mu.atom_im[band][arc],
                          d[arc], r)
-    width = (hi - lo) % _TWO_PI
-    hi = (lo + np.where(width > 0.0, width, _TWO_PI)) % _TWO_PI
+    hi = (lo + arc_widths(lo, hi)) % _TWO_PI
     i_lo = np.searchsorted(angles, lo, side="left")
     i_hi = np.searchsorted(angles, hi, side="right")
     masses[arc] = np.where(lo <= hi, prefix[i_hi] - prefix[i_lo],

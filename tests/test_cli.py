@@ -297,17 +297,20 @@ def test_patterson_writes_each_measure_once_and_frees_the_shared_text(
 
 def test_conformal_sweep_maps_the_census_atoms_once(monkeypatch):
     census = groups.enumerate_orbit(groups.schottky_spec(cli._A, cli._B), max_word_length=6)
-    mu = patterson.orbital_measure(census, 0.8)
     calls = []
-    atom_positions = patterson.atom_positions
+    apply_many = groups.apply_many
 
-    def spy(c):
-        calls.append(c)
-        return atom_positions(c)
+    def spy(mats, p):
+        calls.append(mats)
+        return apply_many(mats, p)
 
-    monkeypatch.setattr(patterson, "atom_positions", spy)
-    worst = cli._conformal_worst(census, mu, np.random.default_rng(11))
-    assert calls == [census] and worst <= 1e-12
+    monkeypatch.setattr(groups, "apply_many", spy)
+    mus = [patterson.orbital_measure(census, s) for s in (0.8, 0.7, 0.9)]
+    worst = cli._conformal_worst(census, mus[0], np.random.default_rng(11))
+    aud = patterson.equivariance_audit(census, 1, 0.8)
+    patterson.CensusAtoms(census).csv_templates
+    assert len(calls) == 1 and calls[0] is census.mats
+    assert worst <= 1e-12 and aud.max_discrepancy <= 1e-12
 
 
 def test_outputs_reproducible_across_runs(tmp_path):

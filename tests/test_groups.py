@@ -16,7 +16,6 @@ from kleinian.hyperbolic import (
     distance, distances_many, origin_distances_many)
 from kleinian import groups
 from kleinian.counting import estimate_exponent, make_report
-from kleinian.patterson import atom_positions
 from kleinian.groups import (
     BudgetExceeded,
     GroupSpec,
@@ -1002,7 +1001,7 @@ def test_atom_positions_match_exact_products(spec, y, max_word_length):
     # products: Im to 1e-12 relative (it was off by 340% at depth 8), Re to
     # 1e-12 of |w.y|, the precision a float Re can hold near the axis.
     census = enumerate_orbit(spec, y=y, max_word_length=max_word_length)
-    re, im = atom_positions(census)
+    re, im = census.positions
     coords = [Fraction(v) for v in (y.re, y.im)]
     den = max(v.denominator for v in coords)
     yr, yi = (int(v * den) for v in coords)

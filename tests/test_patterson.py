@@ -22,8 +22,10 @@ from kleinian.hyperbolic import (
 )
 from kleinian.groups import (
     OrbitCensus,
+    conjugate,
     cyclic_spec,
     enumerate_orbit,
+    modular_lattice_spec,
     nested_subgroup_spec,
     ping_pong_certificate,
     schottky_spec,
@@ -31,13 +33,13 @@ from kleinian.groups import (
     word_matrix,
 )
 from kleinian import patterson
+from kleinian.counting import poincare_partial
 from kleinian.patterson import (
     CensusAtoms,
     DegenerateNormalizer,
     MismatchedConstruction,
     ModifierH,
     UNIT_MODIFIER,
-    atom_positions,
     boundary_histogram,
     conformal_ratio_audit,
     default_horizon,
@@ -92,7 +94,7 @@ def test_basepoint_measure_has_unit_mass(census8, s):
 
 
 def test_atom_positions_match_word_matrices(census8):
-    pre, pim = atom_positions(census8)
+    pre, pim = census8.positions
     rng = np.random.default_rng(2)
     y = census8.basepoint_y
     for i in rng.integers(0, len(census8), size=40):
@@ -125,8 +127,40 @@ def test_parabolic_weights_follow_closed_form():
 @pytest.mark.parametrize("x", [None, Point(0.3, 1.7)])
 def test_measure_distances_are_the_viewpoint_distances(census8, x):
     mu = orbital_measure(census8, 0.7, x=x)
-    expected = distances_many(mu.basepoint, mu.atom_re, mu.atom_im)
-    assert np.array_equal(mu.distances, expected)
+    if x is None:  # the census's own distances, not a recomputation
+        assert mu.distances is census8.distances
+    else:
+        expected = distances_many(mu.basepoint, mu.atom_re, mu.atom_im)
+        assert np.array_equal(mu.distances, expected)
+
+
+_ROTATION = Isometry(math.cos(0.35), math.sin(0.35), -math.sin(0.35), math.cos(0.35))
+
+
+@pytest.mark.parametrize("spec, limits", [
+    (schottky_spec(A, B), {"max_word_length": 8, "y": Point(-0.4, 0.8)}),
+    (cyclic_spec(PARABOLIC), {"max_radius": 12.0, "x": Point(0.3, 1.7)}),
+    (modular_lattice_spec(), {"max_radius": 7.0, "y": Point(0.2, 1.3)}),
+    (nested_subgroup_spec(A, B, 4), {"max_radius": 14.0}),
+    (conjugate(schottky_spec(A, B), _ROTATION), {"max_word_length": 7, "x": Point(0.1, 0.9)}),
+], ids=["schottky", "cyclic", "lattice", "nested", "conjugated"])
+def test_census_distances_match_the_point_formula(spec, limits):
+    # The measures read the census's distances, formed from the matrices;
+    # the distances of the mapped orbit points agree with them to rounding.
+    census = enumerate_orbit(spec, **limits)
+    d = distances_many(census.basepoint_x, *census.positions)
+    np.testing.assert_allclose(d, census.distances, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("max_word_length", [8, 10, 11])
+def test_basepoint_weights_follow_the_census_order(request, spec, max_word_length):
+    census = (enumerate_orbit(spec, max_word_length=10) if max_word_length == 10
+              else request.getfixturevalue(f"census{max_word_length}"))
+    s = 0.75
+    mu = orbital_measure(census, s)
+    assert np.count_nonzero(np.diff(mu.weights) > 0.0) == 0
+    # Under the unit gauge the identity row is the logsumexp's max, 0.
+    assert mu.log_normalizer == math.log(poincare_partial(census, s))
 
 
 def test_polynomial_modifier_scales_weights():
@@ -134,7 +168,7 @@ def test_polynomial_modifier_scales_weights():
     s, beta = 0.8, 1.5
     mu0 = orbital_measure(census, s)
     mu1 = orbital_measure(census, s, h=ModifierH("polynomial", beta))
-    pre, pim = atom_positions(census)
+    pre, pim = census.positions
     d = np.arccosh(1.0 + ((pre - 0.0) ** 2 + (pim - 1.0) ** 2) / (2.0 * pim))
     gauge = (1.0 + d) ** beta
     ratio = (mu1.weights / mu0.weights) / gauge
@@ -379,7 +413,7 @@ def test_shadow_lemma_matches_direct_shadow_mass(census8):
     horizon = default_horizon(census8)
     audit = shadow_lemma_audit(census8, mu, alpha=0.6685, r=1.5,
                                word_lengths=(4,))
-    pre, pim = atom_positions(census8)
+    pre, pim = census8.positions
     sel = np.nonzero(census8.word_lengths == 4)[0]
     for k, i in enumerate(sel[:10]):
         arc = shadow(mu.basepoint, Point(float(pre[i]), float(pim[i])), 1.5)

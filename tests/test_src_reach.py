@@ -76,7 +76,7 @@ def test_every_name_the_benchmark_patches_resolves():
 # kernel that holds its formula.
 ONE_ROW_CALLS = ("apply", "distance", "boundary_angle", "boundary_from_angle",
                  "apply_boundary", "boundary_at_angle", "direction_from",
-                 "direction_angle_from", "busemann", "shadow")
+                 "direction_angle_from", "busemann", "shadow", "width")
 
 
 def _own_arithmetic(source: str) -> dict[str, list[str]]:
