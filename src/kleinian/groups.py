@@ -53,8 +53,9 @@ KINDS = (
 _LATTICE_ENTRY_MAX = (1 << 15) - 1
 # Candidate bottom rows per chunk of a lattice enumeration, and rows per piece
 # of its census and per slice of its word lengths, so that what a lattice
-# census holds beyond its rows is bounded.
-_LATTICE_CHUNK = 1 << 14
+# census holds beyond its rows is bounded; and rows per 2-D product of the
+# free search's children (:func:`_right_products`).
+_ROW_CHUNK = 1 << 14
 _TABLE_CHUNK = 1 << 14  # rows formatted per write of a CSV table
 _MAX_NESTING = 64  # conjugations around a spec; each is a level of recursion
 # Largest radius at which a cyclic ball is solved, below the R = 1419 where
@@ -498,6 +499,13 @@ class OrbitCensus:
         """(re, im) arrays of the orbit points gamma.y, mapped on first read."""
         return apply_many(self.mats, self.basepoint_y)
 
+    @functools.cached_property
+    def log_normalizers(self) -> dict:
+        """The log normalizers of this census's measures by (s, gauge),
+        filled by :func:`kleinian.patterson.orbital_measure`, so that each
+        exact sum is taken once."""
+        return {}
+
     def element(self, i: int) -> Isometry:
         m = self.mats[i]
         return Isometry(float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]))
@@ -654,13 +662,38 @@ def _census(mats, dists, wls, words, x, y, completeness, spec, read_rows=None):
         completeness_radius=completeness, spec=spec)
 
 
+def _stable_order(d: np.ndarray) -> np.ndarray:
+    """``np.argsort(d, kind="stable")`` of a 1-d d free of NaN, in about half
+    the time and with no other n-element array: argsort d, add to each index
+    n times the number of its run of equal values in that order, _ROW_CHUNK
+    indices at a time, sort, and take the result mod n."""
+    n = len(d)
+    order = np.argsort(d)
+    run, last = 0, None  # the run number and value at the end of a slice
+    for s in range(0, n, _ROW_CHUNK):
+        part = order[s:s + _ROW_CHUNK]
+        ranked = d[part]
+        runs = np.empty(len(part), np.int64)
+        runs[0] = s > 0 and ranked[0] != last
+        np.not_equal(ranked[1:], ranked[:-1], out=runs[1:])  # 1 where a run starts
+        last = ranked[-1]
+        np.cumsum(runs, out=runs)
+        runs += run
+        run = int(runs[-1])
+        runs *= n
+        part += runs
+    order.sort()
+    order %= n
+    return order
+
+
 def _rows_by_distance(dists, mats, wls, words):
     """The row columns of :func:`_census` in the order of a stable sort of
     the distances, each stacked, reordered and released in turn."""
-    order = np.argsort(_stack(dists), kind="stable")
-    return {"word_lengths": _stack(wls)[order],  # evaluated in this order
-            "words": None if words is None else words[0](_stack(words[1])[order]),
-            "mats": _stack(mats)[order]}
+    order = _stable_order(_stack(dists))
+    return {"word_lengths": _stack(wls).take(order),  # evaluated in this order
+            "words": None if words is None else words[0](_stack(words[1]).take(order, axis=0)),
+            "mats": _stack(mats).take(order, axis=0)}
 
 
 def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
@@ -811,6 +844,24 @@ def _certified_halfplanes(spec: GroupSpec, y: Point):
     return lo, hi, shift
 
 
+def _compress(mask, a):
+    """The rows of ``a`` where ``mask`` holds, by ``np.compress``, which copies
+    them faster than a boolean index; ``a`` itself where it holds at every row."""
+    return a if mask.all() else np.compress(mask, a, axis=0)
+
+
+def _right_products(mats, m):
+    """mats @ m for (n, 2, 2) ``mats`` and a 2x2 ``m``, to the bit and several
+    times faster, as 2-D products of _ROW_CHUNK rows of the (2n, 2) view: one
+    product of the whole view past ~10^5 rows wakes BLAS's thread pool,
+    whose spinning workers starve this thread."""
+    rows = mats.reshape(-1, 2)
+    out = np.empty_like(rows)
+    for s in range(0, len(rows), _ROW_CHUNK):
+        np.matmul(rows[s:s + _ROW_CHUNK], m, out=out[s:s + _ROW_CHUNK])
+    return out.reshape(mats.shape)
+
+
 def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
     """Pruned tree search over reduced words, one array step per letter.
 
@@ -848,26 +899,35 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
 
     def visit(level, mats, words, last, dist, bound):
         """Census the words within the radius, and return the matrices, words
-        and last letters of those whose subtree may reach it."""
+        and last letters of those whose subtree may reach it: all of them
+        where ``bound`` is None."""
         nonlocal size, bound_floor, alive
         take = dist <= radius
         if level == 0 or take.any():  # so no empty piece widens the words
-            for col, part in zip(pieces, (mats, dist, np.full(len(dist), level), words)):
-                col.append(part[take])
-            size += len(pieces[1][-1])
-        keep = (bound <= radius) & (max_word_length is None or level < max_word_length)
-        alive += int(keep.sum())
+            dist = _compress(take, dist)
+            for col, part in zip(pieces, (_compress(take, mats), dist,
+                                          np.full(len(dist), level), _compress(take, words))):
+                col.append(part)
+            size += len(dist)
+        if bound is not None:
+            keep = (bound <= radius) & (max_word_length is None or level < max_word_length)
+            bound_floor = min(bound_floor, float(bound[~keep].min(initial=math.inf)))
+            mats, words, last = (_compress(keep, a) for a in (mats, words, last))
+        alive += len(mats)
         if size + alive > budget:
             raise BudgetExceeded(f"census and frontier exceed budget {budget}")
-        bound_floor = min(bound_floor, float(bound[~keep].min(initial=math.inf)))
-        return mats[keep], words[keep], last[keep]
+        return mats, words, last
 
     def extend(level, li, mats, words):
-        """Visit the children w.li of the words w, in order."""
-        mats = mats @ lmats[li]
+        """Visit the children w.li of the words w, in order.  A search
+        without ``max_radius`` keeps every child below its last level, so it
+        bounds subtrees only at that level, for ``bound_floor``."""
+        mats = _right_products(mats, lmats[li])
         words = np.column_stack([words, np.full(len(words), codes[li])])
         dist = origin_distances_many(mats, x, y)
-        return visit(level, mats, words, np.full(len(mats), li), dist, subtree_bound(mats, li))
+        bound = (subtree_bound(mats, li) if radius < math.inf or level == max_word_length
+                 else None)
+        return visit(level, mats, words, np.full(len(mats), li), dist, bound)
 
     root = np.eye(2)[None]
     frontier = visit(0, root, np.zeros((1, 0), codes.dtype), np.array([-1]),
@@ -890,7 +950,8 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
                 bound_floor = min(bound_floor, float(clear[far].min(initial=math.inf)))
                 sel &= ~far
             if sel.any():
-                for col, part in zip(frontier, extend(level, li, mats[sel], words[sel])):
+                for col, part in zip(frontier, extend(level, li, _compress(sel, mats),
+                                                      _compress(sel, words))):
                     col.append(part)
         if not frontier[0]:  # no parent was within reach of any letter
             break
@@ -925,11 +986,11 @@ def _st_word_lengths(rows: np.ndarray) -> np.ndarray:
     nearest-integer Euclid: while c != 0, right-multiply by T^k S with k
     minimising |d + k c| (the smaller |k| on a tie), which spends |k| + 1
     letters and at least halves |c|; the matrix is then +-T^b, |b| letters.
-    Run over slices of _LATTICE_CHUNK rows, so its working set is bounded."""
+    Run over slices of _ROW_CHUNK rows, so its working set is bounded."""
     lengths = np.zeros(len(rows), dtype=np.int64)
-    for s in range(0, len(rows), _LATTICE_CHUNK):
-        a, b, c, d = (rows[s:s + _LATTICE_CHUNK, j].copy() for j in range(4))
-        steps = lengths[s:s + _LATTICE_CHUNK]
+    for s in range(0, len(rows), _ROW_CHUNK):
+        a, b, c, d = (rows[s:s + _ROW_CHUNK, j].copy() for j in range(4))
+        steps = lengths[s:s + _ROW_CHUNK]
         idx = np.nonzero(c)[0]
         while len(idx):
             ai, ci, di = a[idx], c[idx], d[idx]
@@ -971,8 +1032,8 @@ def _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget):
     T^t g0, which move g0.y0 by t, so a quadratic bounds t.  ``budget``
     bounds the ball; elements longer than ``max_word_length`` are dropped,
     and the nearest of them bounds the completeness radius.  The bottom rows
-    are taken _LATTICE_CHUNK candidates at a time, and their rows formed
-    _LATTICE_CHUNK at a time; each such slice's rows, distances and word
+    are taken _ROW_CHUNK candidates at a time, and their rows formed
+    _ROW_CHUNK at a time; each such slice's rows, distances and word
     lengths are kept as one piece of their column, to be stacked only when
     the rows are read (:func:`_lattice_rows`).
     """
@@ -992,7 +1053,7 @@ def _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget):
     d_hi = np.floor(-c_all * y0.re + half).astype(np.int64)
     d_lo[0], d_hi[0] = max(d_lo[0], 1), min(d_hi[0], 1)  # c = 0: only (0, 1)
     counts = np.maximum(d_hi - d_lo + 1, 0)
-    c_step = max(1, _LATTICE_CHUNK // (2 * int(math.sqrt(row_bound)) + 2))
+    c_step = max(1, _ROW_CHUNK // (2 * int(math.sqrt(row_bound)) + 2))
     completeness, total = max_radius, 0
     # Census columns (rows, distances, word lengths), each from an empty
     # piece, so that an empty ball stacks too.
@@ -1013,8 +1074,8 @@ def _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget):
         if total + n_t.sum() > budget:
             raise BudgetExceeded(f"census exceeds budget {budget}")
         i, t = _expand_ranges(t_lo.astype(np.int64), n_t.astype(np.int64))
-        for s in range(0, len(i), _LATTICE_CHUNK):  # a piece per slice of rows
-            j, tj = i[s:s + _LATTICE_CHUNK], t[s:s + _LATTICE_CHUNK]
+        for s in range(0, len(i), _ROW_CHUNK):  # a piece per slice of rows
+            j, tj = i[s:s + _ROW_CHUNK], t[s:s + _ROW_CHUNK]
             g0 = np.stack([a0[j] + tj * c[j], b0[j] + tj * d[j], c[j], d[j]], axis=1)
             rows = np.stack(canonical_signs(*(k @ g0.reshape(-1, 2, 2) @ h_inv).reshape(-1, 4).T),
                             axis=1)
@@ -1069,12 +1130,12 @@ def _lattice_rows(dists, rows, wls, words):
     word length, then by the entries (a, b, c, d).  The rows are stacked and
     their word lengths computed if none were (``wls`` holds no piece); the
     order is :func:`_packed_order` of (d, c, b, a, word length), one key
-    wherever the entries are small, then a stable argsort of the distances.
+    wherever the entries are small, then a stable order of the distances.
     The rows are put in that order in place, one entry column at a time."""
     rows = _stack(rows)
     wls = _stack(wls) if wls else _st_word_lengths(rows)
     order = _packed_order([*rows.T[::-1], wls])
-    order = order[np.argsort(_stack(dists)[order], kind="stable")]
+    order = order[_stable_order(_stack(dists)[order])]
     for j in range(4):
         rows[:, j] = rows[order, j]
     return {"word_lengths": wls[order], "words": words, "mats": rows.reshape(-1, 2, 2)}

@@ -164,7 +164,8 @@ def orbital_measure(census: OrbitCensus, s: float, x: Point | None = None,
 
     The normalizer is always the truncated series at the census basepoint,
     so measures at different viewpoints x form one conformal family sharing
-    a normalization, and the basepoint measure has unit mass exactly.  The
+    a normalization, and the basepoint measure has unit mass exactly; it is
+    summed once per census, s and h (``census.log_normalizers``).  The
     atoms, their word lengths and their basepoint distances are the
     census's own arrays.  ``atoms``, the census's :class:`CensusAtoms`, lets
     the measures of one census share their CSV text and far-atom angles; by
@@ -180,8 +181,10 @@ def orbital_measure(census: OrbitCensus, s: float, x: Point | None = None,
         x = census.basepoint_x
     pre, pim = census.positions
     d_base = census.distances
-    log_norm_terms = -s * d_base + h.log_value(d_base)
-    log_norm = _logsumexp(log_norm_terms)
+    log_norms = census.log_normalizers
+    if (s, h) not in log_norms:
+        log_norms[s, h] = _logsumexp(-s * d_base + h.log_value(d_base))
+    log_norm = log_norms[s, h]
     if log_norm < _LOG_FLOOR:
         raise DegenerateNormalizer(
             f"truncated normalizer exp({log_norm:.1f}) underflows")

@@ -1402,6 +1402,66 @@ def test_packed_order_is_the_lexsort_permutation(scale):
     assert np.array_equal(groups._packed_order(cols), np.lexsort(cols))
 
 
+_CHUNK = groups._ROW_CHUNK
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_right_products_equal_the_stacked_product_to_the_bit(n):
+    # Chunks of 2-D products over the (2n, 2) view, with signed zeros and
+    # entries whose products overflow or underflow.
+    rng = np.random.default_rng(n)
+    mats = rng.standard_normal((n, 2, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2, 2))
+    mats.ravel()[::7] = 0.0
+    mats.ravel()[3::11] = -0.0
+    for m in (*groups._free_letters(schottky_spec(A, B)), np.array([[-0.0, 1e300], [1e-300, 0.0]])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = mats @ m
+            got = groups._right_products(mats, m)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _shuffled(values):
+    return np.random.default_rng(5).permutation(values)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.zeros(0),
+    lambda: np.array([2.5]),
+    lambda: np.full(1000, 3.0),
+    lambda: _shuffled(np.arange(5000.0)),
+    lambda: np.array([0.0, -0.0, 1.0, -0.0, 0.0, 1.0, -1.0]),
+    lambda: _shuffled(enumerate_orbit(schottky_spec(A, B), max_word_length=8).distances),
+    lambda: _shuffled(enumerate_orbit(modular_lattice_spec(), max_radius=10.0).distances),
+    lambda: np.random.default_rng(6).integers(0, 50, 3 * _CHUNK + 5).astype(float),
+], ids=["empty", "one-row", "all-equal", "no-ties", "signed-zeros", "schottky-L8-ties",
+        "lattice-R10", "ties-across-slices"])
+def test_stable_order_is_the_stable_argsort(make):
+    d = make()
+    order = groups._stable_order(d)
+    assert order.dtype == np.int64
+    assert np.array_equal(order, np.argsort(d, kind="stable"))
+
+
+def test_word_length_search_bounds_only_its_last_level(monkeypatch):
+    # Without a radius every subtree bound is finite, so below the last
+    # level none prunes; only the 4 * 3^5 words of level 6 are bounded, and
+    # their bounds set the completeness radius.
+    bounded = []
+    gram = groups._preimage_gram
+
+    def counted(mats, x):
+        bounded.append(len(mats))
+        return gram(mats, x)
+
+    monkeypatch.setattr(groups, "_preimage_gram", counted)
+    census = enumerate_orbit(schottky_spec(A, B), max_word_length=6)
+    assert sum(bounded) == 972
+    monkeypatch.setattr(groups, "_preimage_gram", gram)
+    reference = _reference_free_census(schottky_spec(A, B), ORIGIN, ORIGIN, 6, None)
+    assert census.completeness_radius == reference[4]
+
+
 @pytest.mark.parametrize("g, y, max_word_length, max_radius, first, n_max", [
     (PARABOLIC, Point(0.3, 2.0), None, 12.0, "words", 800),
     (HYPERBOLIC_CYCLIC, Point(-0.5, 0.7), 40, None, "mats", 41),

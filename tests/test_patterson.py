@@ -201,6 +201,28 @@ def test_degenerate_normalizer_raises():
         orbital_measure(census, s=1.0)
 
 
+def test_normalizer_is_summed_once_per_census_s_and_gauge(spec, monkeypatch):
+    sums = []
+    logsumexp = patterson._logsumexp
+
+    def counted(a):
+        sums.append(len(a))
+        return logsumexp(a)
+
+    monkeypatch.setattr(patterson, "_logsumexp", counted)
+    census = enumerate_orbit(spec, max_word_length=6)
+    gauge = ModifierH("polynomial", 1.5)
+    for h in (UNIT_MODIFIER, gauge, UNIT_MODIFIER, gauge):
+        for x in (None, Point(0.3, 1.7), ORIGIN):
+            mu = orbital_measure(census, 0.7, x=x, h=h)
+            d = census.distances
+            assert mu.log_normalizer == logsumexp(-0.7 * d + h.log_value(d))
+    assert sums == [len(census)] * 2
+    orbital_measure(census, 0.8)
+    orbital_measure(enumerate_orbit(spec, max_word_length=6), 0.7)
+    assert len(sums) == 4
+
+
 # ---------------------------------------------------------------------------
 # Conformality.
 
