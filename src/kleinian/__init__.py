@@ -58,7 +58,6 @@ from .sequences import (
 )
 from .patterson import (
     AtomicMeasure,
-    CensusAtoms,
     ModifierH,
     boundary_histogram,
     conformal_ratio_audit,

@@ -5,12 +5,14 @@ verification suite over the built-in example groups.
 Exit codes: 0 success, 1 verification failure, 2 invalid config or limits
 (including generators without a ping-pong certificate), 3 enumeration budget
 exceeded, 4 arithmetic overflow, 5 insufficient data for estimation,
-6 no separation certificate, 7 degenerate measure normalizer.
+6 no separation certificate, 7 degenerate measure normalizer, 8 a forked
+worker ended without finishing its part.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -31,6 +33,7 @@ EXIT_OVERFLOW = 4
 EXIT_INSUFFICIENT = 5
 EXIT_NO_CERTIFICATE = 6
 EXIT_DEGENERATE = 7
+EXIT_WORKER = 8
 
 
 class ConfigError(ValueError):
@@ -51,6 +54,7 @@ _EXIT_CODES = {
     patterson.DegenerateNormalizer: EXIT_DEGENERATE,
     sequences.HypothesisViolated: EXIT_CHECK_FAILED,
     sequences.NotSubmultiplicative: EXIT_CHECK_FAILED,
+    ChildProcessError: EXIT_WORKER,  # a forked worker that sent no result
 }
 
 
@@ -244,7 +248,19 @@ def _conformal_worst(census, mu, rng) -> float:
     return worst
 
 
+# The share of each measure file's rows that `patterson`'s forked worker
+# writes while this process does the rest.  At word length 11 on 2 vCPUs
+# shares of 0.6-0.75 did best; at 0.85 this process waited on the worker.
+_WORKER_SHARE = 0.65
+
+
 def cmd_patterson(args) -> int:
+    """Write a measure CSV and a histogram per s, then run the audit and the
+    render.  Two processes write the measure files (see `_forked`): a forked
+    worker writes each file's header and first rows, in whole chunks of table
+    rows, while this process writes the histograms, runs the audit and the
+    render, and renders the text of the other rows, which it appends once
+    the worker is done.  The files are the same either way."""
     s_list = [float(s) for s in _parse_grid(args.s_grid)] if args.s_grid else None
     if s_list and len({f"{s:.4f}" for s in s_list}) < len(s_list):  # the file tags
         raise ConfigError(f"--s-grid {args.s_grid!r} gives two files one 4-decimal tag")
@@ -261,32 +277,48 @@ def cmd_patterson(args) -> int:
     out = _out_dir(args)
     header = _header(args, digest)
     horizon = patterson.default_horizon(census)
-    atoms = patterson.CensusAtoms(census)
-    for s in reversed(s_list):  # mu ends as the measure at s_list[0]
-        mu = patterson.orbital_measure(census, s, atoms=atoms)
-        tag = f"{s:.4f}"
-        with open(out / f"measure_s{tag}.csv", "w") as fh:
-            mu.write_csv(fh, header_lines=header)
-        hist = patterson.boundary_histogram(mu, horizon=horizon)
-        with open(out / f"histogram_s{tag}.csv", "w") as fh:
-            hist.write_csv(fh, header_lines=header)
-    del atoms  # frees the measure files' shared text; mu refers to it weakly
-    if args.audit == "conformal":
-        worst = _conformal_worst(census, mu, np.random.default_rng(args.seed))
-        print(f"conformal_max_deviation={worst:.3e}")
-    elif args.audit == "equivariance":
-        aud = patterson.equivariance_audit(census, 1, s_list[0])
-        print(f"equivariance_max_discrepancy={aud.max_discrepancy:.3e}")
-        print(f"equivariance_leakage={aud.leakage:.6f}")
-    elif args.audit == "shadow":
-        aud = patterson.shadow_lemma_audit(census, mu, alpha=delta_hat,
-                                           r=args.r)
-        print(f"shadow_min_ratio={aud.min_ratio:.6f}")
-        print(f"shadow_max_ratio={aud.max_ratio:.6f}")
-    if args.render:
-        with open(out / "render.ppm", "wb") as fh:
-            patterson.render_ppm(mu, fh)
-        print(f"wrote {out / 'render.ppm'}")
+    mus = [patterson.orbital_measure(census, s) for s in reversed(s_list)]
+    mu = mus[-1]  # the measure at s_list[0]
+    paths = [out / f"measure_s{m.s:.4f}.csv" for m in mus]
+    split = int(len(census) * _WORKER_SHARE) // groups._TABLE_CHUNK * groups._TABLE_CHUNK
+
+    def head():
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(open(path, "w")) for path in paths]
+            for fh in files:
+                groups._write_table(fh, header, patterson.MEASURE_COLUMNS, ())
+            for texts in patterson.measure_csv_chunks(mus, slice(split)):
+                for fh, text in zip(files, texts):
+                    fh.write(text)
+
+    with _forked(head, fork=split > 0) as join:
+        try:
+            for m in mus:
+                hist = patterson.boundary_histogram(m, horizon=horizon)
+                with open(out / f"histogram_s{m.s:.4f}.csv", "w") as fh:
+                    hist.write_csv(fh, header_lines=header)
+            if args.audit == "conformal":
+                worst = _conformal_worst(census, mu, np.random.default_rng(args.seed))
+                print(f"conformal_max_deviation={worst:.3e}")
+            elif args.audit == "equivariance":
+                aud = patterson.equivariance_audit(census, 1, s_list[0])
+                print(f"equivariance_max_discrepancy={aud.max_discrepancy:.3e}")
+                print(f"equivariance_leakage={aud.leakage:.6f}")
+            elif args.audit == "shadow":
+                aud = patterson.shadow_lemma_audit(census, mu, alpha=delta_hat,
+                                                   r=args.r)
+                print(f"shadow_min_ratio={aud.min_ratio:.6f}")
+                print(f"shadow_max_ratio={aud.max_ratio:.6f}")
+            if args.render:
+                with open(out / "render.ppm", "wb") as fh:
+                    patterson.render_ppm(mu, fh)
+                print(f"wrote {out / 'render.ppm'}")
+        finally:
+            tails = list(zip(*patterson.measure_csv_chunks(mus, slice(split, None))))
+            join()
+            for path, tail in zip(paths, tails):
+                with open(path, "a") as fh:
+                    fh.writelines(tail)
     return 0
 
 
@@ -422,85 +454,92 @@ def _suite_results(names: list) -> list:
     return results
 
 
-def _worker(names: list, write_fd: int):
-    """The forked worker: run the suites `names` and write their checks, or
-    the exception that stopped them, pickled to `write_fd`.  It never returns
-    into the caller and never flushes the stdio buffers it shares with the
-    parent."""
+@contextlib.contextmanager
+def _forked(work, fork: bool):
+    """Run `work()` in a forked worker while the body of the `with` block runs
+    here.  The block gets `join`, which waits for the worker and returns what
+    `work` returned or raises what it raised (`ChildProcessError` if the
+    worker ended without sending either).  Where `fork` is false or `os.fork`
+    is missing or fails, `work` runs here before the block.  The worker
+    leaves only through `os._exit`, so it never returns into the caller nor
+    flushes the stdio buffers it shares with this process; it is reaped
+    however the block ends."""
     import os
     import pickle
 
-    try:
-        try:
-            payload = (True, _suite_results(names))
-        except BaseException as exc:
-            payload = (False, exc)
-        try:
-            data = pickle.dumps(payload)
-            pickle.loads(data)
-        except Exception:  # an exception that does not survive pickling
-            exc = payload[1]
-            data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-        with os.fdopen(write_fd, "wb") as fh:
-            fh.write(data)
-    finally:
-        os._exit(0)
-
-
-def _run_suites(names: list) -> list:
-    """The checks of the suites `names`, in order.  Where `os.fork` exists
-    and more than one suite is named, a forked worker runs all but the last
-    while this process runs the last.  A worker that ends without sending
-    its checks fails each of its suites; an exception it raised is raised
-    here."""
-    import os
-    import pickle
-
-    *forked, last = names
     pid = None
     # In the CLI the only other thread is numpy's OpenBLAS pool, which
     # OpenBLAS itself stops around a fork.
-    if forked and hasattr(os, "fork"):
+    if fork and hasattr(os, "fork"):
         read_fd, write_fd = os.pipe()
         try:
             pid = os.fork()
-        except OSError:  # no process to spare: run every suite here
+        except OSError:  # no process to spare: do the work here
             os.close(read_fd)
             os.close(write_fd)
     if pid is None:
-        return _suite_results(names)
+        result = work()
+        yield lambda: result
+        return
     if pid == 0:
-        _worker(forked, write_fd)
+        try:
+            try:
+                payload = (True, work())
+            except BaseException as exc:
+                payload = (False, exc)
+            try:
+                data = pickle.dumps(payload)
+                pickle.loads(data)
+            except Exception:  # an exception that does not survive pickling
+                exc = payload[1]
+                data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(data)
+        finally:
+            os._exit(0)
     os.close(write_fd)
     pipe = os.fdopen(read_fd, "rb")
-    try:
-        own = _suite_results([last])
+    status = None
+
+    def join():
+        nonlocal status
         data = pipe.read()
-    finally:
-        pipe.close()  # first, so that a worker blocked on a full pipe can end
+        pipe.close()
         status = os.waitpid(pid, 0)[1]
-    if not data:
-        code = os.waitstatus_to_exitcode(status)
-        how = f"ended by signal {-code}" if code < 0 else f"exited with code {code}"
-        return [(f"{name}-suite", False, f"aborted: worker {how}")
-                for name in forked] + own
-    ok, payload = pickle.loads(data)
-    if not ok:
-        raise payload
-    return payload + own
+        if not data:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"ended by signal {-code}" if code < 0 else f"exited with code {code}"
+            raise ChildProcessError(f"worker {how}")
+        ok, payload = pickle.loads(data)
+        if not ok:
+            raise payload
+        return payload
+
+    try:
+        yield join
+    finally:
+        if status is None:
+            pipe.close()  # first, so that a worker blocked on a full pipe can end
+            os.waitpid(pid, 0)
 
 
 def cmd_check(args) -> int:
     """Run the verification suites whose name contains `--filter`, print
-    one line per check and write `check.json`.  Where `os.fork` exists, the
-    suites run in two processes (see `_run_suites`): patterson, the largest,
-    in this one and the others in a worker.  The checks are printed and
-    written in suite order either way."""
+    one line per check and write `check.json`.  The suites run in two
+    processes (see `_forked`): patterson, the largest, in this one and the
+    others in a worker, whose suites each fail if it sends no checks.  The
+    checks are printed and written in suite order either way."""
     names = [name for name in _SUITES if not args.filter or args.filter in name]
-    results = _run_suites(names) if names else []
-    if not results:
+    if not names:
         print(f"no suite matches filter {args.filter!r}", file=sys.stderr)
         return EXIT_PARSE
+    *forked, last = names
+    with _forked(lambda: _suite_results(forked), fork=bool(forked)) as join:
+        own = _suite_results([last])
+        try:
+            results = join() + own
+        except ChildProcessError as exc:
+            results = [(f"{name}-suite", False, f"aborted: {exc}") for name in forked] + own
     summary = []
     failed = 0
     for name, ok, detail in results:

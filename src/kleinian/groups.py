@@ -506,6 +506,12 @@ class OrbitCensus:
         exact sum is taken once."""
         return {}
 
+    @functools.cached_property
+    def far_angles(self) -> dict:
+        """The far-atom angles of this census's measures by (viewpoint,
+        horizon), filled by :func:`kleinian.patterson._far_atoms`."""
+        return {}
+
     def element(self, i: int) -> Isometry:
         m = self.mats[i]
         return Isometry(float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]))
@@ -1101,7 +1107,7 @@ def _packed_order(cols) -> np.ndarray:
     consecutive columns, each offset by its least value, share the bit
     fields of one int64 key while their ranges fit in 63 bits, and the keys
     are argsorted from the least significant.  Each key is built one column
-    at a time."""
+    at a time.  A lone key of distinct values needs no stable sort."""
     if not len(cols[0]):
         return np.arange(0)
     keys, key, used = [], None, 0
@@ -1118,6 +1124,13 @@ def _packed_order(cols) -> np.ndarray:
             key |= part
         used += bits
     keys.append(key)
+    if len(keys) == 1:
+        # Distinct keys, as distinct rows give, sort alike by any sort; they
+        # are checked _ROW_CHUNK at a time, with no other n-element array.
+        order = np.argsort(key)
+        if all(np.diff(key[order[s:s + _ROW_CHUNK + 1]]).all()
+               for s in range(0, len(key), _ROW_CHUNK)):
+            return order
     order = np.argsort(keys[0], kind="stable")
     for key in keys[1:]:
         order = order[np.argsort(key[order], kind="stable")]

@@ -9,9 +9,8 @@ is done in log-space so deep truncations at large s stay representable.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,27 +81,7 @@ UNIT_MODIFIER = ModifierH()
 # the weight's slot ('%%' renders as '%') is the only conversion left; it
 # takes the weight's text from :func:`_filled_chunks`.
 _ATOM_ROW = "%.12g,%.12g,%%s,%d"
-
-
-class CensusAtoms:
-    """What the measure files and boundary statistics of one census share: the
-    measure CSV's atom columns as text, made on first use, and the direction
-    angles of the far atoms per viewpoint and horizon (``far_angles``,
-    filled by :func:`_far_atoms`).
-
-    The text is one template per chunk of rows, with every column rendered
-    but the weight, so each measure's file formats only its weights.  The
-    text is nearly as large as one measure file and lives exactly as long as
-    this object, which its measures refer to weakly.
-    """
-
-    def __init__(self, census: OrbitCensus):
-        self.census = census
-        self.far_angles: dict[tuple[Point, float], np.ndarray] = {}
-
-    @functools.cached_property
-    def csv_templates(self) -> list[str]:
-        return list(_table_chunks(_ATOM_ROW, (*self.census.positions, self.census.word_lengths)))
+MEASURE_COLUMNS = "atom_re,atom_im,weight,word_length"
 
 
 @dataclass(frozen=True)
@@ -115,12 +94,8 @@ class AtomicMeasure:
     ``basepoint``: the distances the weights were computed from (at the
     census basepoint, the census's own ``distances``), which the audits, the
     histogram and the render read instead of recomputing them.
-
-    ``atoms`` is a weak reference to the :class:`CensusAtoms` the measure
-    was built from.  While its owner keeps it, ``write_csv`` fills the
-    shared atom-column text with this measure's weights; once it is freed,
-    the measure renders its atom columns itself, to the same bytes.  So a
-    measure kept for later use does not keep that text alive.
+    ``far_angles`` is the census's cache of far-atom direction angles
+    (:func:`_far_atoms`), shared by all of its measures.
     """
 
     atom_re: np.ndarray
@@ -133,7 +108,7 @@ class AtomicMeasure:
     s: float
     modifier: ModifierH
     log_normalizer: float
-    atoms: weakref.ref = field(repr=False, compare=False)
+    far_angles: dict = field(repr=False, compare=False)
 
     def __len__(self):
         return len(self.log_weights)
@@ -143,11 +118,22 @@ class AtomicMeasure:
         return np.exp(self.log_weights)
 
     def write_csv(self, fh, header_lines=()) -> None:
-        atoms = self.atoms()
-        templates = (atoms.csv_templates if atoms is not None else
-                     _table_chunks(_ATOM_ROW, (self.atom_re, self.atom_im, self.word_lengths)))
-        _write_table(fh, header_lines, "atom_re,atom_im,weight,word_length",
-                     _filled_chunks(templates, self.weights))
+        _write_table(fh, header_lines, MEASURE_COLUMNS,
+                     itertools.chain.from_iterable(measure_csv_chunks([self])))
+
+
+def measure_csv_chunks(measures, rows: slice = slice(None)):
+    """For each chunk of the rows ``rows`` (a slice), the CSV text of those
+    rows in each of ``measures``, measures on the atoms of one census: the
+    atom columns are rendered once per chunk, and each measure fills in the
+    text of its weights."""
+    mu = measures[0]
+    if any(m.atom_re is not mu.atom_re for m in measures):
+        raise ValueError("measures of another census")
+    templates = itertools.tee(_table_chunks(
+        _ATOM_ROW, (mu.atom_re[rows], mu.atom_im[rows], mu.word_lengths[rows])), len(measures))
+    return zip(*(_filled_chunks(t, m.weights[rows])
+                 for t, m in zip(templates, measures)))
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -158,8 +144,7 @@ def _logsumexp(a: np.ndarray) -> float:
 
 
 def orbital_measure(census: OrbitCensus, s: float, x: Point | None = None,
-                    h: ModifierH = UNIT_MODIFIER,
-                    atoms: CensusAtoms | None = None) -> AtomicMeasure:
+                    h: ModifierH = UNIT_MODIFIER) -> AtomicMeasure:
     """Truncated orbital measure with atoms at gamma.y.
 
     The normalizer is always the truncated series at the census basepoint,
@@ -167,16 +152,10 @@ def orbital_measure(census: OrbitCensus, s: float, x: Point | None = None,
     a normalization, and the basepoint measure has unit mass exactly; it is
     summed once per census, s and h (``census.log_normalizers``).  The
     atoms, their word lengths and their basepoint distances are the
-    census's own arrays.  ``atoms``, the census's :class:`CensusAtoms`, lets
-    the measures of one census share their CSV text and far-atom angles; by
-    default this measure has its own.
+    census's own arrays.
     """
     if len(census) == 0:
         raise ValueError("census is empty")
-    if atoms is None:
-        atoms = CensusAtoms(census)
-    elif atoms.census is not census:
-        raise ValueError("atoms of another census")
     if x is None:
         x = census.basepoint_x
     pre, pim = census.positions
@@ -194,17 +173,16 @@ def orbital_measure(census: OrbitCensus, s: float, x: Point | None = None,
         atom_re=pre, atom_im=pim, log_weights=log_w,
         word_lengths=census.word_lengths, distances=d_x, basepoint=x,
         target=census.basepoint_y, s=s, modifier=h, log_normalizer=log_norm,
-        atoms=weakref.ref(atoms))
+        far_angles=census.far_angles)
 
 
 def _far_atoms(mu: AtomicMeasure, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """(direction angles from the basepoint, weights) of the atoms at
     distance >= horizon, in atom order.  The angles depend only on the
-    atoms, the basepoint and the horizon, so while the measure's atoms are
-    alive they are computed once for all of its measures."""
+    atoms, the basepoint and the horizon, so they are computed once for all
+    the measures of a census."""
     far = mu.distances >= horizon
-    atoms = mu.atoms()
-    cache = {} if atoms is None else atoms.far_angles
+    cache = mu.far_angles
     key = (mu.basepoint, horizon)
     if key not in cache:
         # A chunk at a time keeps the complex temporaries of the kernel small.

@@ -1,8 +1,8 @@
+import io
 import json
 import os
 import signal
 import time
-import weakref
 
 import numpy as np
 import pytest
@@ -262,39 +262,6 @@ def test_conjugator_moving_the_basepoint_into_a_letter_half_plane(tmp_path, caps
     assert abs(estimate["point_estimate"] - 0.657) < 0.01
 
 
-def test_patterson_writes_each_measure_once_and_frees_the_shared_text(
-        tmp_path, monkeypatch):
-    # Traced runs time and count the bytes of each measure file by wrapping
-    # AtomicMeasure.write_csv, so every file must go through one call of it.
-    written, atoms = [], []
-    write_csv = patterson.AtomicMeasure.write_csv
-
-    def spy_write_csv(mu, fh, header_lines=()):
-        shared = mu.atoms()
-        assert shared is not None and all(ref() is shared for ref in atoms)
-        written.append(fh.name)
-        atoms.append(weakref.ref(shared))
-        write_csv(mu, fh, header_lines)
-        assert "csv_templates" in vars(shared)
-
-    render_ppm = patterson.render_ppm
-    alive_at_render = []
-
-    def spy_render_ppm(mu, fh, *args, **kwargs):
-        alive_at_render.append(mu.atoms() is not None
-                               or any(ref() is not None for ref in atoms))
-        return render_ppm(mu, fh, *args, **kwargs)
-
-    monkeypatch.setattr(patterson.AtomicMeasure, "write_csv", spy_write_csv)
-    monkeypatch.setattr(cli.patterson, "render_ppm", spy_render_ppm)
-    rc = run(["patterson", "--config", "schottky", "--max-word-length", "7",
-              "--s-grid", "0.7:0.8:0.05", "--render", "--out", str(tmp_path)])
-    assert rc == 0
-    files = sorted(str(p) for p in tmp_path.glob("measure_s*.csv"))
-    assert len(files) == 3 and sorted(written) == files
-    assert alive_at_render == [False]
-
-
 def test_conformal_sweep_maps_the_census_atoms_once(monkeypatch):
     census = groups.enumerate_orbit(groups.schottky_spec(cli._A, cli._B), max_word_length=6)
     calls = []
@@ -308,7 +275,7 @@ def test_conformal_sweep_maps_the_census_atoms_once(monkeypatch):
     mus = [patterson.orbital_measure(census, s) for s in (0.8, 0.7, 0.9)]
     worst = cli._conformal_worst(census, mus[0], np.random.default_rng(11))
     aud = patterson.equivariance_audit(census, 1, 0.8)
-    patterson.CensusAtoms(census).csv_templates
+    list(patterson.measure_csv_chunks(mus))
     assert len(calls) == 1 and calls[0] is census.mats
     assert worst <= 1e-12 and aud.max_discrepancy <= 1e-12
 
@@ -645,15 +612,16 @@ def test_check_detects_injected_distance_bug(tmp_path, capsys, monkeypatch):
 
 
 # `--filter se` selects separation and sequences: separation runs in the
-# forked worker and sequences in this process.  Monkeypatches reach the
-# worker because it is a fork of this process.
+# forked worker and sequences in this process.  `patterson` at word length 9
+# forks a worker for the first 16,384 rows of each measure file.
+# Monkeypatches reach the worker because it is a fork of this process.
 
 
 @pytest.fixture
 def no_child_left():
     # A worker that hangs fails the test instead of stalling the run.
     def expire(signum, frame):
-        raise TimeoutError("check did not end within 60 s")
+        raise TimeoutError("the command did not end within 60 s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(60)
@@ -745,3 +713,130 @@ def test_check_killed_worker_fails_its_suites(tmp_path, capsys, monkeypatch, no_
     assert out.splitlines()[0] == (
         f"FAIL separation-suite: aborted: worker ended by signal {int(signal.SIGKILL)}")
     assert [r["pass"] for r in doc["results"]] == [False, True, True, True, True]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls of `os.fork`, counted in this process."""
+    calls = []
+    fork = os.fork
+
+    def spy():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return calls
+
+
+def _patterson(out, capsys, word_length, *flags):
+    """(exit code, stdout, stderr, {file name: bytes}) of one `patterson` run,
+    with the output directory in stdout written as OUT."""
+    rc = run(["patterson", "--config", "schottky", "--max-word-length", str(word_length),
+              *flags, "--out", str(out)])
+    cap = capsys.readouterr()
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    return rc, cap.out.replace(str(out), "OUT"), cap.err, files
+
+
+def _one_process_measure_files(word_length, s_values):
+    """Each measure file as one `AtomicMeasure.write_csv` call writes it."""
+    doc, digest = cli.load_config("schottky")
+    census = groups.enumerate_orbit(groups.spec_from_json_dict(doc),
+                                    max_word_length=word_length)
+    header = [f"tool_version={cli.__version__}", f"config_hash={digest}", "seed=0"]
+    files = {}
+    for s in s_values:
+        fh = io.StringIO()
+        patterson.orbital_measure(census, s).write_csv(fh, header_lines=header)
+        files[f"measure_s{s:.4f}.csv"] = fh.getvalue().encode()
+    return files
+
+
+def _remove_fork(monkeypatch, how):
+    def no_process(*args):
+        raise OSError("fork failed")
+
+    if how == "missing":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", no_process)
+
+
+_S_GRID = ("--s-grid", "0.7:0.8:0.05")
+
+
+@pytest.mark.parametrize("audit", ["conformal", "equivariance", "shadow"])
+def test_patterson_files_are_the_same_with_and_without_a_fork(
+        tmp_path, capsys, monkeypatch, no_child_left, forks, audit):
+    flags = ("--audit", audit, "--render", *_S_GRID)
+    forked = _patterson(tmp_path / "forked", capsys, 9, *flags)
+    assert len(forks) == 1 and forked[0] == 0 and forked[2] == ""
+    want = _one_process_measure_files(9, (0.7, 0.75, 0.8))
+    assert {name: forked[3][name] for name in want} == want
+    assert len(forked[3]) == 7 and forked[1].endswith("\nwrote OUT/render.ppm\n")
+    for how in ("missing", "failing"):
+        with monkeypatch.context() as m:
+            _remove_fork(m, how)
+            assert _patterson(tmp_path / how, capsys, 9, *flags) == forked
+
+
+def test_patterson_too_small_to_fork_writes_the_same_files(tmp_path, capsys, monkeypatch,
+                                                          no_child_left, forks):
+    # Word length 7 has 4,373 rows: the worker's share is not one chunk.
+    flags = ("--audit", "shadow", "--render")
+    here = _patterson(tmp_path / "here", capsys, 7, *flags)
+    assert not forks and here[0] == 0
+    with monkeypatch.context() as m:
+        _remove_fork(m, "missing")
+        assert _patterson(tmp_path / "missing", capsys, 7, *flags) == here
+    # In chunks of 64 rows the worker takes 2,816 of them.
+    monkeypatch.setattr(groups, "_TABLE_CHUNK", 64)
+    assert _patterson(tmp_path / "forked", capsys, 7, *flags) == here
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("failure, code, message", [
+    ("raise", cli.EXIT_OVERFLOW, "error: arithmetic overflow: worker overflow\n"),
+    ("kill", cli.EXIT_WORKER, f"error: worker ended by signal {int(signal.SIGKILL)}\n"),
+])
+def test_patterson_worker_failure_exits_with_its_code(tmp_path, capsys, monkeypatch,
+                                                      no_child_left, forks,
+                                                      failure, code, message):
+    # Only the worker fails: its rows come from the first call of the writer.
+    parent = os.getpid()
+    chunks = patterson.measure_csv_chunks
+
+    def failing(measures, rows=slice(None)):
+        if os.getpid() != parent:
+            if failure == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise OverflowError("worker overflow")
+        return chunks(measures, rows)
+
+    monkeypatch.setattr(patterson, "measure_csv_chunks", failing)
+    rc, out, err, _ = _patterson(tmp_path, capsys, 9, "--audit", "shadow", *_S_GRID)
+    assert len(forks) == 1
+    assert rc == code and err == message
+    assert out.startswith("shadow_min_ratio=")
+
+
+@pytest.mark.parametrize("stage", ["shadow_lemma_audit", "render_ppm"])
+def test_patterson_error_after_the_fork_keeps_whole_measure_files(
+        tmp_path, capsys, monkeypatch, no_child_left, forks, stage):
+    # As in one process, an error in the audit or the render comes after
+    # every measure file and histogram is written whole.
+    def overflow(*args, **kwargs):
+        raise OverflowError(f"{stage} overflow")
+
+    monkeypatch.setattr(patterson, stage, overflow)
+    rc, out, err, files = _patterson(tmp_path, capsys, 9, "--audit", "shadow", "--render",
+                                     *_S_GRID)
+    assert len(forks) == 1
+    assert rc == cli.EXIT_OVERFLOW and err == f"error: arithmetic overflow: {stage} overflow\n"
+    want = _one_process_measure_files(9, (0.7, 0.75, 0.8))
+    assert {name: files[name] for name in want} == want
+    written = {"render.ppm": b""} if stage == "render_ppm" else {}
+    assert sorted(files) == sorted([*want, *(f"histogram_s{s}.csv" for s in ("0.7000", "0.7500", "0.8000")),
+                                    *written])
+    assert all(files[name] == data for name, data in written.items())

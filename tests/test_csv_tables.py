@@ -24,11 +24,13 @@ from kleinian.groups import (
     schottky_spec,
 )
 from kleinian.hyperbolic import Isometry, Point
+from kleinian import patterson
 from kleinian.patterson import (
     _ATOM_ROW,
+    MEASURE_COLUMNS,
     BoundaryHistogram,
-    CensusAtoms,
     boundary_histogram,
+    measure_csv_chunks,
     orbital_measure,
 )
 
@@ -256,21 +258,38 @@ def test_filled_weights_match_per_row_reference(monkeypatch, case):
         assert got.count("\n") == len(w)
 
 
+def _measure_text(mu):
+    """The per-row reference text of a measure CSV with no header lines."""
+    want = io.StringIO()
+    measure_rows(mu, want)
+    return want.getvalue()
+
+
 @pytest.mark.parametrize("x", [None, Point(0.3, 1.7)], ids=["basepoint", "moved"])
 @pytest.mark.parametrize("n", SIZES[1:])
 def test_measures_of_one_census_share_their_atom_text(monkeypatch, x, n):
-    # An empty census has no measure, so sizes start at one row.
+    # An empty census has no measure, so sizes start at one row.  Every
+    # split of the rows, as the CLI's two processes take them, renders each
+    # chunk's atom columns once for all three measures.
     monkeypatch.setattr(groups, "_TABLE_CHUNK", CHUNK)
+    rendered = []
+    table_chunks = patterson._table_chunks
+
+    def spy(fmt, cols):
+        for chunk in table_chunks(fmt, cols):
+            rendered.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(patterson, "_table_chunks", spy)
     census = _first_rows(_schottky(8), n)
-    atoms = CensusAtoms(census)
-    for s in (0.78, 0.73, 0.7):
-        mu = orbital_measure(census, s, x=x, atoms=atoms)
-        assert mu.atoms() is atoms
-        got, want = io.StringIO(), io.StringIO()
-        mu.write_csv(got, header_lines=HEADER)
-        measure_rows(mu, want, header_lines=HEADER)
-        assert got.getvalue() == want.getvalue()
-    assert len(atoms.csv_templates) == -(-n // CHUNK)
+    mus = [orbital_measure(census, s, x=x) for s in (0.78, 0.73, 0.7)]
+    for split in range(n + 1):
+        rendered.clear()
+        parts = [*measure_csv_chunks(mus, slice(split)),
+                 *measure_csv_chunks(mus, slice(split, None))]
+        assert len(rendered) == len(parts) == -(-split // CHUNK) - (-(n - split) // CHUNK)
+        for mu, texts in zip(mus, zip(*parts)):
+            assert MEASURE_COLUMNS + "\n" + "".join(texts) == _measure_text(mu)
 
 
 @pytest.mark.parametrize("chunk", (3, CHUNK, 5))
@@ -289,15 +308,16 @@ def test_measure_weight_runs_across_chunks(monkeypatch, chunk):
 
 def test_measure_family_at_the_real_chunk_size():
     census = _first_rows(_schottky(10), 2 * groups._TABLE_CHUNK + 1)
-    atoms = CensusAtoms(census)
-    mu = orbital_measure(census, 0.7, atoms=atoms)
-    got, want = io.StringIO(), io.StringIO()
-    mu.write_csv(got)
-    measure_rows(mu, want)
-    assert got.getvalue() == want.getvalue()
-    assert len(atoms.csv_templates) == 3
+    mus = [orbital_measure(census, s) for s in (0.7, 0.9)]
+    parts = list(measure_csv_chunks(mus))
+    assert len(parts) == 3
+    for mu, texts in zip(mus, zip(*parts)):
+        got = io.StringIO()
+        mu.write_csv(got)
+        assert got.getvalue() == MEASURE_COLUMNS + "\n" + "".join(texts) == _measure_text(mu)
 
 
 def test_measure_atoms_must_be_of_its_census():
+    mus = [orbital_measure(_schottky(n), 0.7) for n in (3, 4)]
     with pytest.raises(ValueError, match="another census"):
-        orbital_measure(_schottky(3), 0.7, atoms=CensusAtoms(_schottky(4)))
+        measure_csv_chunks(mus)

@@ -35,7 +35,6 @@ from kleinian.groups import (
 from kleinian import patterson
 from kleinian.counting import poincare_partial
 from kleinian.patterson import (
-    CensusAtoms,
     DegenerateNormalizer,
     MismatchedConstruction,
     ModifierH,
@@ -591,11 +590,12 @@ def test_far_atom_angles_are_computed_once_per_viewpoint_and_horizon(census8, mo
         return direction_angles_many(*args)
 
     monkeypatch.setattr(patterson, "direction_angles_many", kernel)
-    atoms = CensusAtoms(census8)
-    chunks = -(-len(census8) // 1000)
+    census = dataclasses.replace(census8)  # a census with an empty cache
+    chunks = -(-len(census) // 1000)
     for horizon in (3.0, 0.0):
         for s in (0.8, 0.7, 0.9):
-            mu = orbital_measure(census8, s, x=x, atoms=atoms)
+            mu = orbital_measure(census, s, x=x)
+            assert mu.far_angles is census.far_angles
             far = mu.distances >= horizon
             want = direction_angles_many(mu.basepoint, mu.atom_re[far], mu.atom_im[far])
             hist = boundary_histogram(mu, bins=97, horizon=horizon)
@@ -606,9 +606,8 @@ def test_far_atom_angles_are_computed_once_per_viewpoint_and_horizon(census8, mo
             assert angles.tobytes() == want.tobytes()
         assert len(calls) == chunks and sum(calls) == far.sum()
         calls.clear()
-    # Once the atoms are freed, each call computes the angles again.
-    del atoms
-    angles, _ = patterson._far_atoms(mu, 0.0)
+    # Another census of the same rows has its own cache.
+    angles, _ = patterson._far_atoms(orbital_measure(dataclasses.replace(census), 0.7, x=x), 0.0)
     assert angles.tobytes() == want.tobytes() and len(calls) == chunks
 
 
