@@ -159,9 +159,10 @@ def _parse_window(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _load_census(args):
+def _load_census(args, rows=True):
     """(census, witness, config hash) for a command's limits and config; only
-    `separation` reads a witness, and checks it before enumerating."""
+    `separation` reads a witness, and checks it before enumerating.  Without
+    ``rows`` the census keeps only its distances (`groups.enumerate_orbit`)."""
     if args.max_radius is None and args.max_word_length is None:
         raise ConfigError("need --max-word-length or --max-radius")
     if args.max_radius is not None and not 0.0 <= args.max_radius < math.inf:
@@ -173,7 +174,7 @@ def _load_census(args):
     witness = _witness_from_doc(doc) if args.command == "separation" else None
     census = groups.enumerate_orbit(
         spec, max_word_length=args.max_word_length,
-        max_radius=args.max_radius)
+        max_radius=args.max_radius, rows=rows)
     return census, witness, digest
 
 
@@ -201,7 +202,7 @@ def cmd_census(args) -> int:
 
 def cmd_exponent(args) -> int:
     r_min, r_max = _parse_window(args.window) if args.window else (None, None)
-    census, _, digest = _load_census(args)
+    census, _, digest = _load_census(args, rows=False)  # counting reads only distances
     report = counting.make_report(census)
     estimate = counting.estimate_exponent(report, r_min=r_min, r_max=r_max)
     out = _out_dir(args)
@@ -334,19 +335,20 @@ def _suite_counting():
     yield ("parabolic-distance-law", gap <= 0.05, f"max gap {gap:.4f}")
 
     spec = groups.cyclic_spec(p)
-    census = groups.enumerate_orbit(spec, max_radius=18.0)
+    census = groups.enumerate_orbit(spec, max_radius=18.0, rows=False)
     est = counting.estimate_exponent(counting.make_report(census))
     yield ("parabolic-exponent", 0.45 <= est.point_estimate <= 0.55,
            f"estimate {est.point_estimate:.4f}")
 
     e = math.exp(0.5)
     census = groups.enumerate_orbit(groups.cyclic_spec(Isometry(e, 0, 0, 1 / e)),
-                                    max_radius=30.0)
+                                    max_radius=30.0, rows=False)
     est = counting.estimate_exponent(counting.make_report(census))
     yield ("cyclic-hyperbolic-exponent", est.point_estimate <= 0.05,
            f"estimate {est.point_estimate:.4f}")
 
-    census = groups.enumerate_orbit(groups.modular_lattice_spec(), max_radius=12.0)
+    census = groups.enumerate_orbit(groups.modular_lattice_spec(), max_radius=12.0,
+                                    rows=False)
     est = counting.estimate_exponent(counting.make_report(census), r_min=6.0)
     ok = 0.9 <= est.point_estimate <= 1.1 and len(census) >= 10 ** 4
     yield ("lattice-exponent", ok,
@@ -362,7 +364,8 @@ def _suite_separation():
     h_census = groups.enumerate_orbit(groups.cyclic_spec(_A), max_word_length=200)
     cert = counting.separation_certificate(
         h_census, _B, np.arange(0.01, 1.01, 0.01))
-    census = groups.enumerate_orbit(groups.schottky_spec(_A, _B), max_word_length=9)
+    census = groups.enumerate_orbit(groups.schottky_spec(_A, _B), max_word_length=9,
+                                    rows=False)
     est = counting.estimate_exponent(counting.make_report(census))
     ok = cert.s0 >= 0.05 and cert.s0 <= est.point_estimate + est.spread
     yield ("separation-certificate", ok,
@@ -399,6 +402,10 @@ def _suite_sequences():
 
 
 def _suite_patterson():
+    """The patterson checks.  Each census and what is made from it is
+    released before the next is enumerated, so the suite's peak is that of
+    its word-length-11 stage; the two word-length-10 renders are compared
+    before that stage, and their check is reported last."""
     spec = groups.schottky_spec(_A, _B)
     census = groups.enumerate_orbit(spec, max_word_length=10)
     delta_hat = counting.estimate_exponent(
@@ -413,22 +420,26 @@ def _suite_patterson():
     census8 = groups.enumerate_orbit(spec, max_word_length=8)
     eq8 = patterson.equivariance_audit(census8, 1, s)
     ok = eq.max_discrepancy <= 1e-12 and eq.leakage < eq8.leakage
-    yield ("equivariance", ok,
-           f"discrepancy {eq.max_discrepancy:.2e}, "
-           f"leakage {eq.leakage:.4f} < {eq8.leakage:.4f}")
+    detail = (f"discrepancy {eq.max_discrepancy:.2e}, "
+              f"leakage {eq.leakage:.4f} < {eq8.leakage:.4f}")
+    renders = []
+    for _ in range(2):
+        buf = io.BytesIO()
+        patterson.render_ppm(mu, buf)
+        renders.append(buf.getvalue())
+    same, size = renders[0] == renders[1], len(renders[0])
+    del census, census8, mu, eq, eq8, buf, renders
+    yield ("equivariance", ok, detail)
 
     deep = groups.enumerate_orbit(spec, max_word_length=11)
     mu_deep = patterson.orbital_measure(deep, s)
     aud = patterson.shadow_lemma_audit(deep, mu_deep, alpha=delta_hat, r=1.5)
     ratio = aud.max_ratio / aud.min_ratio if aud.min_ratio > 0 else math.inf
     ok = aud.empty_shadows == 0 and ratio <= 1e3
+    del deep, mu_deep, aud
     yield ("shadow-lemma", ok, f"max/min ratio {ratio:.1f}")
 
-    buf1, buf2 = io.BytesIO(), io.BytesIO()
-    patterson.render_ppm(mu, buf1)
-    patterson.render_ppm(mu, buf2)
-    yield ("render-determinism", buf1.getvalue() == buf2.getvalue(),
-           f"{len(buf1.getvalue())} bytes")
+    yield ("render-determinism", same, f"{size} bytes")
 
 
 _SUITES = {

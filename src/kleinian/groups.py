@@ -462,7 +462,9 @@ class OrbitCensus:
     A census from :func:`enumerate_orbit` holds its sorted distances and
     its completeness radius at once, and puts ``word_lengths``, ``mats``
     and ``words`` into distance order on the first read of any of them, so
-    counting, which reads only the distances, never orders the rows.
+    counting, which reads only the distances, never orders the rows.  A
+    counting census (``enumerate_orbit(..., rows=False)``) holds no rows,
+    and a read of one raises ValueError.
     """
 
     distances: np.ndarray
@@ -484,9 +486,12 @@ class OrbitCensus:
 
     def __getattr__(self, name):
         # Reached only for an attribute not set: a pending census's rows.
-        rows = self.__dict__.get("_rows") if name in _ROW_COLUMNS else None
-        if rows is None:
+        if name not in _ROW_COLUMNS or "_rows" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows = self.__dict__["_rows"]
+        if rows is None:
+            raise ValueError(f"no {name}: this census was enumerated with rows=False "
+                             "and holds only its distances")
         self.__dict__.update(rows())
         del self.__dict__["_rows"]
         return self.__dict__[name]
@@ -868,7 +873,7 @@ def _right_products(mats, m):
     return out.reshape(mats.shape)
 
 
-def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
+def _enumerate_free(spec, x, y, max_word_length, max_radius, budget, rows=True):
     """Pruned tree search over reduced words, one array step per letter.
 
     Level k holds the words of length k (the identity is level 0).  Each
@@ -879,7 +884,8 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
     bound is within ``max_radius`` join the next frontier.  So only one
     letter's children are alive at a time.  Both bounds (see
     :func:`_certified_halfplanes`) hold wherever y lies.  The word matrix
-    is as wide as the longest census word.
+    is as wide as the longest census word.  Without ``rows`` only the
+    distances are kept.
     """
     if spec.kind == "nested_subgroup" and 2 * (spec.depth + 1) > budget:
         # The letters alone would outrun the budget: a parabolic alpha's
@@ -899,7 +905,7 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
         others = np.arange(n_letters) != last ^ 1
         return _halfplane_clearance(lo[others], hi[others], *_preimage_gram(mats, x)) - shift
 
-    pieces = [], [], [], []  # census columns: mats, distances, word lengths, words
+    pieces = [], [], [], []  # census columns: distances, mats, word lengths, words
     size, bound_floor = 0, math.inf  # bound_floor: least bound of a subtree left out
     alive = 0  # frontier words held, which a bound that stops pruning grows
 
@@ -911,9 +917,11 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
         take = dist <= radius
         if level == 0 or take.any():  # so no empty piece widens the words
             dist = _compress(take, dist)
-            for col, part in zip(pieces, (_compress(take, mats), dist,
-                                          np.full(len(dist), level), _compress(take, words))):
-                col.append(part)
+            pieces[0].append(dist)
+            if rows:
+                for col, part in zip(pieces[1:], (_compress(take, mats), np.full(len(dist), level),
+                                                  _compress(take, words))):
+                    col.append(part)
             size += len(dist)
         if bound is not None:
             keep = (bound <= radius) & (max_word_length is None or level < max_word_length)
@@ -962,7 +970,8 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget):
         if not frontier[0]:  # no parent was within reach of any letter
             break
         frontier = tuple(map(_stack, frontier))
-    return _census(*pieces[:3], (_FreeWords, pieces[3]), x, y, min(bound_floor, radius), spec)
+    dists, mats, wls, words = pieces
+    return _census(mats, dists, wls, (_FreeWords, words), x, y, min(bound_floor, radius), spec)
 
 
 def _expand_ranges(lo, counts):
@@ -1154,15 +1163,19 @@ def _lattice_rows(dists, rows, wls, words):
     return {"word_lengths": wls[order], "words": words, "mats": rows.reshape(-1, 2, 2)}
 
 
-def _enumerate_conjugated(spec, x, y, max_word_length, max_radius, budget):
+def _enumerate_conjugated(spec, x, y, max_word_length, max_radius, budget, rows=True):
     """The census of c^-1 . inner . c from that of inner at c.x and c.y, for
     a conjugated spec or a nested one in its eigenframe (:func:`_normal_form`);
     it keeps ``spec``."""
     frame = _normal_form(spec)
     c = frame.conjugator
-    inner = enumerate_orbit(frame.inner, c.apply(x), c.apply(y),
-                            max_word_length=max_word_length, max_radius=max_radius,
-                            budget=budget)
+    try:
+        cx, cy = c.apply(x), c.apply(y)
+    except ValueError as exc:  # the image's imaginary part underflowed to 0
+        raise OverflowError("the conjugator maps the basepoints past double "
+                            "precision") from exc
+    inner = enumerate_orbit(frame.inner, cx, cy, max_word_length=max_word_length,
+                            max_radius=max_radius, budget=budget, rows=rows)
     return OrbitCensus._pending(functools.partial(_conjugated_rows, inner, c),
                                 distances=inner.distances, basepoint_x=x, basepoint_y=y,
                                 completeness_radius=inner.completeness_radius, spec=spec)
@@ -1177,7 +1190,7 @@ def _conjugated_rows(inner, c: Isometry):
 def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,
                     max_word_length: int | None = None,
                     max_radius: float | None = None,
-                    budget: int = 10 ** 7) -> OrbitCensus:
+                    budget: int = 10 ** 7, rows: bool = True) -> OrbitCensus:
     """Census of all distinct group elements within the given limits.
 
     Every distance d(x, g.y) is read off the matrix of g, through the frame
@@ -1197,14 +1210,24 @@ def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,
     :class:`NonHyperbolicGenerator`.  A census of more than ``budget`` rows
     (a free one counts its frontier too) raises :class:`BudgetExceeded`; a
     cyclic one raises it before any power is formed.
+
+    With ``rows`` false the census is a counting census: it keeps only its
+    distances and completeness radius, and a read of ``mats``,
+    ``word_lengths`` or ``words`` raises ValueError.  The free search then
+    keeps no row at all; the cyclic and lattice enumerations, which form
+    the rows with their distances, release them at once.
     """
     if max_word_length is None and max_radius is None:
         raise InsufficientLimits(
             "at least one of max_word_length, max_radius is required")
     if spec.kind in ("cyclic_hyperbolic", "cyclic_parabolic"):
-        return _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget)
-    if spec.kind == "modular_lattice":
-        return _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget)
-    if _normal_form(spec).kind == "conjugated":
-        return _enumerate_conjugated(spec, x, y, max_word_length, max_radius, budget)
-    return _enumerate_free(spec, x, y, max_word_length, max_radius, budget)
+        census = _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget)
+    elif spec.kind == "modular_lattice":
+        census = _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget)
+    elif _normal_form(spec).kind == "conjugated":
+        census = _enumerate_conjugated(spec, x, y, max_word_length, max_radius, budget, rows)
+    else:
+        census = _enumerate_free(spec, x, y, max_word_length, max_radius, budget, rows)
+    if not rows:
+        census.__dict__["_rows"] = None  # see OrbitCensus.__getattr__
+    return census

@@ -444,7 +444,10 @@ def boundary_histogram(mu: AtomicMeasure, bins: int = 360,
 def render_ppm(mu: AtomicMeasure, fh, size: int = 1024) -> None:
     """Binary PPM (P6) of the atom density in the disk model centered at
     the measure's basepoint: white background, grayscale by accumulated
-    weight, deterministic for identical inputs."""
+    weight, deterministic for identical inputs.  It holds the density, one
+    RGB buffer and one chunk's temporaries: the gray levels are computed in
+    the density array, by the element operations of 255 (1 - density /
+    peak), and cast into the buffer."""
     density = np.zeros((size, size), dtype=np.float64)
     # A chunk at a time, in atom order, so the sums are those of one pass.
     for i in range(0, len(mu), _ANGLE_CHUNK):
@@ -454,9 +457,13 @@ def render_ppm(mu: AtomicMeasure, fh, size: int = 1024) -> None:
         py = np.clip(((1.0 - (w.imag + 1.0) / 2.0) * size).astype(np.int64), 0, size - 1)
         np.add.at(density, (py, px), np.exp(mu.log_weights[part]))
     peak = density.max()
+    rgb = np.empty((size, size, 3), dtype=np.uint8)
     if peak > 0.0:
-        gray = (255.0 * (1.0 - density / peak)).astype(np.uint8)
+        np.divide(density, peak, out=density)
+        np.subtract(1.0, density, out=density)
+        np.multiply(255.0, density, out=density)
+        rgb[...] = density[:, :, None]  # the cast of astype(np.uint8)
     else:
-        gray = np.full((size, size), 255, dtype=np.uint8)
+        rgb.fill(255)
     fh.write(b"P6\n%d %d\n255\n" % (size, size))
-    fh.write(np.repeat(gray[:, :, None], 3, axis=2).tobytes())
+    fh.write(rgb.data)

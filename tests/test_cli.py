@@ -3,12 +3,13 @@ import json
 import os
 import signal
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kleinian import cli
-from kleinian import groups, patterson
+from kleinian import counting, groups, patterson
 from kleinian.hyperbolic import ORIGIN
 
 
@@ -568,6 +569,41 @@ def test_conjugated_rows_past_double_precision_exit_with_overflow(tmp_path, caps
     assert run(["exponent", *argv, str(tmp_path / "exponent")]) == 0
 
 
+def _far_conjugate(tmp_path, exponent, inner):
+    """A config of ``inner`` conjugated by diag(10^-exponent, 10^exponent)."""
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({
+        "kind": "conjugated", "inner": inner,
+        "conjugator": [[f"1e-{exponent}", "0"], ["0", f"1e{exponent}"]]}))
+    return str(path)
+
+
+_SCHOTTKY_DOC = groups.spec_to_json_dict(groups.schottky_spec(cli._A, cli._B))
+
+
+@pytest.mark.parametrize("command", ["census", "exponent", "patterson"])
+@pytest.mark.parametrize("exponent, inner, limit", [
+    (155, _SCHOTTKY_DOC, ["--max-word-length", "4"]),
+    (160, {"kind": "modular_lattice"}, ["--max-radius", "6"]),
+], ids=["schottky-1e-155", "lattice-1e-160"])
+def test_conjugator_mapping_the_basepoints_past_double_precision_exits_with_overflow(
+        tmp_path, capsys, command, exponent, inner, limit):
+    # The conjugator maps i to an image whose imaginary part underflows to
+    # 0; that was a ValueError from Point, a traceback with exit 1.
+    config = _far_conjugate(tmp_path, exponent, inner)
+    assert run([command, "--config", config, *limit, "--out", str(tmp_path)]) == cli.EXIT_OVERFLOW
+    err = capsys.readouterr().err
+    assert err == ("error: arithmetic overflow: the conjugator maps the basepoints "
+                   "past double precision\n")
+
+
+def test_conjugator_within_double_precision_still_enumerates(tmp_path, capsys):
+    config = _far_conjugate(tmp_path, 150, _SCHOTTKY_DOC)
+    assert run(["census", "--config", config, "--max-word-length", "4",
+                "--out", str(tmp_path)]) == 0
+    assert "entries=161" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("case", list(_BAD_FLAGS))
 def test_bad_flags_are_rejected_before_enumerating(tmp_path, capsys, monkeypatch, case):
     def enumerate_orbit(*args, **kwargs):
@@ -609,6 +645,35 @@ def test_check_detects_injected_distance_bug(tmp_path, capsys, monkeypatch):
     assert rc == cli.EXIT_CHECK_FAILED
     out = capsys.readouterr().out
     assert "FAIL parabolic-exponent" in out
+
+
+def test_patterson_suite_peak_is_its_word_length_11_stage():
+    # The suite releases each census, with its measures, audits and renders,
+    # before it enumerates the next, so its traced peak is that of its
+    # word-length-11 stage (enumeration, measure, shadow audit) up to 2 MiB.
+    # Measured: 44.97 against 44.28 MiB; with the word-length-10 census, its
+    # measure and the renders alive through that stage it was 70.3 MiB.
+    spec = groups.schottky_spec(cli._A, cli._B)
+    delta = counting.estimate_exponent(counting.make_report(
+        groups.enumerate_orbit(spec, max_word_length=10, rows=False))).point_estimate
+
+    def stage():
+        deep = groups.enumerate_orbit(spec, max_word_length=11)
+        mu = patterson.orbital_measure(deep, delta + 0.1)
+        patterson.shadow_lemma_audit(deep, mu, alpha=delta, r=1.5)
+
+    def traced_peak(work):
+        tracemalloc.start()
+        try:
+            result = work()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    results, suite_peak = traced_peak(lambda: list(cli._suite_patterson()))
+    assert [name for name, ok, _ in results if ok] == [
+        "conformality", "equivariance", "shadow-lemma", "render-determinism"]
+    assert suite_peak <= traced_peak(stage)[1] + 2 * 1024 * 1024
 
 
 # `--filter se` selects separation and sequences: separation runs in the

@@ -1314,6 +1314,48 @@ def test_lattice_census_peak_memory_is_a_small_multiple_of_the_census():
     assert read <= 2.5 * retained
 
 
+_ROTATION = Isometry(math.cos(0.35), math.sin(0.35), -math.sin(0.35), math.cos(0.35))
+
+
+@pytest.mark.parametrize("spec, limits", [
+    (schottky_spec(A, B), {"max_word_length": 8}),
+    (schottky_spec(A, B), {"max_radius": 12.0, "y": Point(-0.4, 0.8)}),
+    (nested_subgroup_spec(A, B, 4), {"max_radius": 14.0}),
+    (conjugate(schottky_spec(A, B), _ROTATION), {"max_word_length": 6, "x": Point(0.1, 0.9)}),
+    (cyclic_spec(PARABOLIC), {"max_radius": 12.0, "x": Point(0.3, 1.7)}),
+    (modular_lattice_spec(), {"max_radius": 7.0, "y": Point(0.2, 1.3)}),
+    (conjugate(modular_lattice_spec(), _ROTATION), {"max_radius": 6.0}),
+], ids=["schottky-L8", "schottky-R12", "nested-R14", "conjugated-schottky", "parabolic",
+        "lattice", "conjugated-lattice"])
+def test_counting_census_holds_no_row_columns(spec, limits):
+    # A counting census has the distances and the completeness radius of
+    # the full census, bit for bit, and no rows: reading one raises rather
+    # than enumerating again.
+    full = enumerate_orbit(spec, **limits)
+    census = enumerate_orbit(spec, rows=False, **limits)
+    assert census.distances.tobytes() == full.distances.tobytes()
+    assert census.completeness_radius == full.completeness_radius
+    assert vars(census)["_rows"] is None
+    for name in ("mats", "word_lengths", "words", "positions"):
+        with pytest.raises(ValueError, match="rows=False"):
+            getattr(census, name)
+        assert name not in vars(census)
+
+
+def test_counting_free_search_peak_memory_is_a_small_multiple_of_the_distances():
+    # Without rows the search keeps only distance pieces, beside its
+    # frontier and one letter's children.  Measured at Schottky L10: 4.8
+    # times the distances' bytes; keeping the rows it peaks at 10.0 times.
+    tracemalloc.start()
+    try:
+        census = enumerate_orbit(schottky_spec(A, B), max_word_length=10, rows=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(census) == 2 * 3 ** 10 - 1
+    assert peak <= 6.0 * census.distances.nbytes
+
+
 # ---------------------------------------------------------------------------
 # Rows ordered on first read, against eager references.
 

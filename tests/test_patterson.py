@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -632,6 +633,36 @@ def test_render_in_ragged_chunks_matches_one_pass(spec, monkeypatch, x):
     fh = io.BytesIO()
     render_ppm(mu, fh)
     assert fh.getvalue() == b"P6\n1024 1024\n255\n" + _reference_render_ppm(mu, 1024)
+
+
+class _Sink:
+    """A file that keeps only the number of bytes written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, data):
+        self.size += memoryview(data).nbytes
+
+
+def test_render_peak_memory_is_the_density_and_one_rgb_buffer(spec):
+    # At size 1024 the render holds the float64 density (8 MiB), the RGB
+    # buffer (3 MiB) and one chunk's temporaries.  Measured at word length 10
+    # (118,097 atoms, so a full chunk of 2^16): 12.6 MiB, that is 11 MiB plus
+    # 26 bytes per chunk atom; the bound allows 48 bytes per chunk atom.  The
+    # gray levels computed out of place and repeated into a new RGB array
+    # peaked at 25.6 MiB.
+    size = 1024
+    mu = orbital_measure(enumerate_orbit(spec, max_word_length=10), 0.7)
+    fh = _Sink()
+    tracemalloc.start()
+    try:
+        render_ppm(mu, fh, size=size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fh.size == len(b"P6\n1024 1024\n255\n") + 3 * size * size
+    assert peak <= 8 * size * size + 3 * size * size + 48 * patterson._ANGLE_CHUNK
 
 
 def test_histogram_csv_format(census8):
