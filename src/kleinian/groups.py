@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hyperbolic import (
+    _ROW_CHUNK,
     _TOL,
     _TWO_PI,
     ORIGIN,
@@ -51,11 +52,10 @@ KINDS = (
 # entry of a ball element at x = y = i, and the matrices that reduce the
 # basepoints into the fundamental domain.
 _LATTICE_ENTRY_MAX = (1 << 15) - 1
-# Candidate bottom rows per chunk of a lattice enumeration, and rows per piece
-# of its census and per slice of its word lengths, so that what a lattice
-# census holds beyond its rows is bounded; and rows per 2-D product of the
-# free search's children (:func:`_right_products`).
-_ROW_CHUNK = 1 << 14
+# _ROW_CHUNK also gives the candidate bottom rows per chunk of a lattice
+# enumeration, and the rows per piece of its census and per slice of its word
+# lengths, so that what a lattice census holds beyond its rows is bounded; and
+# the rows per 2-D product of the free search's children (:func:`_right_products`).
 _TABLE_CHUNK = 1 << 14  # rows formatted per write of a CSV table
 _MAX_NESTING = 64  # conjugations around a spec; each is a level of recursion
 # Largest radius at which a cyclic ball is solved, below the R = 1419 where
@@ -451,12 +451,14 @@ class OrbitCensus:
     """Sorted multiset of orbit distances d(x, gamma.y) with word metadata.
 
     ``mats`` is an (n, 2, 2) array aligned with ``distances`` and
-    ``word_lengths``.  ``words`` is a lazy sequence whose item i is the word
-    of element i as a tuple of signed 1-based generator indices, None for
-    the lattice.  The free constructions store the words as a zero-padded
-    matrix of signed letters, one row per element, and the cyclic groups as
-    signed exponents; a tuple is built only when an item is read.  Both
-    give ``words.shifted_index(letter)``, the index of the reduced word
+    ``word_lengths``, which a free construction holds at the narrowest
+    unsigned type of its longest word (uint8 up to 255).  ``words`` is a
+    lazy sequence whose item i is the word of element i as a tuple of
+    signed 1-based generator indices, None for the lattice.  The free
+    constructions store the words as a zero-padded matrix of signed
+    letters, one row per element, and the cyclic groups as signed
+    exponents; a tuple is built only when an item is read.  Both give
+    ``words.shifted_index(letter)``, the index of the reduced word
     letter^-1 w for every word w (-1 where it is not in the census).
 
     A census from :func:`enumerate_orbit` holds its sorted distances and
@@ -642,18 +644,24 @@ def word_matrix(spec: GroupSpec, word) -> np.ndarray:
 
 
 def _stack(pieces):
-    """Concatenate a column's pieces, zero-padding 2-D pieces on the right to
-    the widest, and empty the list so that the pieces can be released."""
-    if len({p.shape[1:] for p in pieces}) == 1:
-        out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-    else:
-        out = np.zeros((sum(map(len, pieces)), max(p.shape[1] for p in pieces)),
-                       pieces[0].dtype)
-        start = 0
-        for p in pieces:
-            out[start:start + len(p), :p.shape[1]] = p
-            start += len(p)
+    """Concatenate a column's pieces, and empty the list so that the pieces
+    can be released."""
+    out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
     pieces.clear()
+    return out
+
+
+def _placed(pieces, rank):
+    """A column's pieces in one array, row i of their concatenation at row
+    rank[i], 2-D pieces zero-padded on the right to the widest, of the type
+    that concatenating them gives; each piece is released once placed."""
+    out = np.zeros((len(rank), *max(p.shape[1:] for p in pieces)),
+                   np.result_type(*{p.dtype for p in pieces}))
+    start = 0
+    while pieces:
+        p = pieces.pop(0)
+        out[(rank[start:start + len(p)], *map(slice, p.shape[1:]))] = p
+        start += len(p)
     return out
 
 
@@ -700,11 +708,14 @@ def _stable_order(d: np.ndarray) -> np.ndarray:
 
 def _rows_by_distance(dists, mats, wls, words):
     """The row columns of :func:`_census` in the order of a stable sort of
-    the distances, each stacked, reordered and released in turn."""
+    the distances, each placed (:func:`_placed`) in turn."""
     order = _stable_order(_stack(dists))
-    return {"word_lengths": _stack(wls).take(order),  # evaluated in this order
-            "words": None if words is None else words[0](_stack(words[1]).take(order, axis=0)),
-            "mats": _stack(mats).take(order, axis=0)}
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    del order
+    return {"word_lengths": _placed(wls, rank),  # evaluated in this order
+            "words": None if words is None else words[0](_placed(words[1], rank)),
+            "mats": _placed(mats, rank)}
 
 
 def _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget):
@@ -884,8 +895,9 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget, rows=True):
     bound is within ``max_radius`` join the next frontier.  So only one
     letter's children are alive at a time.  Both bounds (see
     :func:`_certified_halfplanes`) hold wherever y lies.  The word matrix
-    is as wide as the longest census word.  Without ``rows`` only the
-    distances are kept.
+    is as wide as the longest census word, and a word length is held at the
+    narrowest type of its level.  Without ``rows`` only the distances are
+    kept, and no word is formed.
     """
     if spec.kind == "nested_subgroup" and 2 * (spec.depth + 1) > budget:
         # The letters alone would outrun the budget: a parabolic alpha's
@@ -909,52 +921,57 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget, rows=True):
     size, bound_floor = 0, math.inf  # bound_floor: least bound of a subtree left out
     alive = 0  # frontier words held, which a bound that stops pruning grows
 
-    def visit(level, mats, words, last, dist, bound):
-        """Census the words within the radius, and return the matrices, words
-        and last letters of those whose subtree may reach it: all of them
-        where ``bound`` is None."""
+    def visit(level, dist, bound, front):
+        """Census the rows of ``front`` (matrices, last letters and, with
+        ``rows``, words) within the radius, and return those whose subtree
+        may reach it: all of them where ``bound`` is None."""
         nonlocal size, bound_floor, alive
         take = dist <= radius
         if level == 0 or take.any():  # so no empty piece widens the words
             dist = _compress(take, dist)
             pieces[0].append(dist)
             if rows:
-                for col, part in zip(pieces[1:], (_compress(take, mats), np.full(len(dist), level),
-                                                  _compress(take, words))):
-                    col.append(part)
+                mats, _, words = front
+                pieces[1].append(_compress(take, mats))
+                pieces[2].append(np.full(len(dist), level, np.min_scalar_type(level)))
+                pieces[3].append(_compress(take, words))
             size += len(dist)
         if bound is not None:
             keep = (bound <= radius) & (max_word_length is None or level < max_word_length)
             bound_floor = min(bound_floor, float(bound[~keep].min(initial=math.inf)))
-            mats, words, last = (_compress(keep, a) for a in (mats, words, last))
-        alive += len(mats)
+            front = [_compress(keep, a) for a in front]
+        alive += len(front[0])
         if size + alive > budget:
             raise BudgetExceeded(f"census and frontier exceed budget {budget}")
-        return mats, words, last
+        return front
 
     def extend(level, li, mats, words):
-        """Visit the children w.li of the words w, in order.  A search
-        without ``max_radius`` keeps every child below its last level, so it
-        bounds subtrees only at that level, for ``bound_floor``."""
+        """Visit the children w.li of the frontier rows ``mats`` and
+        ``words`` (a list of their word matrix, or empty), in order.  A
+        search without ``max_radius`` keeps every child below its last
+        level, so it bounds subtrees only at that level, for ``bound_floor``.
+        The parents are passed in no container that the call keeps, so
+        they are released once their children are formed."""
         mats = _right_products(mats, lmats[li])
-        words = np.column_stack([words, np.full(len(words), codes[li])])
+        words = [np.column_stack([w, np.full(len(w), codes[li])]) for w in words]
         dist = origin_distances_many(mats, x, y)
         bound = (subtree_bound(mats, li) if radius < math.inf or level == max_word_length
                  else None)
-        return visit(level, mats, words, np.full(len(mats), li), dist, bound)
+        return visit(level, dist, bound, [mats, np.full(len(mats), li), *words])
 
     root = np.eye(2)[None]
-    frontier = visit(0, root, np.zeros((1, 0), codes.dtype), np.array([-1]),
-                     origin_distances_many(root, x, y), np.zeros(1))
+    words = [np.zeros((1, 0), codes.dtype)] if rows else []  # a counting search forms none
+    frontier = visit(0, origin_distances_many(root, x, y), np.zeros(1),
+                     [root, np.array([-1]), *words])
     for level in itertools.count(1):
-        mats, words, last = frontier  # in row order
+        mats, last, *words = frontier  # in row order
         if not len(mats):
             break
         alive = len(mats)
         # Every child w.m and its subtree lie at distance >= d(w^-1.x, E_m) -
         # shift: the parents too far from E_m for the radius get no child m.
         gram = _preimage_gram(mats, x) if radius < math.inf else None
-        frontier = [], [], []  # the next frontier's pieces, one per letter
+        frontier = [[] for _ in frontier]  # the next frontier's pieces, one per letter
         for li in range(n_letters):
             sel = last != li ^ 1
             if gram is not None:
@@ -964,12 +981,13 @@ def _enumerate_free(spec, x, y, max_word_length, max_radius, budget, rows=True):
                 bound_floor = min(bound_floor, float(clear[far].min(initial=math.inf)))
                 sel &= ~far
             if sel.any():
-                for col, part in zip(frontier, extend(level, li, _compress(sel, mats),
-                                                      _compress(sel, words))):
+                children = extend(level, li, _compress(sel, mats),
+                                  [_compress(sel, w) for w in words])
+                for col, part in zip(frontier, children):
                     col.append(part)
         if not frontier[0]:  # no parent was within reach of any letter
             break
-        frontier = tuple(map(_stack, frontier))
+        frontier = [_stack(col) for col in frontier]
     dists, mats, wls, words = pieces
     return _census(mats, dists, wls, (_FreeWords, words), x, y, min(bound_floor, radius), spec)
 
@@ -1082,7 +1100,8 @@ def _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget):
         c, d, g, u, v = c[ok], d[ok], g[ok], u[ok], v[ok]
         a0, b0 = v * g, -u * g  # a0 d - b0 c = g^2 = 1
         w_re, w_im = apply_many(np.stack([a0, b0, c, d], axis=1).reshape(-1, 2, 2), y0)
-        rhs = 2.0 * x0.im * w_im * (cosh_r - 1.0) - (x0.im - w_im) ** 2
+        with np.errstate(over="ignore"):  # an infinite rhs bounds no t: over budget
+            rhs = 2.0 * x0.im * w_im * (cosh_r - 1.0) - (x0.im - w_im) ** 2
         half_t = np.sqrt(np.maximum(rhs, 0.0))
         t_lo = np.ceil(x0.re - w_re - half_t)
         n_t = np.where(rhs >= 0.0, np.floor(x0.re - w_re + half_t) - t_lo + 1.0, 0.0)

@@ -20,6 +20,7 @@ import numpy as np
 _TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
 _HALF_ROUNDS = 2.0 ** -1021  # below it t / 2 rounds, and 2 asinh(t / 2) = t
+_ROW_CHUNK = 1 << 14  # rows per slice of a batched kernel's temporaries
 
 
 def _fold_angle(theta):
@@ -284,16 +285,27 @@ def frames_many(mats, x: Point, y: Point) -> tuple[np.ndarray, ...]:
         return a * r, (a * y.re + b) / s, c * s, (c * y.re + d) / r
 
 
-def apply_many(mats, p: Point) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) arrays of the images of p under (n, 2, 2) unimodular m: the
-    frames N = m K_p^-1 (:func:`frames_many` at x = i) send i to m.p, so Im =
-    1 / (N21^2 + N22^2) and Re = (N11 N21 + N12 N22) Im, and neither cancels
-    far from p.  :meth:`Isometry.apply` is its one-row call."""
+def _images(mats, p: Point) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) of :func:`apply_many` on one slice of rows."""
     n11, n12, n21, n22 = frames_many(mats, ORIGIN, p)
     # Past double precision an image lies at Im 0: infinitely far.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         im = 1.0 / (n21 * n21 + n22 * n22)
         return (n11 * n21 + n12 * n22) * im, im
+
+
+def apply_many(mats, p: Point) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) arrays of the images of p under (n, 2, 2) unimodular m: the
+    frames N = m K_p^-1 (:func:`frames_many` at x = i) send i to m.p, so Im =
+    1 / (N21^2 + N22^2) and Re = (N11 N21 + N12 N22) Im, and neither cancels
+    far from p.  :meth:`Isometry.apply` is its one-row call.  Past _ROW_CHUNK
+    rows the images are mapped a slice at a time into the two outputs."""
+    if len(mats) <= _ROW_CHUNK:
+        return _images(mats, p)
+    re, im = np.empty(len(mats)), np.empty(len(mats))
+    for s in range(0, len(mats), _ROW_CHUNK):
+        re[s:s + _ROW_CHUNK], im[s:s + _ROW_CHUNK] = _images(mats[s:s + _ROW_CHUNK], p)
+    return re, im
 
 
 def distances_many(x: Point, re: np.ndarray, im: np.ndarray) -> np.ndarray:

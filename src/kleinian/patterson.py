@@ -348,7 +348,9 @@ def shadow_lemma_audit(census: OrbitCensus, mu: AtomicMeasure, alpha: float,
     angles, weights = _far_atoms(mu, horizon)
     order = np.argsort(angles, kind="stable")
     angles = angles[order]
-    prefix = np.concatenate([[0.0], np.cumsum(weights[order])])
+    prefix = np.zeros(len(order) + 1)  # in place: a take in mode "raise" buffers its out
+    np.cumsum(np.take(weights, order, out=prefix[1:], mode="clip"), out=prefix[1:])
+    del order, weights
     total = prefix[-1]
 
     band = np.isin(census.word_lengths, np.asarray(word_lengths))

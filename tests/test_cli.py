@@ -597,6 +597,17 @@ def test_conjugator_mapping_the_basepoints_past_double_precision_exits_with_over
                    "past double precision\n")
 
 
+def test_lattice_ball_whose_bound_overflows_exits_over_budget_in_one_line(tmp_path, capsys):
+    # Under diag(1e-150, 1e150) the bound on the lattice translations
+    # overflows to inf, which bounds nothing: the census is over budget, with
+    # no RuntimeWarning on the way.
+    config = _far_conjugate(tmp_path, 150, {"kind": "modular_lattice"})
+    assert run(["census", "--config", config, "--max-radius", "6",
+                "--out", str(tmp_path)]) == cli.EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err == "error: census exceeds budget 10000000\n"
+
+
 def test_conjugator_within_double_precision_still_enumerates(tmp_path, capsys):
     config = _far_conjugate(tmp_path, 150, _SCHOTTKY_DOC)
     assert run(["census", "--config", config, "--max-word-length", "4",

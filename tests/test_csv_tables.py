@@ -125,6 +125,25 @@ def test_shared_writer_matches_per_row_reference(case):
         assert got.getvalue() == want.getvalue()
 
 
+@pytest.mark.parametrize("spec, max_word_length, dtype", [
+    (schottky_spec(A, B), 8, np.uint8),
+    (groups.GroupSpec("schottky", generators=(A,)), 300, np.uint16),
+], ids=["schottky-L8", "one-generator-L300"])
+def test_free_word_lengths_are_narrow_and_print_as_int64(spec, max_word_length, dtype):
+    # Each level's word lengths have the narrowest type of the level, so
+    # the column has the narrowest unsigned type of its longest word; its
+    # census and measure text is that of the int64 column.
+    census = enumerate_orbit(spec, max_word_length=max_word_length)
+    wls = census.word_lengths
+    assert wls.dtype == dtype == np.min_scalar_type(wls.max())
+    mu = orbital_measure(census, 0.8)
+    for table in (census, mu):
+        got, want = io.StringIO(), io.StringIO()
+        table.write_csv(got)
+        dataclasses.replace(table, word_lengths=wls.astype(np.int64)).write_csv(want)
+        assert got.getvalue() == want.getvalue()
+
+
 def _extreme_lattice_entries():
     m = groups._LATTICE_ENTRY_MAX
     mats = np.array([[[m, -m], [0, 1]], [[-m, 0], [m, -1]], [[0, 0], [0, 0]]])
