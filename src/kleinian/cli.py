@@ -6,7 +6,8 @@ Exit codes: 0 success, 1 verification failure, 2 invalid config or limits
 (including generators without a ping-pong certificate), 3 enumeration budget
 exceeded, 4 arithmetic overflow, 5 insufficient data for estimation,
 6 no separation certificate, 7 degenerate measure normalizer, 8 a forked
-worker ended without finishing its part.
+worker ended without finishing its part, 9 an internal error (any other
+exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_INSUFFICIENT = 5
 EXIT_NO_CERTIFICATE = 6
 EXIT_DEGENERATE = 7
 EXIT_WORKER = 8
+EXIT_INTERNAL = 9
 
 
 class ConfigError(ValueError):
@@ -633,6 +635,10 @@ def main(argv=None) -> int:
         prefix = "arithmetic overflow: " if code == EXIT_OVERFLOW else ""
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return code
+    except Exception as exc:  # a fault of the program, not of its input
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

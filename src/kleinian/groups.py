@@ -36,6 +36,7 @@ from .hyperbolic import (
     distance,  # unused here; perfbench/spans.py wraps groups.distance by name
     frames_many,
     hyperbolic_fixed_points,
+    hypot_distances,
     origin_distances_many,
 )
 
@@ -1055,7 +1056,48 @@ def _reduce_basepoint(p: Point):
     return np.array([[a, b], [c, d]]), Point(q.real, q.imag)
 
 
-def _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget):
+def _quadrant_weights(table):
+    """(r, s, w) over r, s >= 0 with n = r^2 + s^2 <= table, where w elements
+    of PSL(2, Z) have (a - d, b + c) = (+-r, +-s).  With p = a + d and
+    q = b - c, ad - bc = 1 iff p^2 + q^2 = n + 4 with p = r and q = s
+    (mod 2), as all representations of n + 4 are for n even and half are
+    for n odd.  So w is the number of sign changes of (r, s) times
+    r2(n + 4) / (1 + n mod 2), halved for +-g; r2(k) = 4 c4(k), c4(k) the
+    points with r > 0 and r^2 + s^2 = k."""
+    reach = np.sqrt(table + 4 - np.arange(math.isqrt(table + 4) + 1) ** 2)
+    r, s = _expand_ranges(np.zeros(len(reach), np.int64), reach.astype(np.int64) + 1)
+    n = r * r + s * s
+    c4 = np.bincount(n[r > 0], minlength=table + 5)
+    inside = n <= table
+    r, s, n = r[inside], s[inside], n[inside]
+    return r, s, (1 + (r > 0)) * (1 + (s > 0)) * c4[n + 4] * (2 - (n & 1))
+
+
+def _lattice_ball_at_i(cosh_r, max_radius, budget):
+    """The sorted distances of the lattice's ball d(i, g.i) <= R, counted by
+    :func:`_quadrant_weights` with no row formed; the distance of a point
+    is :func:`hypot_distances` of (r, s), blind to signs but not a function
+    of n.  The table reaches n = min(2 cosh R - 2, budget / 2); past that,
+    its part of the ball (about 3 budget / 2 elements, more than budget for
+    every budget up to 10^7) is over budget, or else the result is None."""
+    ball = int(2.0 * cosh_r - 2.0)
+    table = min(ball, max(budget, 0) // 2)
+    r, s, weights = _quadrant_weights(table)
+    dists = hypot_distances(r, s)
+    del r, s
+    order = np.argsort(dists)
+    dists = dists[order]
+    inside = int(np.searchsorted(dists, max_radius, side="right"))
+    weights = weights[order[:inside]]
+    del order
+    if weights.sum() > budget:
+        raise BudgetExceeded(f"census exceeds budget {budget}")
+    if table < ball:
+        return None
+    return np.repeat(dists[:inside], weights)
+
+
+def _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget, rows=True):
     """Lattice points g of the ball d(x, g.y) <= R, exactly.
 
     With x = k.x0 and y = h.y0 in the fundamental domain, the ball is k B
@@ -1068,17 +1110,24 @@ def _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget):
     are taken _ROW_CHUNK candidates at a time, and their rows formed
     _ROW_CHUNK at a time; each such slice's rows, distances and word
     lengths are kept as one piece of their column, to be stacked only when
-    the rows are read (:func:`_lattice_rows`).
+    the rows are read (:func:`_lattice_rows`).  A counting census (no
+    ``rows``) at x = y = i with no word-length bound is counted in closed
+    form instead (:func:`_lattice_ball_at_i`).
     """
     if max_radius is None:
         raise InsufficientLimits("lattice enumeration needs max_radius")
     if 2.0 * math.cosh(max_radius) > _LATTICE_ENTRY_MAX ** 2:
         raise OverflowError("max_radius too large for exact lattice arithmetic")
+    # Relative float margins; the distance test below decides membership.
+    cosh_r = math.cosh(max_radius) * (1.0 + 1e-9)
+    if not rows and max_word_length is None and (x, y) == (ORIGIN, ORIGIN):
+        dists = _lattice_ball_at_i(cosh_r, max_radius, budget)
+        if dists is not None:
+            return OrbitCensus._pending(None, distances=dists, basepoint_x=x, basepoint_y=y,
+                                        completeness_radius=max_radius, spec=spec)
     k, x0 = _reduce_basepoint(x)
     h, y0 = _reduce_basepoint(y)
     h_inv = np.array([[h[1, 1], -h[0, 1]], [-h[1, 0], h[0, 0]]])
-    # Relative float margins; the distance test below decides membership.
-    cosh_r = math.cosh(max_radius) * (1.0 + 1e-9)
     row_bound = (y0.im / x0.im) * math.exp(max_radius) * (1.0 + 1e-9)
     c_all = np.arange(int(math.sqrt(row_bound) / y0.im) + 1)
     half = np.sqrt(np.maximum(row_bound - (c_all * y0.im) ** 2, 0.0))
@@ -1223,7 +1272,9 @@ def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,
     radius), by convexity of n -> cosh d(x, g^n y) (cyclic groups,
     parabolic or hyperbolic: one closed form in n, solved for the ball and
     complete to at most 1400) or by exact lattice-point enumeration (the
-    modular lattice, which needs ``max_radius``).  Limits that cannot bound
+    modular lattice, which needs ``max_radius``; a counting census of it at
+    x = y = i with no word-length bound is complete by the exact
+    four-squares count of :func:`_quadrant_weights`).  Limits that cannot bound
     the census raise :class:`InsufficientLimits`; free generators without a
     certificate raise :class:`MarginViolation` or
     :class:`NonHyperbolicGenerator`.  A census of more than ``budget`` rows
@@ -1233,8 +1284,10 @@ def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,
     With ``rows`` false the census is a counting census: it keeps only its
     distances and completeness radius, and a read of ``mats``,
     ``word_lengths`` or ``words`` raises ValueError.  The free search then
-    keeps no row at all; the cyclic and lattice enumerations, which form
-    the rows with their distances, release them at once.
+    keeps no row at all, and the lattice ball at x = y = i with no
+    word-length bound forms none; the cyclic and other lattice
+    enumerations, which form the rows with their distances, release them at
+    once.
     """
     if max_word_length is None and max_radius is None:
         raise InsufficientLimits(
@@ -1242,7 +1295,7 @@ def enumerate_orbit(spec: GroupSpec, x: Point = ORIGIN, y: Point = ORIGIN,
     if spec.kind in ("cyclic_hyperbolic", "cyclic_parabolic"):
         census = _enumerate_cyclic(spec, x, y, max_word_length, max_radius, budget)
     elif spec.kind == "modular_lattice":
-        census = _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget)
+        census = _enumerate_lattice(spec, x, y, max_word_length, max_radius, budget, rows)
     elif _normal_form(spec).kind == "conjugated":
         census = _enumerate_conjugated(spec, x, y, max_word_length, max_radius, budget, rows)
     else:

@@ -327,7 +327,15 @@ def origin_distances_many(mats, x: Point = ORIGIN, y: Point = ORIGIN) -> np.ndar
     a, b, c, d = (frames_many(mats, x, y) if (x, y) != (ORIGIN, ORIGIN)
                   else (mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]))
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: outside every ball
-        return _twice_asinh_half(np.hypot(a - d, b + c))
+        return hypot_distances(a - d, b + c)
+
+
+def hypot_distances(u, v) -> np.ndarray:
+    """2 asinh(hypot(u, v) / 2): the distance d(i, F.i) of a unimodular F
+    with u = F11 - F22 and v = F12 + F21, as 4 sinh^2(d / 2) = u^2 + v^2."""
+    t = np.hypot(u, v)
+    del u, v  # a caller's temporaries, released before the arcsinh's array
+    return _twice_asinh_half(t)
 
 
 def conjugates_many(mats, entries) -> np.ndarray:

@@ -608,6 +608,42 @@ def test_lattice_ball_whose_bound_overflows_exits_over_budget_in_one_line(tmp_pa
     assert err == "error: census exceeds budget 10000000\n"
 
 
+def test_lattice_exponent_writes_the_files_of_the_full_census(tmp_path, capsys, monkeypatch):
+    # `exponent` counts the lattice ball at i from sums of two squares; its
+    # files are those of the census whose rows are enumerated.
+    argv = ["exponent", "--config", "lattice", "--max-radius", "11"]
+    assert run(argv + ["--out", str(tmp_path / "count")]) == 0
+    enumerate_orbit = groups.enumerate_orbit
+    monkeypatch.setattr(cli.groups, "enumerate_orbit",
+                        lambda *args, **kwargs: enumerate_orbit(*args, **{**kwargs, "rows": True}))
+    assert run(argv + ["--out", str(tmp_path / "full")]) == 0
+    for name in ("report.csv", "estimate.json"):
+        assert (tmp_path / "count" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+@pytest.mark.parametrize("radius, code, err", [
+    ("20", cli.EXIT_BUDGET, "error: census exceeds budget 10000000\n"),
+    ("21", cli.EXIT_OVERFLOW,
+     "error: arithmetic overflow: max_radius too large for exact lattice arithmetic\n")])
+def test_lattice_exponent_past_the_budget_or_the_integers_exits_in_one_line(
+        tmp_path, capsys, radius, code, err):
+    assert run(["exponent", "--config", "lattice", "--max-radius", radius,
+                "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == err
+
+
+def test_an_unexpected_error_exits_internal_in_one_line(tmp_path, capsys, monkeypatch):
+    # Exit 1 means a failed check; any error without a code of its own is
+    # an internal one, reported in one line rather than a traceback.
+    def broken(args):
+        raise RuntimeError("lost\ntrack")
+
+    monkeypatch.setattr(cli, "cmd_census", broken)
+    assert run(["census", "--config", "lattice", "--max-radius", "2",
+                "--out", str(tmp_path)]) == cli.EXIT_INTERNAL == 9
+    assert capsys.readouterr().err == "error: internal: RuntimeError: lost track\n"
+
+
 def test_conjugator_within_double_precision_still_enumerates(tmp_path, capsys):
     config = _far_conjugate(tmp_path, 150, _SCHOTTKY_DOC)
     assert run(["census", "--config", config, "--max-word-length", "4",
@@ -771,11 +807,13 @@ def test_check_worker_suite_error_is_raised_here(tmp_path, capsys, monkeypatch,
         raise error
         yield
 
+    # The worker's error is raised in this process, where `main` reports it
+    # as an internal error in one line.
     monkeypatch.setitem(cli._SUITES, "separation", crashing)
-    with pytest.raises(RuntimeError) as info:
-        run(["check", "--filter", "se", "--out", str(tmp_path)])
-    assert type(info.value) is RuntimeError and str(info.value) == message
-    assert capsys.readouterr().out == ""
+    assert run(["check", "--filter", "se", "--out", str(tmp_path)]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: internal: RuntimeError: {message}\n"
 
 
 def test_check_killed_worker_fails_its_suites(tmp_path, capsys, monkeypatch, no_child_left):

@@ -1325,8 +1325,9 @@ _ROTATION = Isometry(math.cos(0.35), math.sin(0.35), -math.sin(0.35), math.cos(0
     (cyclic_spec(PARABOLIC), {"max_radius": 12.0, "x": Point(0.3, 1.7)}),
     (modular_lattice_spec(), {"max_radius": 7.0, "y": Point(0.2, 1.3)}),
     (conjugate(modular_lattice_spec(), _ROTATION), {"max_radius": 6.0}),
+    (modular_lattice_spec(), {"max_radius": 9.0}),
 ], ids=["schottky-L8", "schottky-R12", "nested-R14", "conjugated-schottky", "parabolic",
-        "lattice", "conjugated-lattice"])
+        "lattice", "conjugated-lattice", "lattice-at-i"])
 def test_counting_census_holds_no_row_columns(spec, limits):
     # A counting census has the distances and the completeness radius of
     # the full census, bit for bit, and no rows: reading one raises rather
@@ -1340,6 +1341,77 @@ def test_counting_census_holds_no_row_columns(spec, limits):
         with pytest.raises(ValueError, match="rows=False"):
             getattr(census, name)
         assert name not in vars(census)
+
+
+def _no_rows(*args):
+    raise AssertionError("a lattice row was formed")
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.5, 1.0, 2.0, 5.0, 9.0, 11.0, 12.0])
+def test_counting_lattice_ball_at_i_matches_the_enumeration_with_no_row(monkeypatch, radius):
+    # At x = y = i the counting census comes from sums of two squares: the
+    # same distances, bit for bit, with no bottom row solved.  The ball of
+    # R = 0 holds I and S.
+    full = enumerate_orbit(modular_lattice_spec(), max_radius=radius)
+    monkeypatch.setattr(groups, "_ext_gcd", _no_rows)
+    census = enumerate_orbit(modular_lattice_spec(), max_radius=radius, rows=False)
+    assert len(census) == len(full)
+    if radius == 0.0:
+        assert len(census) == 2
+    assert census.distances.tobytes() == full.distances.tobytes()
+    assert census.completeness_radius == radius
+
+
+def test_counting_lattice_ball_at_i_checks_the_exact_count_against_the_budget():
+    n = len(enumerate_orbit(modular_lattice_spec(), max_radius=9.0))
+    with pytest.raises(BudgetExceeded) as rows_error:
+        enumerate_orbit(modular_lattice_spec(), max_radius=9.0, budget=n - 1)
+    with pytest.raises(BudgetExceeded) as count_error:
+        enumerate_orbit(modular_lattice_spec(), max_radius=9.0, budget=n - 1, rows=False)
+    assert str(count_error.value) == str(rows_error.value) == f"census exceeds budget {n - 1}"
+    assert len(enumerate_orbit(modular_lattice_spec(), max_radius=9.0, budget=n,
+                               rows=False)) == n
+
+
+def test_counting_lattice_ball_past_the_budget_builds_no_table_of_the_ball():
+    # At R = 20 the ball's table would reach 2 cosh R - 2 = 4.9e8; it is cut
+    # at budget / 2, whose part of the ball is already over budget.
+    # Measured: 23 bytes per element of budget.
+    budget = 10 ** 6
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=f"census exceeds budget {budget}$"):
+            enumerate_orbit(modular_lattice_spec(), max_radius=20.0, rows=False, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * budget
+
+
+def test_counting_lattice_ball_the_table_cannot_decide_is_enumerated(monkeypatch):
+    # Were the part of the ball in the table within budget (no radius gives
+    # that), the ball would be enumerated, which finds it over budget.
+    monkeypatch.setattr(groups, "_quadrant_weights", lambda table: (np.zeros(0, np.int64),) * 3)
+    solved = []
+    ext_gcd = groups._ext_gcd
+    monkeypatch.setattr(groups, "_ext_gcd", lambda c, d: solved.append(len(c)) or ext_gcd(c, d))
+    with pytest.raises(BudgetExceeded, match="census exceeds budget 200$"):
+        enumerate_orbit(modular_lattice_spec(), max_radius=5.0, rows=False, budget=200)
+    assert solved
+
+
+def test_counting_lattice_ball_at_i_peak_memory_is_a_small_multiple_of_the_distances():
+    # Measured at R12: 1.94 times the distances' bytes (the table of
+    # 128,000 quadrant points, then the repeated distances).
+    enumerate_orbit(modular_lattice_spec(), max_radius=1.0, rows=False)
+    tracemalloc.start()
+    try:
+        census = enumerate_orbit(modular_lattice_spec(), max_radius=12.0, rows=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(census) == 488114
+    assert peak <= 2.5 * census.distances.nbytes
 
 
 def test_counting_free_search_peak_memory_is_a_small_multiple_of_the_distances():
